@@ -41,8 +41,8 @@
 // fully machine-independent), -resume replay already-satisfied cells from
 // the persistent result store instead of re-measuring them, -no-memo
 // physically re-execute the kernel for every repetition instead of
-// serving repeated (input, threads) configurations from the per-artifact
-// execution memo, -cpuprofile/-memprofile write pprof profiles of the
+// serving repeated (benchmark, input, threads) configurations from the
+// build system's shared execution memo, -cpuprofile/-memprofile write pprof profiles of the
 // invocation for performance work on real experiment runs.
 //
 // Cross-run analysis flags: -baseline names the stored baseline run set
@@ -410,12 +410,10 @@ func run(argv []string) error {
 		if args.stateFile == "" {
 			return nil
 		}
-		f, err := os.Create(args.stateFile)
-		if err != nil {
-			return fmt.Errorf("save state: %w", err)
+		if err := writeFileAtomic(args.stateFile, fx.SaveState); err != nil {
+			return fmt.Errorf("save state %s: %w", args.stateFile, err)
 		}
-		defer f.Close()
-		return fx.SaveState(f)
+		return nil
 	}
 
 	switch args.action {
@@ -674,6 +672,42 @@ func run(argv []string) error {
 // -addr (default 127.0.0.1:8080), serves the HTTP API, and shuts down
 // cleanly on SIGINT/SIGTERM — the in-flight run is cancelled, queued runs
 // settle as cancelled, and state is saved one last time.
+// writeFileAtomic replaces path with the bytes write produces without
+// ever exposing a truncated or half-written file: write fills a
+// temporary file in the same directory, which is synced, closed and only
+// then renamed over path. On any failure path keeps its old bytes and
+// the temporary file is removed. An existing file's permissions carry
+// over to the replacement.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	mode := os.FileMode(0o644)
+	if fi, statErr := os.Stat(path); statErr == nil {
+		mode = fi.Mode().Perm()
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = f.Close() // already failed; a second Close error adds nothing
+			_ = os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Chmod(mode); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
+
 func runServe(fx *core.Fex, args cliArgs, saveState func() error) error {
 	srv := serve.New(fx, serve.Options{
 		OnRunFinished: func(id string, runErr error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -945,5 +946,69 @@ func TestCLIClusterRunMatchesSerialCSV(t *testing.T) {
 	}
 	if len(serial) == 0 {
 		t.Error("empty CSV")
+	}
+}
+
+// TestWriteFileAtomicKeepsOldStateOnFailure pins the crash-safety of
+// state saves: a save that writes half its bytes and then fails leaves
+// the previous file byte-for-byte intact and no temporary file behind.
+func TestWriteFileAtomicKeepsOldStateOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fex.state")
+	old := []byte("previous state: every stored result")
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	errCut := errors.New("save cut short")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("new state, first ha")); err != nil {
+			return err
+		}
+		return errCut
+	})
+	if !errors.Is(err, errCut) {
+		t.Fatalf("failed save returned %v, want %v", err, errCut)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Errorf("failed save changed the state file: %q, want %q", got, old)
+	}
+	assertOnlyFile(t, dir, "fex.state")
+
+	// A successful save replaces the bytes and keeps the permissions.
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("new state"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new state" {
+		t.Errorf("saved state %q (%v), want %q", got, err, "new state")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o600 {
+		t.Errorf("saved state mode %v, want 0600", fi.Mode().Perm())
+	}
+	assertOnlyFile(t, dir, "fex.state")
+}
+
+func assertOnlyFile(t *testing.T, dir, name string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != name {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("directory holds %v, want only %s", names, name)
 	}
 }

@@ -3,6 +3,7 @@ package buildsys
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fex/internal/toolchain"
@@ -233,6 +234,74 @@ func TestCleanBuildDropsCacheAndTree(t *testing.T) {
 	if fsys.Exists(BuildRoot) {
 		t.Error("build tree not removed")
 	}
+}
+
+// countingWorkload counts physical kernel executions.
+type countingWorkload struct {
+	workload.Workload
+	runs *atomic.Int64
+}
+
+func (c countingWorkload) Run(in workload.Input, threads int) (workload.Counters, error) {
+	c.runs.Add(1)
+	return c.Workload.Run(in, threads)
+}
+
+// TestExecMemoScopedToCleanBuild pins the shared execution memo's
+// lifetime: every build type of the system shares it, and CleanBuild
+// drops it with the artifacts, so the next execution runs the kernel
+// again.
+func TestExecMemoScopedToCleanBuild(t *testing.T) {
+	sys := testSystem(t)
+	var runs atomic.Int64
+	w := countingWorkload{Workload: splash.FFT{}, runs: &runs}
+	in := w.DefaultInput(workload.SizeTest)
+	execute := func(buildType string) {
+		t.Helper()
+		a, err := sys.Build(w, buildType, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Execute(in, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bt := range []string{"gcc_native", "clang_asan"} {
+		execute(bt)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("two build types ran the kernel %d times, want 1", runs.Load())
+	}
+	if err := sys.CleanBuild(); err != nil {
+		t.Fatal(err)
+	}
+	execute("gcc_native")
+	if runs.Load() != 2 {
+		t.Errorf("execution after CleanBuild ran %d kernels in total, want 2", runs.Load())
+	}
+}
+
+// TestBuildRacesCleanBuild runs Build against concurrent CleanBuild
+// calls; under -race it proves Build reads the cache and the memo it
+// compiles against under the system's lock.
+func TestBuildRacesCleanBuild(t *testing.T) {
+	sys := testSystem(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := sys.CleanBuild(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := sys.Build(splash.FFT{}, "gcc_native", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
 }
 
 func TestBuildRequiresInstalledCompiler(t *testing.T) {

@@ -32,6 +32,10 @@ type System struct {
 	// cleared by CleanBuild (the per-experiment rebuild the paper insists
 	// on to avoid stale-flag skew).
 	cache map[string]*toolchain.Artifact
+	// memo is the kernel-execution memo every cached artifact shares, so
+	// a configuration executed under one build type is a memo hit under
+	// the others; CleanBuild replaces it together with the cache.
+	memo *toolchain.ExecMemo
 	// builds counts Build invocations over the system's lifetime,
 	// including cache hits — the observable "did anything ask for a
 	// compile" signal the warm-resume tests pin at zero.
@@ -53,6 +57,7 @@ func NewSystem(fs *vfs.FS, installed InstalledFunc) *System {
 		installed: installed,
 		fs:        fs,
 		cache:     make(map[string]*toolchain.Artifact),
+		memo:      toolchain.NewExecMemo(),
 	}
 	return sys
 }
@@ -212,6 +217,7 @@ func (s *System) Build(w workload.Workload, buildType string, debug bool) (*tool
 		s.mu.Unlock()
 		return a, nil
 	}
+	memo := s.memo
 	s.mu.Unlock()
 
 	appName := appMakefileName(w.Suite(), w.Name())
@@ -251,6 +257,7 @@ func (s *System) Build(w workload.Workload, buildType string, debug bool) (*tool
 		CFLAGS:    cflags,
 		LDFLAGS:   vars.List("LDFLAGS"),
 		BuildType: buildType,
+		Memo:      memo,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("build %s/%s [%s]: %w", w.Suite(), w.Name(), buildType, err)
@@ -271,13 +278,15 @@ func (s *System) Build(w workload.Workload, buildType string, debug bool) (*tool
 	return artifact, nil
 }
 
-// CleanBuild drops all cached artifacts and removes the build tree. The
-// paper mandates a clean rebuild before every experiment: "otherwise a mix
-// of old and new compilation flags and/or libraries could skew the
-// results". Experiments call this unless --no-build is given.
+// CleanBuild drops all cached artifacts and their shared execution memo,
+// and removes the build tree. The paper mandates a clean rebuild before
+// every experiment: "otherwise a mix of old and new compilation flags
+// and/or libraries could skew the results". Experiments call this unless
+// --no-build is given.
 func (s *System) CleanBuild() error {
 	s.mu.Lock()
 	s.cache = make(map[string]*toolchain.Artifact)
+	s.memo = toolchain.NewExecMemo()
 	fs := s.fs
 	s.mu.Unlock()
 	if fs != nil {

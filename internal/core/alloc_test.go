@@ -55,7 +55,7 @@ func TestModeledRepZeroAllocs(t *testing.T) {
 		values.Release()
 		return nil
 	}
-	// Warm everything once: the artifact memo, the vector pool, the
+	// Warm everything once: the execution memo, the vector pool, the
 	// writer's scratch buffer.
 	if err := oneRep(0); err != nil {
 		t.Fatal(err)

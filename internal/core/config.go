@@ -97,7 +97,7 @@ type Config struct {
 	// semantics), "local" executes queued cells on the coordinator
 	// itself until hosts recover.
 	Degrade string
-	// NoMemo disables the per-artifact execution memo (-no-memo): every
+	// NoMemo disables the shared execution memo (-no-memo): every
 	// repetition physically re-executes the kernel instead of re-deriving
 	// its sample from cached counters. Kernels are deterministic by
 	// contract, so memoized and unmemoized runs produce identical modeled

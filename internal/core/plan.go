@@ -142,11 +142,12 @@ func (p *runPlan) backfillDuplicates() {
 
 // probeMemo resolves the plan against the execution memo in the same
 // batch: for every cell about to execute, it checks whether an artifact
-// is already built and holds memoized executions for the cell's full
-// thread sweep — those cells re-derive their samples in O(1) per
-// repetition instead of running kernels. The probe is summary-only
-// (memo-warm cells still execute, they are just cheap); variable-input
-// cells (dims != "") sweep inputs inside the cell and are not probed.
+// is already built and the shared memo holds executions for the cell's
+// full thread sweep (under this build type or any other) — those cells
+// re-derive their samples in O(1) per repetition instead of running
+// kernels. The probe is summary-only (memo-warm cells still execute,
+// they are just cheap); variable-input cells (dims != "") sweep inputs
+// inside the cell and are not probed.
 func (p *runPlan) probeMemo(rc *RunContext) {
 	build := rc.build
 	if build == nil {

@@ -121,9 +121,10 @@ func (rc *RunContext) finishSample(s measure.Sample) measure.Sample {
 }
 
 // execute runs one repetition of the artifact, honouring the -no-memo
-// escape hatch: by default repeated (input, threads) configurations are
-// served from the artifact's execution memo (an O(1) model evaluation),
-// while NoMemo re-executes the kernel every time.
+// escape hatch: by default repeated (benchmark, input, threads)
+// configurations are served from the build system's shared execution
+// memo (an O(1) model evaluation, whichever build type first ran the
+// kernel), while NoMemo re-executes the kernel every time.
 //
 // Adaptive repetitions over live wall time also bypass the memo: the
 // -r auto stop rule watches wall_ns variance, and with the memo on every
@@ -224,7 +225,7 @@ func (r *BenchRunner) Run(rc *RunContext) error {
 // The default per-run action is resolved once per cell with everything
 // loop-invariant hoisted — artifact, input, measurement tool — so the
 // repetition loop itself allocates nothing: executions come from the
-// artifact memo, metric vectors from the pool, and log records render
+// execution memo, metric vectors from the pool, and log records render
 // into reused buffers.
 func (r *BenchRunner) runCell(rc *RunContext, buildType string, w workload.Workload) error {
 	err := r.perBenchmark(rc, buildType, w)
@@ -347,7 +348,7 @@ func prepareDefaultRun(rc *RunContext, buildType string, w workload.Workload) (*
 
 // defaultRep performs one measured repetition on prepared state — the
 // hot path of the experiment loop. Steady state it allocates nothing:
-// the execution comes from the artifact memo (an O(1) model evaluation),
+// the execution comes from the execution memo (an O(1) model evaluation),
 // the metric vector from the pool, and the per-rep alloc-regression test
 // pins it at zero. The caller owns the returned vector and releases it
 // after logging.

@@ -32,7 +32,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"fex/internal/measure"
@@ -198,6 +198,9 @@ type SourceUnit struct {
 	LDFLAGS []string
 	// BuildType is the experiment-layer name ("gcc_native", "gcc_asan", …).
 	BuildType string
+	// Memo is the execution memo the artifact shares with every other
+	// artifact of its build system; nil gives the artifact a private one.
+	Memo *ExecMemo
 }
 
 // Artifact is a compiled benchmark binary: the executable the run step
@@ -223,27 +226,11 @@ type Artifact struct {
 	// SizeBytes is the modeled binary size.
 	SizeBytes int64
 
-	// memo caches kernel counters per executed configuration (see Execute).
-	memoMu sync.Mutex
-	memo   []memoEntry
-}
-
-// memoEntry is one cached kernel execution. Its identity is the triple
-// (input canonical form, threads, cost-vector canonical form) — Key
-// renders exactly that — but lookups compare the stored Input and
-// CostVector structurally, which is equivalent (structural equality and
-// canonical-form equality coincide for both types) and allocates nothing
-// on the per-repetition hot path.
-type memoEntry struct {
-	in       workload.Input
-	threads  int
-	cost     measure.CostVector
-	counters workload.Counters
-}
-
-// Key renders the entry's memo key.
-func (e memoEntry) Key() string {
-	return fmt.Sprintf("%s|threads=%d|cost=%s", e.in.Canonical(), e.threads, e.cost.Canonical())
+	// memo is this benchmark's slot in the execution memo shared with
+	// every sibling artifact (see Execute); execs counts the kernel
+	// executions this artifact performed to fill it.
+	memo  *benchMemo
+	execs atomic.Int64
 }
 
 // Compile builds one source unit. It validates flags, composes the cost
@@ -320,6 +307,10 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 		size += 250 * 1024 // debug info
 	}
 
+	memo := unit.Memo
+	if memo == nil {
+		memo = NewExecMemo()
+	}
 	return &Artifact{
 		Benchmark:  unit.Benchmark,
 		BuildType:  unit.BuildType,
@@ -330,6 +321,7 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 		Debug:      debug,
 		BinaryHash: hex.EncodeToString(h.Sum(nil)),
 		SizeBytes:  size,
+		memo:       memo.benchmark(unit.Benchmark.Suite() + "/" + unit.Benchmark.Name()),
 	}, nil
 }
 
@@ -337,14 +329,15 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 // and returns the measured sample: live wall time plus modeled counters
 // under this artifact's cost vector.
 //
-// Execution is memoized per artifact: kernels are deterministic by
-// contract (same input + threads ⇒ same workload.Counters), so a repeated
-// (input, threads) configuration — every repetition after the first, and
-// every thread-sweep revisit — skips the kernel and re-derives its sample
-// from the cached counters, an O(1) model evaluation. The memo key is the
-// triple (input canonical form, threads, cost-vector canonical form); the
-// cost vector is part of the key so a mutated Cost never replays counters
-// modeled under a different configuration's identity. Live wall time is
+// Execution is memoized in the ExecMemo shared by the artifact's build
+// system: kernels are deterministic by contract (same input + threads ⇒
+// same workload.Counters) and never see the build type, so a repeated
+// (benchmark, input, threads) configuration — every repetition after the
+// first, every thread-sweep revisit, and the same cell under every other
+// build type — skips the kernel and re-derives its sample from the
+// cached counters under this artifact's own Cost, an O(1) model
+// evaluation. Concurrent cold callers of one configuration run the
+// kernel once; the others wait for its counters. Live wall time is
 // still stamped per repetition: a memoized repetition reports the (tiny)
 // time the cached evaluation actually took, and --modeled-time replaces
 // it downstream like any other run. Callers that need the kernel
@@ -352,15 +345,13 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 // wall-clock calibration) use ExecuteUncached.
 func (a *Artifact) Execute(in workload.Input, threads int) (measure.Sample, error) {
 	start := time.Now()
-	counters, hit := a.memoLookup(in, threads)
-	if !hit {
+	counters, claim := a.memo.acquire(in, threads)
+	if claim != nil {
 		var err error
-		counters, err = a.Benchmark.Run(in, threads)
-		if err != nil {
+		if counters, err = a.runClaim(claim, in, threads); err != nil {
 			return measure.Sample{}, fmt.Errorf("execute %s/%s [%s]: %w",
 				a.Benchmark.Suite(), a.Benchmark.Name(), a.BuildType, err)
 		}
-		a.memoStore(in, threads, counters)
 	}
 	s, err := measure.Model(counters, a.Cost, threads)
 	if err != nil {
@@ -368,6 +359,19 @@ func (a *Artifact) Execute(in workload.Input, threads int) (measure.Sample, erro
 	}
 	s.WallTime = time.Since(start)
 	return s, nil
+}
+
+// runClaim executes the kernel for a configuration this artifact claimed
+// in the memo and settles the claim — also when the kernel panics, so
+// waiters never hang on it.
+func (a *Artifact) runClaim(claim *memoEntry, in workload.Input, threads int) (counters workload.Counters, err error) {
+	ok := false
+	defer func() { a.memo.settle(claim, counters, ok) }()
+	counters, err = a.Benchmark.Run(in, threads)
+	if ok = err == nil; ok {
+		a.execs.Add(1)
+	}
+	return counters, err
 }
 
 // ExecuteUncached runs the kernel unconditionally, bypassing and not
@@ -388,56 +392,23 @@ func (a *Artifact) ExecuteUncached(in workload.Input, threads int) (measure.Samp
 	return s, nil
 }
 
-// memoLookup scans the memo for a cached execution of (in, threads) under
-// the artifact's current cost vector. The scan is linear: an artifact
-// sees a handful of distinct configurations (one per input class ×
-// thread count), so a slice walk beats any keyed structure and keeps the
-// hot path allocation-free.
-func (a *Artifact) memoLookup(in workload.Input, threads int) (workload.Counters, bool) {
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	for i := range a.memo {
-		e := &a.memo[i]
-		if e.threads == threads && e.cost == a.Cost && e.in.Equal(in) {
-			return e.counters, true
-		}
-	}
-	return workload.Counters{}, false
-}
-
-// memoStore records one executed configuration. A concurrent duplicate
-// (two goroutines racing the same cold configuration) is harmless: both
-// entries hold identical counters, by the kernels' determinism contract.
-func (a *Artifact) memoStore(in workload.Input, threads int, counters workload.Counters) {
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	a.memo = append(a.memo, memoEntry{in: in, threads: threads, cost: a.Cost, counters: counters})
-}
-
-// MemoKeys returns the canonical keys of the cached executions, sorted —
-// introspection for tests and tooling.
+// MemoKeys returns the canonical keys of the cached executions of the
+// artifact's benchmark, sorted — introspection for tests and tooling.
 func (a *Artifact) MemoKeys() []string {
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	out := make([]string, 0, len(a.memo))
-	for _, e := range a.memo {
-		out = append(out, e.Key())
-	}
-	sort.Strings(out)
-	return out
+	return a.memo.keys()
 }
 
-// Memoized reports whether an execution of (in, threads) under the
-// artifact's current cost vector is already cached in the memo — the
-// plan-ahead scheduler's warmth probe, answered without running anything.
+// Memoized reports whether an execution of (in, threads) of the
+// artifact's benchmark is already cached in the shared memo — by this
+// artifact or any sibling build type — the plan-ahead scheduler's warmth
+// probe, answered without running anything.
 func (a *Artifact) Memoized(in workload.Input, threads int) bool {
-	_, hit := a.memoLookup(in, threads)
-	return hit
+	return a.memo.cached(in, threads)
 }
 
-// MemoLen returns the number of cached executions.
+// MemoLen returns the number of kernel executions this artifact
+// performed to fill the memo. Summed over a build system's artifacts it
+// is the number of distinct configurations executed.
 func (a *Artifact) MemoLen() int {
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	return len(a.memo)
+	return int(a.execs.Load())
 }

@@ -1,59 +1,58 @@
 package core
 
-// This file is the cluster execution tier: the distributed backend of the
-// experiment scheduler (schedule.go). The paper lists distributed
+// This file is the scheduler's remote half: cluster workers and the
+// policies that apply only to them. The paper lists distributed
 // experiments as future work ("e.g., using the Fabric library", §IV-B);
-// this tier realizes them over the in-process cluster model of
-// internal/remote, keeping the determinism contract of the local
-// scheduler intact.
+// remote workers realize them over the in-process cluster model of
+// internal/remote, inside the one scheduler of schedule.go, so the
+// determinism contract of local execution holds unchanged.
 //
-// Topology: one worker per configured host (-hosts h1,h2,...). A worker
-// is the host-side half of the experiment — a private container cloned
-// from the coordinator's (the "ship the image to each host" step), its
-// own build system over that container, and a registered "run-cell"
-// command standing in for the SSH session that executes one experiment
-// cell remotely. The coordinator places (build type, benchmark) cells
-// onto idle workers, fetches each cell's shard log from the Host.Run
-// output, and merges the shards into the main log in canonical loop
-// order — so a cluster run's stored log and CSV are byte-identical to a
-// serial local run's. Store replays are resolved on the coordinator
-// before placement, in one batched plan-ahead pass (planReplays in
-// schedule.go): replayed cells are never dispatched, and the hosts never
-// touch the result store.
+// Topology: one remote worker per configured host (-hosts h1,h2,...). A
+// remote worker is the host-side half of the experiment — a private
+// container cloned from the coordinator's (the "ship the image to each
+// host" step), its own build system over that container, and a
+// registered "run-cell" command standing in for the SSH session that
+// executes one experiment cell remotely. The scheduler places (build
+// type, benchmark) cells onto remote workers, fetches each cell's shard
+// log from the Host.Run output, and commits the shards into the main log
+// in canonical loop order — so a cluster run's stored log and CSV are
+// byte-identical to a serial local run's. Store replays are resolved on
+// the coordinator before placement, in one batched plan-ahead pass
+// (planReplays in schedule.go): replayed cells are never dispatched, and
+// the hosts never touch the result store.
 //
-// Self-healing: the placement loop is an event-driven scheduler with a
-// per-host state machine (healthy → probation → evicted). A host fault —
-// remote.ErrUnreachable, a per-cell deadline expiry (-host-timeout), or
-// a provisioning failure — fails the stranded cell over to another host
-// and moves the faulty host to probation, where an exponential-backoff
-// reprobe schedule (on the injected clock, so tests advance it
-// deterministically) re-admits it once it answers again; only
-// maxProbeFails consecutive failed probes evict it for the run
-// (provisioning failures evict immediately: they are deterministic, a
-// probe proves nothing). Hosts Ensure'd into the cluster mid-run — a new
-// name in -hosts-file, or the serve hosts API — join the pool and absorb
-// queued cells. When spare idle workers exist, a cell that has run far
-// longer than the run's median cell duration is speculatively duplicated
-// on another host, first result wins, loser cancelled (-no-speculate is
-// the ablation); losing shards are discarded before the merge and never
-// persisted, so byte-identity is unaffected. With -degrade local the
-// coordinator executes queued cells itself while every host is down or
-// probing, instead of failing the run.
+// Self-healing: each remote worker carries a host state machine (healthy
+// → probation → evicted). A host fault — remote.ErrUnreachable, a
+// per-cell deadline expiry (-host-timeout), or a provisioning failure —
+// fails the stranded cell over to another host and moves the faulty host
+// to probation, where an exponential-backoff reprobe schedule (on the
+// injected clock, so tests advance it deterministically) re-admits it
+// once it answers again; only maxProbeFails consecutive failed probes
+// evict it for the run (provisioning failures evict immediately: they
+// are deterministic, a probe proves nothing). Hosts Ensure'd into the
+// cluster mid-run — a new name in -hosts-file, or the serve hosts API —
+// join the pool and absorb queued cells. When spare idle workers exist,
+// a cell that has run far longer than the run's median cell duration is
+// speculatively duplicated on another host, first result wins, loser
+// cancelled (-no-speculate is the ablation); losing shards are discarded
+// before the merge and never persisted, so byte-identity is unaffected.
+// With -degrade local one extra local worker executes the cells no
+// remote worker can serve while every host is down or probing, instead
+// of failing the run.
 //
-// Load-aware placement: healing is reactive; placement is proactive. A
-// remote.LoadCollector tracks per-host in-flight cells and EWMAs of
-// recent cell durations and probe round-trips (throttled snapshots on
-// the run's clock), and each cell is routed to the healthy untried host
-// with the lowest expected finish — EWMA × (backlog + 1) — so a
-// chronically slow host (loaded, distant, underpowered, but never
-// faulting) absorbs proportionally fewer cells instead of full rate
-// until a deadline trips. Cells queue per host; an idle worker first
-// drains its own backlog, then steals the deepest queued-behind-busy
-// cell from the most backlogged host (-no-steal is the ablation;
-// -no-load-aware falls back to round-robin placement). Placement order
-// changes under load; merge order never does — shards still merge in
-// canonical loop order, so the byte-identity contract holds under any
-// load skew.
+// Load-aware placement: healing is reactive; placement is proactive.
+// Each host's state keeps EWMAs of its recent cell durations and probe
+// round-trips, read live by the loop, and each cell is routed to the
+// healthy untried host with the lowest expected finish — EWMA × (backlog
+// + 1) — so a chronically slow host (loaded, distant, underpowered, but
+// never faulting) absorbs proportionally fewer cells instead of full
+// rate until a deadline trips. Cells queue per host; an idle worker
+// first drains its own backlog, then steals the deepest
+// queued-behind-busy cell from the most backlogged host (-no-steal is
+// the ablation; -no-load-aware falls back to round-robin placement).
+// Placement order changes under load; merge order never does — shards
+// still merge in canonical loop order, so the byte-identity contract
+// holds under any load skew.
 //
 // Only when a cell has no untried non-evicted host left does the run
 // fail, with an error that names the cell and every host tried. None of
@@ -69,11 +68,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fex/internal/buildsys"
-	fexclock "fex/internal/clock"
 	"fex/internal/installer"
 	"fex/internal/remote"
 	"fex/internal/runlog"
@@ -104,10 +101,12 @@ const (
 	// specMinSamples is the minimum number of completed cells before the
 	// median is considered meaningful.
 	specMinSamples = 3
-	// loadSampleInterval throttles the load collector's published
-	// snapshots: placement scoring can read per-host load at most this
-	// often, so scoring stays O(1) regardless of cell rate.
-	loadSampleInterval = 50 * time.Millisecond
+	// ewmaNum/ewmaDen set the load EWMAs' smoothing factor (alpha =
+	// 3/10): new observations move the average by 30%, so a recovering
+	// host sheds its slow history within a few cells while one outlier
+	// cannot erase it.
+	ewmaNum = 3
+	ewmaDen = 10
 )
 
 // errHostProvision marks a worker-provisioning failure surfacing through
@@ -169,154 +168,74 @@ func (w *clusterWorker) buildSystem() (*buildsys.System, error) {
 	return w.build, w.provErr
 }
 
-// clusterWorkers resolves one worker per configured host, ensuring the
-// hosts exist in the framework cluster. The heavyweight per-host state is
-// provisioned lazily by buildSystem.
-func (fx *Fex) clusterWorkers(hosts []string) ([]*clusterWorker, error) {
-	workers := make([]*clusterWorker, 0, len(hosts))
-	for _, name := range hosts {
-		h, err := fx.cluster.Ensure(name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: host %q: %w", name, err)
-		}
-		workers = append(workers, &clusterWorker{host: h, fx: fx})
-	}
-	return workers, nil
-}
-
-// placement is one dispatch of a cell onto a worker (or, for
-// worker == -1, a degrade-local execution on the coordinator). A cell
-// can have several concurrent placements when speculation duplicates it.
-type placement struct {
-	cell   int
-	worker int
-	// speculative marks a duplicate launched by the straggler detector.
-	speculative bool
-	// superseded is set by the scheduler loop when another placement of
-	// the same cell won the race; this one's result is discarded.
-	superseded bool
-	// start is the scheduler-clock launch time (straggler detection).
-	start time.Time
-	// timedOut records that the placement's -host-timeout watchdog fired
-	// before the result arrived, classifying the resulting context error
-	// as a host fault.
-	timedOut atomic.Bool
-	// cancel tears the placement down: deadline expiry, speculation
-	// losers, and scheduler shutdown all cancel through it.
-	cancel context.CancelFunc
-	// done closes when the result was handled; it stops the watchdog.
-	done chan struct{}
-}
-
-// clusterResult is one placement's outcome, reported to the scheduler.
-type clusterResult struct {
-	pl    *placement
-	shard *runlog.Shard
-	err   error
-}
-
-// probeResult is one probation reprobe's outcome. rtt is the probe's
-// measured round-trip on the scheduler clock; on success it feeds the
-// host's RTT moving average.
-type probeResult struct {
-	worker int
-	rtt    time.Duration
-	err    error
-}
-
-// hostState is the scheduler's view of one worker: its state-machine
-// phase, consecutive probe failures since entering probation, and the
-// counters surfaced through progress events and the -v summary.
+// hostState is the scheduler's view of one worker's host: its
+// state-machine phase, consecutive probe failures since entering
+// probation, the counters surfaced through progress events and the -v
+// summary, and the load signals placement scores by.
 type hostState struct {
 	phase      int
 	probeFails int
 	stats      HostStatus
+	// cellEWMA and rttEWMA are moving averages of the host's recent cell
+	// durations and probe round-trips; zero until the first observation.
+	// samples counts the cell durations folded into cellEWMA.
+	cellEWMA time.Duration
+	rttEWMA  time.Duration
+	samples  int
 }
 
-// clusterSched is the event-driven cluster scheduler: single-goroutine
-// state (queue, per-host phases, placements) driven by channels carrying
-// released cells, placement results, probe outcomes, mid-run host joins,
-// and speculation timer wakeups.
-type clusterSched struct {
-	rc     *RunContext
-	vrc    *RunContext
-	p      *runPlan
-	cells  []cell
-	fn     func(*RunContext, cell) error
-	clk    fexclock.Clock
-	failed *atomic.Bool
-
-	// ctx scopes everything the scheduler spawns (placements, watchdogs,
-	// probes, timers); cancelled when the loop exits.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	workers []*clusterWorker
-	state   []*hostState
-	// hq is the per-worker cell queue (parallel to workers): place routes
-	// each cell to the host with the lowest expected finish, and the
-	// host's worker drains its own queue head-first. overflow holds cells
-	// with no healthy untried host right now — they wait for a probe
-	// outcome, a join, or the degrade-local executor.
-	hq       [][]int
-	overflow []int
-	// busy marks workers with a placement in flight (parallel to
-	// workers). Scoring reads it instead of the collector's in-flight
-	// gauge: the scheduler's own view is exact, the throttled snapshot is
-	// not.
-	busy       []bool
-	load       *remote.LoadCollector
-	rrNext     int // round-robin cursor for -no-load-aware placement
-	attempted  []map[string]bool
-	idle       []int
-	inFlight   int
-	stop       bool
-	errs       []error
-	placements map[int][]*placement
-	durations  []time.Duration
-	localStats *HostStatus
-	localBusy  bool
-
-	results  chan clusterResult
-	probes   chan probeResult
-	joins    <-chan *remote.Host
-	specWake chan struct{}
-	specTmr  *fexclock.Timer
-}
-
-// runCellsCluster executes the plan's released cells on the cluster
-// workers named by rc.Config.Hosts, consuming cell indices from ready as
-// the builds goroutine releases them (a cell becomes placeable only after
-// its build type's perType action ran on the coordinator). Placement is
-// work-conserving: each worker runs one cell at a time, and idle workers
-// pull the earliest queued cell they have not yet attempted, so fast
-// hosts absorb more of the run. Measured shards land in p.shards at their
-// canonical positions; nil shards mark cells that were never dispatched
-// because an earlier failure stopped the run. Error semantics mirror
-// runCells: after a genuine cell failure no new cells are dispatched, and
-// the earliest failed cell in canonical order determines the returned
-// error.
-func runCellsCluster(rc *RunContext, vrc *RunContext, p *runPlan, ready <-chan int, failed *atomic.Bool, fn func(*RunContext, cell) error) error {
-	cells := p.cells
-	if p.pendingCount() == 0 {
-		for range ready {
-		}
-		return nil
+// observeCell folds one completed cell's duration into the host's EWMA.
+func (h *hostState) observeCell(d time.Duration) {
+	if d >= 0 {
+		h.cellEWMA = ewma(h.cellEWMA, h.samples > 0, d)
+		h.samples++
 	}
+}
+
+// observeRTT folds one probe round-trip into the host's RTT EWMA.
+func (h *hostState) observeRTT(d time.Duration) {
+	if d >= 0 {
+		h.rttEWMA = ewma(h.rttEWMA, h.rttEWMA != 0, d)
+	}
+}
+
+// ewma moves avg toward observation d by alpha; the first observation
+// (seeded false) seeds the average directly.
+func ewma(avg time.Duration, seeded bool, d time.Duration) time.Duration {
+	if !seeded {
+		return d
+	}
+	return avg + (d-avg)*ewmaNum/ewmaDen
+}
+
+// cost is the host's per-cell cost estimate: cell duration plus probe
+// round-trip EWMAs; zero without history.
+func (h *hostState) cost() time.Duration { return h.cellEWMA + h.rttEWMA }
+
+// startCluster resolves the configured hosts, ensuring they exist in the
+// framework cluster, and admits one remote worker per host. The returned
+// stop, always non-nil, tears the run-cell sessions down and ends the
+// join subscription: the handler closures capture the workers' cloned
+// containers and build caches, which must not outlive the run on the
+// long-lived cluster hosts.
+func (s *sched) startCluster() (stop func(), err error) {
+	rc := s.rc
 	// Subscribe before resolving the initial workers so a host Ensure'd
 	// concurrently is either resolved below or delivered as a join (known
 	// names dedupe in handleJoin).
 	joins, unsubscribe := rc.Fex.cluster.Subscribe(len(rc.Config.Hosts) + 16)
-	defer unsubscribe()
-	workers, err := rc.Fex.clusterWorkers(rc.Config.Hosts)
-	if err != nil {
-		failed.Store(true) // stop the builds goroutine, then drain
-		for range ready {
+	s.joins = joins
+	stop = func() {
+		// s.workers includes hosts that joined mid-run.
+		for _, w := range s.workers {
+			if w.remote != nil {
+				w.remote.host.UnregisterCommand(cmdRunCell)
+			}
 		}
-		return err
+		unsubscribe()
 	}
-	vrc.logf("== cluster: %d cells across %d hosts (%s)",
-		p.pendingCount(), len(workers), strings.Join(rc.Config.Hosts, ", "))
+	s.vrc.logf("== cluster: %d cells across %d hosts (%s)",
+		s.p.pending, len(rc.Config.Hosts), strings.Join(rc.Config.Hosts, ", "))
 	if cfg := rc.Config; cfg.HostTimeout > 0 || cfg.NoSpeculate || cfg.Degrade != "" {
 		spec := "on"
 		if cfg.NoSpeculate {
@@ -326,74 +245,42 @@ func runCellsCluster(rc *RunContext, vrc *RunContext, p *runPlan, ready <-chan i
 		if degrade == "" {
 			degrade = "fail"
 		}
-		vrc.logf("== cluster: host-timeout %v, speculation %s, degrade %s",
+		s.vrc.logf("== cluster: host-timeout %v, speculation %s, degrade %s",
 			cfg.HostTimeout, spec, degrade)
 	}
-
-	sctx, scancel := context.WithCancel(rc.Context())
-	defer scancel()
-	s := &clusterSched{
-		rc:         rc,
-		vrc:        vrc,
-		p:          p,
-		cells:      cells,
-		fn:         fn,
-		clk:        rc.Fex.clock,
-		failed:     failed,
-		ctx:        sctx,
-		cancel:     scancel,
-		load:       remote.NewLoadCollector(rc.Fex.clock, loadSampleInterval),
-		attempted:  make([]map[string]bool, len(cells)),
-		errs:       make([]error, len(cells)),
-		placements: make(map[int][]*placement),
-		results:    make(chan clusterResult),
-		probes:     make(chan probeResult),
-		joins:      joins,
-		specWake:   make(chan struct{}, 1),
-	}
-	for _, w := range workers {
-		if err := s.admitWorker(w); err != nil {
-			failed.Store(true) // stop the builds goroutine, then drain
-			for range ready {
-			}
-			return err
+	// Ensuring a host creates it in the framework cluster; the heavyweight
+	// per-host state is provisioned lazily by buildSystem.
+	for _, name := range rc.Config.Hosts {
+		h, err := rc.Fex.cluster.Ensure(name)
+		if err != nil {
+			return stop, fmt.Errorf("cluster: host %q: %w", name, err)
+		}
+		if err := s.admitWorker(&clusterWorker{host: h, fx: rc.Fex}); err != nil {
+			return stop, err
 		}
 	}
-	// Tear the run-cell sessions down when the run ends: the handler
-	// closures capture the workers' cloned containers and build caches,
-	// which must not outlive the run on the long-lived cluster hosts.
-	// s.workers includes hosts that joined mid-run.
-	defer func() {
-		for _, w := range s.workers {
-			w.host.UnregisterCommand(cmdRunCell)
-		}
-	}()
-
-	return s.run(ready)
+	return stop, nil
 }
 
-// admitWorker registers the run-cell command on a worker and adds it to
-// the placement pool as healthy and idle.
-func (s *clusterSched) admitWorker(w *clusterWorker) error {
+// admitWorker registers the run-cell command on a host and adds its
+// remote worker to the pool as healthy and idle.
+func (s *sched) admitWorker(w *clusterWorker) error {
 	// The handler executes one cell against the worker's private build
-	// system, buffering its records in a fresh shard, and ships the shard
-	// text back as the command's log output. It observes the placement's
-	// context (not the run's), so deadline expiry and speculation-loser
-	// cancellation stop it between repetitions.
+	// system and ships the shard text back as the command's log output.
+	// It observes the placement's context (not the run's), so deadline
+	// expiry and speculation-loser cancellation stop it between
+	// repetitions.
 	handler := func(ctx context.Context, job remote.Job) (remote.Output, error) {
 		i, err := strconv.Atoi(job.Args["cell"])
-		if err != nil || i < 0 || i >= len(s.cells) {
+		if err != nil || i < 0 || i >= len(s.p.cells) {
 			return remote.Output{}, fmt.Errorf("cluster: bad cell index %q", job.Args["cell"])
 		}
 		build, err := w.buildSystem()
 		if err != nil {
 			return remote.Output{}, fmt.Errorf("%w: %v", errHostProvision, err)
 		}
-		shard := runlog.NewShard()
-		cellRC := s.rc.child(shard.Writer(), s.vrc.Verbose)
-		cellRC.build = build
-		cellRC.ctx = ctx
-		if err := s.fn(cellRC, s.cells[i]); err != nil {
+		shard, err := s.execCell(ctx, build, i)
+		if err != nil {
 			return remote.Output{}, err
 		}
 		text, err := shard.Text()
@@ -405,262 +292,60 @@ func (s *clusterSched) admitWorker(w *clusterWorker) error {
 	if err := w.host.RegisterCommand(cmdRunCell, handler); err != nil {
 		return err
 	}
-	s.workers = append(s.workers, w)
-	s.state = append(s.state, &hostState{stats: HostStatus{Host: w.host.Name(), State: phaseNames[hostHealthy]}})
-	s.hq = append(s.hq, nil)
-	s.busy = append(s.busy, false)
-	s.idle = append(s.idle, len(s.workers)-1)
+	s.addWorker(&worker{remote: w, hostState: hostState{stats: HostStatus{Host: w.host.Name()}}})
 	return nil
 }
 
-// run is the scheduler's event loop. It interleaves five event sources:
-// cells released by the builds goroutine (ready), settled placements,
-// probe outcomes, mid-run host joins, and speculation timer wakeups. It
-// runs until every released cell settled, no further releases can
-// arrive, and nothing is in flight.
-func (s *clusterSched) run(ready <-chan int) error {
-	defer s.stopSpecTimer()
-	readyOpen := true
-	for readyOpen || s.inFlight > 0 || (s.queuedTotal() > 0 && !s.stop) {
-		var readyCh <-chan int
-		if readyOpen {
-			readyCh = ready
-		}
-		select {
-		case i, ok := <-readyCh:
-			if !ok {
-				readyOpen = false
-				continue
-			}
-			if s.stop {
-				continue // drain: a failure already stopped the run
-			}
-			s.attempted[i] = make(map[string]bool)
-			s.place(i)
-			s.dispatch()
-		case r := <-s.results:
-			s.handleResult(r)
-		case pr := <-s.probes:
-			s.handleProbe(pr)
-		case h := <-s.joins:
-			s.handleJoin(h)
-		case <-s.specWake:
-			// Fall through: maybeSpeculate below re-evaluates stragglers.
-		}
-		s.maybeSpeculate()
+// launchRemote runs a placement as a run-cell command on the worker's
+// host. When -host-timeout is set, a watchdog goroutine on the scheduler
+// clock cancels the placement at the deadline and marks it timed out, so
+// the resulting context error is classified as a host fault.
+func (s *sched) launchRemote(pctx context.Context, w *worker, pl *placement) {
+	ci, h := pl.cell, w.remote.host
+	if s.attempted[ci] == nil {
+		s.attempted[ci] = make(map[string]bool)
 	}
-
-	// Drain the per-host log retention (run.py's final "fetch the logs"):
-	// every shard already reached the coordinator via the command output.
-	for _, w := range s.workers {
-		w.host.FetchLogs()
-	}
-	s.logSummary()
-
-	for _, err := range s.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// launch dispatches one cell onto a worker. When -host-timeout is set, a
-// watchdog goroutine on the scheduler clock cancels the placement at the
-// deadline and marks it timed out, so the resulting context error is
-// classified as a host fault.
-func (s *clusterSched) launch(wi, ci int, speculative bool) {
-	w := s.workers[wi]
-	s.attempted[ci][w.host.Name()] = true
-	s.busy[wi] = true
-	s.load.JobStarted(w.host.Name())
-	pctx, cancel := context.WithCancel(s.ctx)
-	pl := &placement{
-		cell: ci, worker: wi, speculative: speculative,
-		start: s.clk.Now(), cancel: cancel, done: make(chan struct{}),
-	}
-	s.placements[ci] = append(s.placements[ci], pl)
-	s.inFlight++
+	s.attempted[ci][h.Name()] = true
 	if d := s.rc.Config.HostTimeout; d > 0 {
-		t := s.clk.After(d)
-		go func() {
-			select {
-			case <-t.C:
-				pl.timedOut.Store(true)
-				cancel()
-			case <-pl.done:
-				t.Stop()
-			}
-		}()
+		s.after(d, pctx.Done(), func() {
+			pl.timedOut.Store(true)
+			pl.cancel()
+		})
 	}
 	go func() {
-		out, err := w.host.Run(pctx, remote.Job{
+		out, err := h.Run(pctx, remote.Job{
 			Command: cmdRunCell,
 			Args:    map[string]string{"cell": strconv.Itoa(ci)},
 		})
-		res := clusterResult{pl: pl, err: err}
+		var shard *runlog.Shard
 		if err == nil {
 			// The command output is the fetched shard log. Validate it
 			// before rebuilding the shard: a corrupted transfer must fail
 			// the cell with host attribution, never merge garbage records
 			// silently into the run log.
 			if verr := runlog.ValidateText(out.Log); verr != nil {
-				c := s.cells[ci]
-				res.err = fmt.Errorf("cluster: host %s: cell %s/%s [%s]: corrupt shard transfer: %w",
-					w.host.Name(), c.workload.Suite(), c.workload.Name(), c.buildType, verr)
+				c := s.p.cells[ci]
+				err = fmt.Errorf("cluster: host %s: cell %s/%s [%s]: corrupt shard transfer: %w",
+					h.Name(), c.workload.Suite(), c.workload.Name(), c.buildType, verr)
 			} else {
 				// Rebuild the shard so it merges through the same Append
 				// path as local cells.
-				res.shard = runlog.RestoreShard(out.Log)
+				shard = runlog.RestoreShard(out.Log)
 			}
 		}
-		s.results <- res
+		s.events <- func() { s.handleResult(pl, shard, err) }
 	}()
 }
 
-// launchLocal executes one queued cell on the coordinator itself — the
-// -degrade local fallback while every host is down or probing. Local
-// cells run one at a time (the coordinator is one machine) and flow
-// through the same settle path as remote shards.
-func (s *clusterSched) launchLocal(ci int) {
-	if s.localStats == nil {
-		s.localStats = &HostStatus{Host: "local", State: phaseNames[hostHealthy]}
+// isHostFault classifies a remote placement error as a host fault: the
+// host was unreachable, failed to provision, or blew the per-cell
+// deadline (the watchdog cancelled the placement). A context error
+// without the watchdog mark is the run's own cancellation — a genuine
+// abort. Local workers have no host to fault.
+func (s *sched) isHostFault(pl *placement, err error) bool {
+	if s.workers[pl.worker].remote == nil {
+		return false
 	}
-	s.localBusy = true
-	s.inFlight++
-	pl := &placement{cell: ci, worker: -1, start: s.clk.Now(),
-		cancel: func() {}, done: make(chan struct{})}
-	s.placements[ci] = append(s.placements[ci], pl)
-	c := s.cells[ci]
-	s.vrc.logf("cluster: no healthy host; running %s/%s [%s] locally (-degrade local)",
-		c.workload.Suite(), c.workload.Name(), c.buildType)
-	go func() {
-		shard := runlog.NewShard()
-		cellRC := s.rc.child(shard.Writer(), s.vrc.Verbose)
-		res := clusterResult{pl: pl}
-		if err := s.fn(cellRC, c); err != nil {
-			res.err = err
-		} else {
-			res.shard = shard
-		}
-		s.results <- res
-	}()
-}
-
-// dropPlacement removes a settled placement from its cell's in-flight
-// set.
-func (s *clusterSched) dropPlacement(pl *placement) {
-	pls := s.placements[pl.cell]
-	for i, p := range pls {
-		if p == pl {
-			s.placements[pl.cell] = append(pls[:i], pls[i+1:]...)
-			break
-		}
-	}
-	if len(s.placements[pl.cell]) == 0 {
-		delete(s.placements, pl.cell)
-	}
-}
-
-// handleResult settles one placement: a valid shard settles the cell
-// (first result wins; later duplicates are discarded), a host fault
-// moves the host to probation and fails the cell over, and a genuine
-// cell failure aborts the run with the serial loop's first-error
-// semantics.
-func (s *clusterSched) handleResult(r clusterResult) {
-	pl := r.pl
-	s.inFlight--
-	close(pl.done)
-	pl.cancel()
-	s.dropPlacement(pl)
-	ci := pl.cell
-
-	if pl.worker < 0 { // degrade-local execution
-		s.localBusy = false
-		if r.err != nil {
-			s.failRun(ci, r.err)
-		} else {
-			s.localStats.Cells++
-			s.settle(ci, r.shard)
-		}
-		s.dispatch()
-		return
-	}
-
-	st := s.state[pl.worker]
-	name := s.workers[pl.worker].host.Name()
-	s.busy[pl.worker] = false
-	s.load.JobFinished(name)
-	if r.err == nil {
-		// Every successful execution — winner or superseded duplicate —
-		// is a real observation of the host's speed.
-		s.load.ObserveDuration(name, s.clk.Now().Sub(pl.start))
-	}
-
-	if pl.superseded {
-		// This placement lost a speculation race; the cell is already
-		// settled and this result — success or cancellation — is
-		// discarded before the merge, never persisted. A loser that
-		// surfaced a real host fault still drives the state machine.
-		st.stats.SpecLosses++
-		if r.err != nil && (errors.Is(r.err, remote.ErrUnreachable) || errors.Is(r.err, errHostProvision)) {
-			st.stats.Failovers++
-			s.hostFault(pl.worker, r.err)
-		} else {
-			s.backToPool(pl.worker)
-		}
-		s.emitHosts()
-		s.dispatch()
-		return
-	}
-
-	switch {
-	case r.err == nil:
-		st.stats.Cells++
-		if pl.speculative {
-			st.stats.SpecWins++
-			c := s.cells[ci]
-			s.vrc.logf("cluster: speculative copy of %s/%s [%s] won on %s",
-				c.workload.Suite(), c.workload.Name(), c.buildType, name)
-		}
-		s.durations = append(s.durations, s.clk.Now().Sub(pl.start))
-		s.settle(ci, r.shard)
-		// First result wins: cancel the cell's other placements; their
-		// results are discarded in the superseded branch above.
-		for _, other := range s.placements[ci] {
-			other.superseded = true
-			other.cancel()
-		}
-		s.backToPool(pl.worker)
-	case s.isHostFault(pl, r.err):
-		st.stats.Failovers++
-		s.hostFault(pl.worker, r.err)
-		if s.p.shards[ci] == nil && len(s.placements[ci]) == 0 {
-			// The fault stranded the cell: retry it elsewhere, at the
-			// front of the queue. Logged once — each worker runs one cell
-			// at a time, so one fault strands exactly one placement. (If
-			// a speculative duplicate is still in flight, the race covers
-			// the cell and nothing is requeued.)
-			c := s.cells[ci]
-			s.vrc.logf("cluster: host %s %s; failing over %s/%s [%s]",
-				name, faultKind(pl, r.err), c.workload.Suite(), c.workload.Name(), c.buildType)
-			s.place(ci)
-		}
-	default:
-		// Genuine cell failure: keep the serial loop's first-error
-		// abort, attributed to the cell and host by the remote wrapper.
-		s.failRun(ci, r.err)
-		s.backToPool(pl.worker)
-	}
-	s.emitHosts()
-	s.dispatch()
-}
-
-// isHostFault classifies a placement error as a host fault: the host was
-// unreachable, failed to provision, or blew the per-cell deadline (the
-// watchdog cancelled the placement). A context error without the
-// watchdog mark is the run's own cancellation — a genuine abort.
-func (s *clusterSched) isHostFault(pl *placement, err error) bool {
 	if errors.Is(err, remote.ErrUnreachable) || errors.Is(err, errHostProvision) {
 		return true
 	}
@@ -684,21 +369,21 @@ func faultKind(pl *placement, err error) string {
 // probe; provisioning failures evict immediately — they are
 // deterministic, so a probe (which only proves reachability) would
 // re-admit a host that can never run a cell.
-func (s *clusterSched) hostFault(wi int, cause error) {
-	st := s.state[wi]
-	if st.phase != hostHealthy {
+func (s *sched) hostFault(wi int, cause error) {
+	w := s.workers[wi]
+	if w.phase != hostHealthy {
 		return
 	}
-	name := s.workers[wi].host.Name()
+	name := w.remote.host.Name()
 	if errors.Is(cause, errHostProvision) {
-		st.phase = hostEvicted
+		w.phase = hostEvicted
 		s.vrc.logf("cluster: host %s evicted: %v", name, cause)
 		s.drainQueue(wi)
 		s.replaceOverflow() // the eviction may exhaust a waiting cell
 		return
 	}
-	st.phase = hostProbation
-	st.probeFails = 0
+	w.phase = hostProbation
+	w.probeFails = 0
 	s.vrc.logf("cluster: host %s entering probation", name)
 	s.scheduleProbe(wi, 0)
 	// Cells queued behind the faulted host never launched there: re-place
@@ -711,61 +396,48 @@ func (s *clusterSched) hostFault(wi int, cause error) {
 // scheduler clock. The probe is a transport-level Ping bounded by the
 // probe timeout (-host-timeout, or a default), so probing a hung host
 // terminates.
-func (s *clusterSched) scheduleProbe(wi int, delay time.Duration) {
+func (s *sched) scheduleProbe(wi int, delay time.Duration) {
 	if s.stop {
 		return
 	}
-	h := s.workers[wi].host
+	h := s.workers[wi].remote.host
 	timeout := s.rc.Config.HostTimeout
 	if timeout <= 0 {
 		timeout = defaultProbeTimeout
 	}
-	t := s.clk.After(delay)
-	go func() {
-		select {
-		case <-t.C:
-		case <-s.ctx.Done():
-			t.Stop()
-			return
-		}
+	s.after(delay, s.ctx.Done(), func() {
 		pctx, cancel := context.WithCancel(s.ctx)
-		pt := s.clk.After(timeout)
 		pdone := make(chan struct{})
-		go func() {
-			select {
-			case <-pt.C:
-				cancel()
-			case <-pdone:
-				pt.Stop()
-			}
-		}()
+		s.after(timeout, pdone, cancel)
 		pstart := s.clk.Now()
 		err := h.Ping(pctx)
 		rtt := s.clk.Now().Sub(pstart)
 		close(pdone)
 		cancel()
 		select {
-		case s.probes <- probeResult{worker: wi, rtt: rtt, err: err}:
+		case s.events <- func() { s.handleProbe(wi, rtt, err) }:
 		case <-s.ctx.Done():
 		}
-	}()
+	})
 }
 
-// handleProbe advances a probation host's state machine: a successful
-// probe re-admits it to the placement pool; a failed one backs off
-// exponentially until maxProbeFails evicts it.
-func (s *clusterSched) handleProbe(pr probeResult) {
-	st := s.state[pr.worker]
-	if s.stop || st.phase != hostProbation {
+// handleProbe advances a probation host's state machine with one
+// reprobe's outcome: a successful probe re-admits it to the placement
+// pool, and its round-trip on the scheduler clock feeds the host's RTT
+// average; a failed one backs off exponentially until maxProbeFails
+// evicts it.
+func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
+	w := s.workers[wi]
+	if s.stop || w.phase != hostProbation {
 		return
 	}
-	st.stats.Probes++
-	name := s.workers[pr.worker].host.Name()
-	if pr.err == nil {
-		st.phase = hostHealthy
-		st.probeFails = 0
-		s.load.ObserveRTT(name, pr.rtt)
-		s.vrc.logf("cluster: host %s recovered; re-admitted after %d probes", name, st.stats.Probes)
+	w.stats.Probes++
+	name := w.remote.host.Name()
+	if err == nil {
+		w.phase = hostHealthy
+		w.probeFails = 0
+		w.observeRTT(rtt)
+		s.vrc.logf("cluster: host %s recovered; re-admitted after %d probes", name, w.stats.Probes)
 		// A recovered host is a fresh candidate: clear it from unsettled
 		// cells' attempted sets, so a cell that faulted on it before the
 		// outage (or timed out under transient load) can retry there
@@ -775,120 +447,59 @@ func (s *clusterSched) handleProbe(pr probeResult) {
 				delete(tried, name)
 			}
 		}
-		s.idle = append(s.idle, pr.worker)
+		s.idle = append(s.idle, wi)
 		s.replaceOverflow()
 		s.emitHosts()
-		s.dispatch()
 		return
 	}
-	st.probeFails++
-	if st.probeFails >= maxProbeFails {
-		st.phase = hostEvicted
-		s.vrc.logf("cluster: host %s evicted after %d failed probes", name, st.probeFails)
+	w.probeFails++
+	if w.probeFails >= maxProbeFails {
+		w.phase = hostEvicted
+		s.vrc.logf("cluster: host %s evicted after %d failed probes", name, w.probeFails)
 		s.replaceOverflow() // waiting cells settle their fate now
 		s.emitHosts()
-		s.dispatch()
 		return
 	}
-	s.scheduleProbe(pr.worker, probeBaseDelay<<(st.probeFails-1))
+	s.scheduleProbe(wi, probeBaseDelay<<(w.probeFails-1))
 }
 
 // handleJoin admits a host Ensure'd into the cluster mid-run (a new
 // -hosts-file name, or the serve hosts API); it immediately absorbs
 // queued cells. Known names are ignored.
-func (s *clusterSched) handleJoin(h *remote.Host) {
+func (s *sched) handleJoin(h *remote.Host) {
 	if s.stop {
 		return
 	}
 	for _, w := range s.workers {
-		if w.host.Name() == h.Name() {
+		if w.remote != nil && w.remote.host.Name() == h.Name() {
 			return
 		}
 	}
-	w := &clusterWorker{host: h, fx: s.rc.Fex}
-	if err := s.admitWorker(w); err != nil {
+	if err := s.admitWorker(&clusterWorker{host: h, fx: s.rc.Fex}); err != nil {
 		s.vrc.logf("cluster: host %s failed to join: %v", h.Name(), err)
 		return
 	}
 	s.vrc.logf("cluster: host %s joined mid-run", h.Name())
 	s.replaceOverflow()
 	s.emitHosts()
-	s.dispatch()
-}
-
-// backToPool returns a worker to the idle pool if it is still healthy,
-// and re-runs the straggler detector: a freshly idle worker is exactly
-// the opportunity speculation waits for, even if the wake timer was not
-// armed (or already fired) when the worker was busy.
-func (s *clusterSched) backToPool(wi int) {
-	if s.state[wi].phase == hostHealthy {
-		s.idle = append(s.idle, wi)
-		s.wakeSpec()
-	}
-}
-
-// wakeSpec nudges the event loop into another maybeSpeculate pass.
-// Non-blocking: the wake channel holds one pending nudge.
-func (s *clusterSched) wakeSpec() {
-	select {
-	case s.specWake <- struct{}{}:
-	default:
-	}
-}
-
-// settle records a cell's winning shard: into the plan at its canonical
-// position, into the result store, and as a progress event carrying the
-// host snapshot. Exactly one placement settles a cell — losers are
-// superseded before their results arrive.
-func (s *clusterSched) settle(ci int, shard *runlog.Shard) {
-	s.p.shards[ci] = shard
-	// The fetched shard is durable the moment it reaches the
-	// coordinator: a run that later fails still leaves this cell
-	// resumable.
-	persistCell(s.vrc, s.cells[ci], shard)
-	s.rc.reportProgress(ProgressEvent{Stage: "cell", Done: int(s.p.done.Add(1)),
-		Total: len(s.cells), Replayed: s.p.replayed, Deduped: s.p.deduped,
-		Hosts: s.hostSnapshot()})
-}
-
-// failRun records a genuine failure and stops dispatch: queued cells are
-// abandoned (their shards stay nil), in-flight placements drain.
-func (s *clusterSched) failRun(ci int, err error) {
-	s.errs[ci] = err
-	s.stop = true
-	s.failed.Store(true)
-	for wi := range s.hq {
-		s.hq[wi] = nil
-	}
-	s.overflow = nil
 }
 
 // triedHosts renders the hosts a cell was attempted on, in worker order,
 // for error attribution.
-func (s *clusterSched) triedHosts(ci int) string {
+func (s *sched) triedHosts(ci int) string {
 	var tried []string
 	for _, w := range s.workers {
-		if s.attempted[ci][w.host.Name()] {
-			tried = append(tried, w.host.Name())
+		if w.remote != nil && s.attempted[ci][w.remote.host.Name()] {
+			tried = append(tried, w.remote.host.Name())
 		}
 	}
 	return strings.Join(tried, ", ")
 }
 
-// queuedTotal counts cells waiting for execution across the per-host
-// queues and the overflow list.
-func (s *clusterSched) queuedTotal() int {
-	n := len(s.overflow)
-	for _, q := range s.hq {
-		n += len(q)
-	}
-	return n
-}
-
-// anyHealthy reports whether any worker is in the healthy phase.
-func (s *clusterSched) anyHealthy() bool {
-	for _, st := range s.state {
-		if st.phase == hostHealthy {
+// anyHealthy reports whether any remote worker is in the healthy phase.
+func (s *sched) anyHealthy() bool {
+	for _, w := range s.workers {
+		if w.remote != nil && w.phase == hostHealthy {
 			return true
 		}
 	}
@@ -898,31 +509,37 @@ func (s *clusterSched) anyHealthy() bool {
 // remoteEligible reports whether the cell still has an untried
 // non-evicted host — the exhaustion criterion for failing (or locally
 // degrading) a cell.
-func (s *clusterSched) remoteEligible(ci int) bool {
-	for wi, w := range s.workers {
-		if s.state[wi].phase != hostEvicted && !s.attempted[ci][w.host.Name()] {
+func (s *sched) remoteEligible(ci int) bool {
+	for _, w := range s.workers {
+		if w.remote != nil && w.phase != hostEvicted && !s.attempted[ci][w.remote.host.Name()] {
 			return true
 		}
 	}
 	return false
 }
 
-// place routes one cell: onto the queue of the host with the lowest
-// expected finish when a healthy untried host exists, into overflow when
-// every untried host is in probation (a probe outcome will resolve it)
-// or the cell waits for the degrade-local executor, and into failRun —
-// with the exhaustion error naming every host tried — when no untried
-// non-evicted host remains and local degradation is off.
-func (s *clusterSched) place(ci int) {
+// place routes one released cell. In a local run every cell joins the
+// shared queue. In a cluster run a cell goes onto the queue of the host
+// with the lowest expected finish when a healthy untried host exists,
+// into the shared queue when every untried host is in probation (a probe
+// outcome will resolve it) or the cell waits for the -degrade local
+// worker, and into failRun — with the exhaustion error naming every host
+// tried — when no untried non-evicted host remains and local degradation
+// is off.
+func (s *sched) place(ci int) {
 	if s.stop {
+		return
+	}
+	if !s.cluster {
+		s.queue = append(s.queue, ci)
 		return
 	}
 	if !s.remoteEligible(ci) {
 		if s.rc.Config.Degrade == "local" {
-			s.overflow = append(s.overflow, ci)
+			s.queue = append(s.queue, ci)
 			return
 		}
-		c := s.cells[ci]
+		c := s.p.cells[ci]
 		err := fmt.Errorf("cluster: cell %s/%s [%s]: no reachable host left of %s (tried %s): %w",
 			c.workload.Suite(), c.workload.Name(), c.buildType,
 			strings.Join(s.rc.Config.Hosts, ", "), s.triedHosts(ci), remote.ErrUnreachable)
@@ -931,10 +548,17 @@ func (s *clusterSched) place(ci int) {
 	}
 	wi := s.pickHost(ci)
 	if wi < 0 {
-		s.overflow = append(s.overflow, ci)
+		s.queue = append(s.queue, ci)
 		return
 	}
-	s.hq[wi] = append(s.hq[wi], ci)
+	s.workers[wi].queue = append(s.workers[wi].queue, ci)
+}
+
+// placeable reports whether worker wi is a healthy remote worker cell ci
+// has not been attempted on.
+func (s *sched) placeable(wi, ci int) bool {
+	w := s.workers[wi]
+	return w.remote != nil && w.phase == hostHealthy && !s.attempted[ci][w.remote.host.Name()]
 }
 
 // pickHost chooses the healthy untried host with the lowest expected
@@ -945,12 +569,12 @@ func (s *clusterSched) place(ci int) {
 // like and deterministically. With -no-load-aware it degrades to plain
 // round-robin over healthy untried hosts. Returns -1 when no healthy
 // untried host exists.
-func (s *clusterSched) pickHost(ci int) int {
+func (s *sched) pickHost(ci int) int {
 	if s.rc.Config.NoLoadAware {
 		n := len(s.workers)
 		for k := 0; k < n; k++ {
 			wi := (s.rrNext + k) % n
-			if s.state[wi].phase == hostHealthy && !s.attempted[ci][s.workers[wi].host.Name()] {
+			if s.placeable(wi, ci) {
 				s.rrNext = (wi + 1) % n
 				return wi
 			}
@@ -961,7 +585,7 @@ func (s *clusterSched) pickHost(ci int) int {
 	best := -1
 	var bestScore time.Duration
 	for wi := range s.workers {
-		if s.state[wi].phase != hostHealthy || s.attempted[ci][s.workers[wi].host.Name()] {
+		if !s.placeable(wi, ci) {
 			continue
 		}
 		sc := s.hostScore(wi, fallback)
@@ -975,14 +599,14 @@ func (s *clusterSched) pickHost(ci int) int {
 // hostScore is a host's expected finish time for one more cell: its
 // per-cell cost EWMA times the number of cells ahead of the new one
 // (queued + in flight + itself).
-func (s *clusterSched) hostScore(wi int, fallback time.Duration) time.Duration {
-	ls := s.load.Sample(s.workers[wi].host.Name())
-	per := ls.CellEWMA + ls.RTTEWMA
+func (s *sched) hostScore(wi int, fallback time.Duration) time.Duration {
+	w := s.workers[wi]
+	per := w.cost()
 	if per <= 0 {
 		per = fallback
 	}
-	depth := len(s.hq[wi]) + 1
-	if s.busy[wi] {
+	depth := len(w.queue) + 1
+	if w.pl != nil {
 		depth++
 	}
 	return per * time.Duration(depth)
@@ -991,12 +615,11 @@ func (s *clusterSched) hostScore(wi int, fallback time.Duration) time.Duration {
 // ewmaFallback scores hosts with no history yet: the fleet-mean per-cell
 // cost, or a neutral constant when nothing has completed anywhere (which
 // reduces scoring to least-loaded placement).
-func (s *clusterSched) ewmaFallback() time.Duration {
+func (s *sched) ewmaFallback() time.Duration {
 	var sum time.Duration
 	n := 0
 	for _, w := range s.workers {
-		ls := s.load.Sample(w.host.Name())
-		if per := ls.CellEWMA + ls.RTTEWMA; per > 0 {
+		if per := w.cost(); w.remote != nil && per > 0 {
 			sum += per
 			n++
 		}
@@ -1007,92 +630,24 @@ func (s *clusterSched) ewmaFallback() time.Duration {
 	return sum / time.Duration(n)
 }
 
-// dispatch is the work-conserving engine: it loops until no idle worker
-// can start anything. Each pass lets idle healthy workers drain their own
-// queue heads, then steal from the most backlogged host, then hands one
-// overflow cell to the degrade-local executor. Unhealthy entries are
-// swept out of the idle pool as they are encountered.
-func (s *clusterSched) dispatch() {
-	if s.stop {
-		return
-	}
-	for {
-		progress := false
-		// Own queues first: a worker with a backlog never steals.
-		for ii := 0; ii < len(s.idle); {
-			wi := s.idle[ii]
-			if s.state[wi].phase != hostHealthy {
-				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				continue
-			}
-			if len(s.hq[wi]) == 0 {
-				ii++
-				continue
-			}
-			ci := s.hq[wi][0]
-			s.hq[wi] = s.hq[wi][1:]
-			s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-			s.launch(wi, ci, false)
-			progress = true
-		}
-		// Steal pass: every queued cell left is behind a busy host.
-		if !s.rc.Config.NoSteal {
-			for ii := 0; ii < len(s.idle); {
-				wi := s.idle[ii]
-				if s.state[wi].phase != hostHealthy {
-					s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-					continue
-				}
-				ci, victim, ok := s.steal(wi)
-				if !ok {
-					ii++
-					continue
-				}
-				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				s.state[wi].stats.Steals++
-				c := s.cells[ci]
-				s.vrc.logf("cluster: host %s stole %s/%s [%s] from %s",
-					s.workers[wi].host.Name(), c.workload.Suite(), c.workload.Name(),
-					c.buildType, s.workers[victim].host.Name())
-				s.launch(wi, ci, false)
-				progress = true
-			}
-		}
-		// Degrade-local: the coordinator takes one overflow cell at a
-		// time, but only cells no remote can serve (all hosts down, or
-		// the cell exhausted its untried hosts).
-		if s.rc.Config.Degrade == "local" && !s.localBusy {
-			healthy := s.anyHealthy()
-			for oi, ci := range s.overflow {
-				if !healthy || !s.remoteEligible(ci) {
-					s.overflow = append(s.overflow[:oi], s.overflow[oi+1:]...)
-					s.launchLocal(ci)
-					progress = true
-					break
-				}
-			}
-		}
-		if !progress {
-			return
-		}
-	}
-}
-
-// steal picks the cell an idle worker should take from another host's
-// backlog: the tail of the deepest queue holding a cell the thief has
-// not attempted (the tail is the cell that would otherwise wait
+// steal picks the cell an idle remote worker should take from another
+// host's backlog: the tail of the deepest queue holding a cell the thief
+// has not attempted (the tail is the cell that would otherwise wait
 // longest). Ascending victim scan with strict depth comparison keeps the
 // choice deterministic. Reports ok=false when nothing is stealable.
-func (s *clusterSched) steal(wi int) (ci, victim int, ok bool) {
-	name := s.workers[wi].host.Name()
+func (s *sched) steal(wi int) (ci, victim int, ok bool) {
+	if s.workers[wi].remote == nil {
+		return 0, 0, false
+	}
+	name := s.workers[wi].remote.host.Name()
 	bestV, bestDepth, bestIdx := -1, 0, -1
-	for v := range s.workers {
-		if v == wi || len(s.hq[v]) <= bestDepth {
+	for v, vw := range s.workers {
+		if v == wi || len(vw.queue) <= bestDepth {
 			continue
 		}
-		for k := len(s.hq[v]) - 1; k >= 0; k-- {
-			if !s.attempted[s.hq[v][k]][name] {
-				bestV, bestDepth, bestIdx = v, len(s.hq[v]), k
+		for k := len(vw.queue) - 1; k >= 0; k-- {
+			if !s.attempted[vw.queue[k]][name] {
+				bestV, bestDepth, bestIdx = v, len(vw.queue), k
 				break
 			}
 		}
@@ -1100,18 +655,34 @@ func (s *clusterSched) steal(wi int) (ci, victim int, ok bool) {
 	if bestV < 0 {
 		return 0, 0, false
 	}
-	ci = s.hq[bestV][bestIdx]
-	s.hq[bestV] = append(s.hq[bestV][:bestIdx], s.hq[bestV][bestIdx+1:]...)
+	q := s.workers[bestV].queue
+	ci = q[bestIdx]
+	s.workers[bestV].queue = append(q[:bestIdx], q[bestIdx+1:]...)
 	return ci, bestV, true
 }
 
 // drainQueue empties a faulted host's queue, re-placing each cell. The
 // drained cells never launched on the host, so nothing is logged for
 // them and their attempted sets are untouched.
-func (s *clusterSched) drainQueue(wi int) {
-	q := s.hq[wi]
-	s.hq[wi] = nil
-	for _, ci := range q {
+func (s *sched) drainQueue(wi int) {
+	q := s.workers[wi].queue
+	s.workers[wi].queue = nil
+	s.replace(q)
+}
+
+// replaceOverflow re-routes every shared-queue cell after a topology
+// change (probe recovery, eviction, mid-run join): each either lands on
+// a host queue, fails the run on exhaustion, or returns to the shared
+// queue to keep waiting.
+func (s *sched) replaceOverflow() {
+	q := s.queue
+	s.queue = nil
+	s.replace(q)
+}
+
+// replace re-places cells until a failure stops the run.
+func (s *sched) replace(cells []int) {
+	for _, ci := range cells {
 		if s.stop {
 			return
 		}
@@ -1119,29 +690,15 @@ func (s *clusterSched) drainQueue(wi int) {
 	}
 }
 
-// replaceOverflow re-routes every overflow cell after a topology change
-// (probe recovery, eviction, mid-run join): each either lands on a host
-// queue, fails the run on exhaustion, or returns to overflow to keep
-// waiting.
-func (s *clusterSched) replaceOverflow() {
-	of := s.overflow
-	s.overflow = nil
-	for _, ci := range of {
-		if s.stop {
-			return
-		}
-		s.place(ci)
-	}
-}
-
-// maybeSpeculate runs the straggler detector: with the queue drained,
-// spare idle workers, and enough completed cells for a meaningful
+// maybeSpeculate runs the straggler detector: with the queues drained,
+// spare idle workers, and enough completed remote cells for a meaningful
 // median, a cell whose only placement has run longer than
-// max(specFactor×median, specMinElapsed) is duplicated onto an idle
-// untried host — first result wins, loser cancelled. When no straggler
-// is due yet, a timer on the scheduler clock re-arms the check at the
-// earliest future threshold crossing.
-func (s *clusterSched) maybeSpeculate() {
+// max(specFactor×median, specMinElapsed) on a remote worker is
+// duplicated onto an idle untried host — first result wins, loser
+// cancelled. Stragglers are considered in canonical cell order. When no
+// straggler is due yet, a timer on the scheduler clock re-arms the check
+// at the earliest future threshold crossing.
+func (s *sched) maybeSpeculate() {
 	s.stopSpecTimer()
 	if s.stop || s.rc.Config.NoSpeculate || s.queuedTotal() > 0 ||
 		len(s.durations) < specMinSamples {
@@ -1153,17 +710,19 @@ func (s *clusterSched) maybeSpeculate() {
 	if threshold < specMinElapsed {
 		threshold = specMinElapsed
 	}
+	var stragglers []*placement
+	for _, w := range s.workers {
+		if pl := w.pl; pl != nil && w.remote != nil && !pl.speculative &&
+			s.p.shards[pl.cell] == nil && s.placementsOf(pl.cell) == 1 {
+			stragglers = append(stragglers, pl)
+		}
+	}
+	sort.Slice(stragglers, func(i, j int) bool { return stragglers[i].cell < stragglers[j].cell })
 	now := s.clk.Now()
 	var earliest time.Time
 	pendingWake := false
-	for ci, pls := range s.placements {
-		if s.p.shards[ci] != nil || len(pls) != 1 {
-			continue // settled, or already speculated
-		}
-		pl := pls[0]
-		if pl.worker < 0 || pl.speculative {
-			continue
-		}
+	for _, pl := range stragglers {
+		ci := pl.cell
 		if now.Sub(pl.start) < threshold {
 			due := pl.start.Add(threshold)
 			if !pendingWake || due.Before(earliest) {
@@ -1173,12 +732,12 @@ func (s *clusterSched) maybeSpeculate() {
 			continue
 		}
 		for ii, wi := range s.idle {
-			if s.state[wi].phase == hostHealthy && !s.attempted[ci][s.workers[wi].host.Name()] {
+			if s.placeable(wi, ci) {
 				s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
-				c := s.cells[ci]
+				c := s.p.cells[ci]
 				s.vrc.logf("cluster: speculating %s/%s [%s] on %s (straggling on %s)",
 					c.workload.Suite(), c.workload.Name(), c.buildType,
-					s.workers[wi].host.Name(), s.workers[pl.worker].host.Name())
+					s.workers[wi].remote.host.Name(), s.workers[pl.worker].remote.host.Name())
 				s.launch(wi, ci, true)
 				break
 			}
@@ -1189,24 +748,12 @@ func (s *clusterSched) maybeSpeculate() {
 	// frees up, and the timer covers the case where every worker is idle
 	// but no straggler is due yet.
 	if pendingWake {
-		t := s.clk.After(earliest.Sub(now))
-		s.specTmr = t
-		go func() {
-			select {
-			case <-t.C:
-				select {
-				case s.specWake <- struct{}{}:
-				default:
-				}
-			case <-s.ctx.Done():
-				t.Stop()
-			}
-		}()
+		s.specTmr = s.after(earliest.Sub(now), s.ctx.Done(), s.wakeSpec)
 	}
 }
 
 // stopSpecTimer disarms the pending speculation wakeup, if any.
-func (s *clusterSched) stopSpecTimer() {
+func (s *sched) stopSpecTimer() {
 	if s.specTmr != nil {
 		s.specTmr.Stop()
 		s.specTmr = nil
@@ -1226,19 +773,16 @@ func medianDuration(durs []time.Duration) time.Duration {
 }
 
 // hostSnapshot renders the per-host counters for progress events and the
-// -v summary, in worker order, with the degrade-local pseudo-host last.
-func (s *clusterSched) hostSnapshot() []HostStatus {
-	out := make([]HostStatus, 0, len(s.state)+1)
-	for i, st := range s.state {
-		hs := st.stats
-		hs.State = phaseNames[st.phase]
-		hs.Queued = len(s.hq[i])
-		ls := s.load.Sample(s.workers[i].host.Name())
-		hs.LoadEWMAMillis = float64(ls.CellEWMA+ls.RTTEWMA) / float64(time.Millisecond)
+// -v summary, in worker order; the -degrade local worker reports as host
+// "local".
+func (s *sched) hostSnapshot() []HostStatus {
+	out := make([]HostStatus, 0, len(s.workers))
+	for _, w := range s.workers {
+		hs := w.stats
+		hs.State = phaseNames[w.phase]
+		hs.Queued = len(w.queue)
+		hs.LoadEWMAMillis = float64(w.cost()) / float64(time.Millisecond)
 		out = append(out, hs)
-	}
-	if s.localStats != nil {
-		out = append(out, *s.localStats)
 	}
 	return out
 }
@@ -1246,14 +790,24 @@ func (s *clusterSched) hostSnapshot() []HostStatus {
 // emitHosts publishes a host-state progress event (probation, eviction,
 // recovery, join, speculation outcomes) so service callers see cluster
 // health between cell completions.
-func (s *clusterSched) emitHosts() {
-	s.rc.reportProgress(ProgressEvent{Stage: "hosts", Done: int(s.p.done.Load()),
-		Total: len(s.cells), Replayed: s.p.replayed, Deduped: s.p.deduped,
-		Hosts: s.hostSnapshot()})
+func (s *sched) emitHosts() {
+	if !s.cluster {
+		return
+	}
+	ev := s.p.event("hosts")
+	ev.Hosts = s.hostSnapshot()
+	s.rc.reportProgress(ev)
 }
 
-// logSummary writes the end-of-run per-host summary to the -v stream.
-func (s *clusterSched) logSummary() {
+// logSummary drains the per-host log retention (run.py's final "fetch
+// the logs": every shard already reached the coordinator via the command
+// output) and writes the end-of-run per-host summary to the -v stream.
+func (s *sched) logSummary() {
+	for _, w := range s.workers {
+		if w.remote != nil {
+			w.remote.host.FetchLogs()
+		}
+	}
 	for _, hs := range s.hostSnapshot() {
 		s.vrc.logf("== cluster: host %s: %s, %d cells, %d failovers, %d probes, %d spec wins, %d spec losses, %d steals",
 			hs.Host, hs.State, hs.Cells, hs.Failovers, hs.Probes, hs.SpecWins, hs.SpecLosses, hs.Steals)

@@ -55,18 +55,17 @@ func TestSpecTimerArmsWithoutIdleWorkers(t *testing.T) {
 	vclk := fexclock.NewVirtual(fixedNow())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := &clusterSched{
-		rc:    &RunContext{Config: Config{}},
-		p:     &runPlan{cells: make([]cell, 1), shards: make([]*runlog.Shard, 1)},
-		cells: make([]cell, 1),
-		clk:   vclk,
-		ctx:   ctx,
+	s := &sched{
+		rc:  &RunContext{Config: Config{}},
+		p:   &runPlan{cells: make([]cell, 1), shards: make([]*runlog.Shard, 1)},
+		clk: vclk,
+		ctx: ctx,
 		// Three completed cells of zero modeled duration: the threshold is
 		// the specMinElapsed floor. One non-speculative placement is in
 		// flight, under threshold, and no worker is idle.
-		durations:  []time.Duration{0, 0, 0},
-		placements: map[int][]*placement{0: {{cell: 0, worker: 0, start: vclk.Now()}}},
-		specWake:   make(chan struct{}, 1),
+		durations: []time.Duration{0, 0, 0},
+		workers:   []*worker{{remote: &clusterWorker{}, pl: &placement{cell: 0, worker: 0, start: vclk.Now()}}},
+		specWake:  make(chan struct{}, 1),
 	}
 	s.maybeSpeculate()
 	if got := vclk.Pending(); got != 1 {
@@ -86,8 +85,8 @@ func TestSpecTimerArmsWithoutIdleWorkers(t *testing.T) {
 // worker returning to the idle pool nudges the straggler detector (the
 // freed worker is exactly the capacity speculation was waiting for).
 func TestBackToPoolWakesSpeculation(t *testing.T) {
-	s := &clusterSched{
-		state:    []*hostState{{phase: hostHealthy}, {phase: hostProbation}},
+	s := &sched{
+		workers:  []*worker{{hostState: hostState{phase: hostHealthy}}, {hostState: hostState{phase: hostProbation}}},
 		specWake: make(chan struct{}, 1),
 	}
 	s.backToPool(0)
@@ -109,6 +108,105 @@ func TestBackToPoolWakesSpeculation(t *testing.T) {
 	if len(s.idle) != 1 {
 		t.Fatalf("probation worker entered the idle pool: %v", s.idle)
 	}
+}
+
+// TestHostStateEWMA covers the per-host load averages placement scores
+// by: the first observation seeds an average, each later one moves it by
+// alpha = 3/10, negative durations are ignored, and the RTT average is
+// seeded and updated the same way, independently of the cell average.
+func TestHostStateEWMA(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	tests := []struct {
+		name      string
+		cells     []time.Duration
+		rtts      []time.Duration
+		wantCell  time.Duration
+		wantRTT   time.Duration
+		wantCells int
+	}{
+		{"empty", nil, nil, 0, 0, 0},
+		{"cell_seeds", []time.Duration{ms(100)}, nil, ms(100), 0, 1},
+		// 100ms + (200ms-100ms)*3/10 = 130ms
+		{"cell_alpha", []time.Duration{ms(100), ms(200)}, nil, ms(130), 0, 2},
+		{"cell_negative_ignored", []time.Duration{ms(100), -ms(50), ms(200)}, nil, ms(130), 0, 2},
+		{"negative_never_seeds", []time.Duration{-ms(5)}, []time.Duration{-ms(5)}, 0, 0, 0},
+		{"rtt_seeds", nil, []time.Duration{ms(10)}, 0, ms(10), 0},
+		{"rtt_alpha", nil, []time.Duration{ms(10), ms(20)}, 0, ms(13), 0},
+		{"independent", []time.Duration{ms(100), ms(200)}, []time.Duration{ms(10), ms(20)}, ms(130), ms(13), 2},
+	}
+	for _, tc := range tests {
+		var h hostState
+		for _, d := range tc.cells {
+			h.observeCell(d)
+		}
+		for _, d := range tc.rtts {
+			h.observeRTT(d)
+		}
+		if h.cellEWMA != tc.wantCell || h.rttEWMA != tc.wantRTT || h.samples != tc.wantCells {
+			t.Errorf("%s: cell EWMA %v, RTT EWMA %v, %d samples; want %v, %v, %d",
+				tc.name, h.cellEWMA, h.rttEWMA, h.samples, tc.wantCell, tc.wantRTT, tc.wantCells)
+		}
+		if got := h.cost(); got != tc.wantCell+tc.wantRTT {
+			t.Errorf("%s: cost %v, want %v", tc.name, got, tc.wantCell+tc.wantRTT)
+		}
+	}
+}
+
+// TestSpeculationPicksLowestStragglerCell pins the straggler choice: with
+// two cells past the threshold and one idle host, the detector duplicates
+// the lower-index cell, whatever the worker order, so the choice repeats
+// from run to run.
+func TestSpeculationPicksLowestStragglerCell(t *testing.T) {
+	vclk := fexclock.NewVirtual(fixedNow())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cluster := remote.NewCluster()
+	var workers []*worker
+	for _, name := range []string{"w1", "w2", "w3"} {
+		h, err := cluster.AddHost(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, &worker{remote: &clusterWorker{host: h}})
+	}
+	// The higher-index cell runs on the lower-index worker, so worker
+	// order alone would pick the wrong straggler.
+	start := vclk.Now()
+	workers[0].pl = &placement{cell: 1, worker: 0, start: start}
+	workers[1].pl = &placement{cell: 0, worker: 1, start: start}
+	benches, err := newSchedFex(t).Registry().Suite("splash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched{
+		rc:        &RunContext{Config: Config{}},
+		vrc:       &RunContext{Config: Config{}},
+		p:         &runPlan{cells: makeCells([]string{"gcc_native"}, benches[:2], ""), shards: make([]*runlog.Shard, 2)},
+		clk:       vclk,
+		ctx:       ctx,
+		durations: []time.Duration{0, 0, 0},
+		workers:   workers,
+		idle:      []int{2},
+		attempted: []map[string]bool{{"w2": true}, {"w1": true}},
+		events:    make(chan func(), 1),
+		specWake:  make(chan struct{}, 1),
+	}
+	vclk.Advance(specMinElapsed)
+	s.maybeSpeculate()
+	pl := workers[2].pl
+	if pl == nil || !pl.speculative {
+		t.Fatalf("idle host got no speculative copy: %+v", pl)
+	}
+	if pl.cell != 0 {
+		t.Fatalf("speculated cell %d, want the lower-index straggler 0", pl.cell)
+	}
+	if len(s.idle) != 0 {
+		t.Errorf("idle pool after speculation = %v, want empty", s.idle)
+	}
+	// The copy's run-cell command is unregistered on the bare host; its
+	// result only has to reach the loop's event stream.
+	<-s.events
+	s.stopSpecTimer()
 }
 
 // TestClusterWorkStealingDrainsBacklog proves stealing end to end: with

@@ -486,8 +486,9 @@ func validRunID(id string) bool {
 // ProgressEvent is one run-progress notification, delivered through
 // RunHooks.Progress: the plan summary before execution starts (Done counts
 // the cells already satisfied by replays and dedup) and one event per
-// settled cell after. Events from the parallel tiers arrive from
-// concurrent workers.
+// settled cell after. Events arrive one at a time and in order — every
+// tier settles cells on the scheduler loop — so Done rises by exactly one
+// per "cell" event and ends at Total.
 type ProgressEvent struct {
 	// Stage is "plan" for the pre-execution summary, "cell" for a settled
 	// cell, "hosts" for a cluster host-state change.
@@ -499,7 +500,7 @@ type ProgressEvent struct {
 	Replayed, Deduped int
 	// Hosts carries the cluster tier's per-host health and counters; set
 	// on "hosts" events (emitted whenever a host changes state or settles
-	// a cell) and on the final "cell" event of a cluster run. Nil outside
+	// a cell) and on every "cell" event of a cluster run. Nil outside
 	// the cluster tier.
 	Hosts []HostStatus
 }
@@ -546,8 +547,8 @@ type RunHooks struct {
 	// path element (letters, digits, '-', '_', '.').
 	RunID string
 	// Progress, when set, receives the plan summary and per-cell
-	// completion events. It may be called from concurrent scheduler
-	// workers and must be safe for concurrent use.
+	// completion events, one at a time and in order, from the goroutine
+	// that called Run.
 	Progress func(ProgressEvent)
 	// LogSink, when set, receives the run log's bytes as they are
 	// produced — header and environment immediately, then each cell's

@@ -1,7 +1,7 @@
 package core
 
-// This file is the run planner: the plan-ahead stage every execution tier
-// routes through. Where the paper's experiment loop (Figure 4) re-derives
+// This file is the run planner: the plan-ahead stage every run routes
+// through before the scheduler executes it. Where the paper's experiment loop (Figure 4) re-derives
 // each decision cell-by-cell at execution time, the planner fingerprints
 // every cell up front, resolves the whole set against the result store and
 // the execution memo in one batch, dedups identical cells within the run,
@@ -13,9 +13,10 @@ package core
 //     and its shard merged into every canonical position;
 //   - a build type all of whose cells are replays or duplicates is never
 //     built at all;
-//   - in the parallel tiers, the first cold cell of each build type starts
-//     measuring as soon as its *own* build finishes, instead of after all
-//     builds (builds pipeline with measurement; see runParallel).
+//   - the first cold cell of each build type starts measuring as soon as
+//     its *own* build finishes, instead of after all builds (builds
+//     pipeline with measurement; see the scheduler in schedule.go), except
+//     in the serial run, which keeps the paper's type-by-type order.
 //
 // The determinism contract is untouched: shards still merge into the main
 // log in canonical loop order, so a planned run's log and CSV are
@@ -24,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"fex/internal/runlog"
 	"fex/internal/store"
@@ -38,26 +38,29 @@ type runPlan struct {
 	fps   []store.Fingerprint
 	// shards holds, per position: the replayed shard (store hit) from plan
 	// time, the measured shard once the cell executes, or nil. Duplicate
-	// positions are backfilled from their canonical cell after it runs.
+	// positions are backfilled from their canonical cell at commit time.
 	shards []*runlog.Shard
 	// canon[i] is the index of the cell position i is measured by: i
 	// itself for canonical cells, an earlier index for in-run duplicates.
 	canon []int
 	// coldTypes are the build types with at least one cell to execute;
-	// only these get a build node in the DAG. warmTypes had cells, but
-	// every one replays or dedups — their build is skipped (and logged).
+	// only these get a build node in the DAG. A type whose cells all
+	// replay or dedup is warm: its build is skipped (and logged).
 	coldTypes map[string]bool
-	warmTypes map[string]bool
 
-	// Plan summary counters (-v).
+	// Plan summary counters (-v); pending counts the cells the plan
+	// measures.
+	pending  int
 	replayed int
 	deduped  int
 	memoWarm int
 
 	// done counts settled cells for progress events: replayed and deduped
-	// positions settle at plan time, executed cells advance it from the
-	// (possibly concurrent) scheduler workers.
-	done atomic.Int64
+	// positions settle at plan time, executed cells advance it on the
+	// scheduler loop.
+	done int
+	// next is the first position not yet committed into the run log.
+	next int
 }
 
 // planRun resolves an experiment's cells into an execution plan: one
@@ -73,7 +76,6 @@ func planRun(rc *RunContext, cells []cell) *runPlan {
 		fps:       make([]store.Fingerprint, len(cells)),
 		canon:     make([]int, len(cells)),
 		coldTypes: make(map[string]bool, len(rc.Config.BuildTypes)),
-		warmTypes: make(map[string]bool, len(rc.Config.BuildTypes)),
 	}
 	for i, c := range cells {
 		p.fps[i] = cellFingerprint(rc.Fex, rc.Config, c)
@@ -99,15 +101,18 @@ func planRun(rc *RunContext, cells []cell) *runPlan {
 	for i, c := range cells {
 		if p.executes(i) {
 			p.coldTypes[c.buildType] = true
-		}
-	}
-	for _, c := range cells {
-		if !p.coldTypes[c.buildType] {
-			p.warmTypes[c.buildType] = true
+			p.pending++
 		}
 	}
 	p.probeMemo(rc)
 	return p
+}
+
+// event renders a progress event of the given stage at the plan's current
+// settled count.
+func (p *runPlan) event(stage string) ProgressEvent {
+	return ProgressEvent{Stage: stage, Done: p.done, Total: len(p.cells),
+		Replayed: p.replayed, Deduped: p.deduped}
 }
 
 // executes reports whether position i is a canonical cold cell — one the
@@ -116,28 +121,33 @@ func (p *runPlan) executes(i int) bool {
 	return p.shards[i] == nil && p.canon[i] == i
 }
 
-// pendingCount is the number of cells the plan measures.
-func (p *runPlan) pendingCount() int {
-	n := 0
-	for i := range p.cells {
-		if p.executes(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// backfillDuplicates copies each canonical cell's shard into its
-// duplicate positions. Canonical cells always precede their duplicates in
-// canonical order, so after execution (or partial execution — a failed
-// run leaves nil canonicals, and their duplicates stay nil too) this is a
-// pure replay of already-measured records.
-func (p *runPlan) backfillDuplicates() {
-	for i := range p.cells {
+// commit appends settled shards to lw in canonical order, from the first
+// uncommitted position up to end, backfilling each in-run duplicate from
+// its canonical cell (always an earlier position), and flushes the
+// appended records to a streaming log sink. It stops at the first
+// unsettled position; a final commit skips unsettled positions instead,
+// so a failed run merges every shard it has — partial work included.
+func (p *runPlan) commit(lw *runlog.Writer, end int, final bool) error {
+	start := p.next
+	for ; p.next < end; p.next++ {
+		i := p.next
 		if p.shards[i] == nil && p.canon[i] != i {
 			p.shards[i] = p.shards[p.canon[i]]
 		}
+		if p.shards[i] == nil {
+			if final {
+				continue
+			}
+			break
+		}
+		if err := lw.Append(p.shards[i]); err != nil {
+			return err
+		}
 	}
+	if p.next == start {
+		return nil
+	}
+	return lw.Flush()
 }
 
 // probeMemo resolves the plan against the execution memo in the same
@@ -184,7 +194,7 @@ func (p *runPlan) logSummary(rc *RunContext) {
 	if !rc.Config.Verbose || rc.Verbose == nil {
 		return
 	}
-	execN := p.pendingCount()
+	execN := p.pending
 	line := fmt.Sprintf("== plan: %d cells: %d execute, %d replayed, %d deduped; builds: %d of %d types",
 		len(p.cells), execN, p.replayed, p.deduped, len(p.coldTypes), len(rc.Config.BuildTypes))
 	if p.memoWarm > 0 {
@@ -194,11 +204,11 @@ func (p *runPlan) logSummary(rc *RunContext) {
 }
 
 // runExperiment is the single entry point of the execution tiers: it
-// decomposes the run into cells, plans it, and hands the plan to the
-// serial loop or the parallel/cluster scheduler. perType receives the
-// RunContext it must log and act through — the executor passes a
-// verbose-serialized context in the parallel tiers, where builds overlap
-// cell measurement.
+// decomposes the run into cells, plans it, hands the plan to the
+// scheduler, and merges whatever the scheduler left uncommitted. perType
+// receives the RunContext it must log and act through — the scheduler
+// passes a verbose-serialized context, since builds may overlap cell
+// measurement.
 func runExperiment(rc *RunContext, benches []workload.Workload, dims string, perType func(*RunContext, string) error, cellFn func(*RunContext, cell) error) error {
 	if err := rc.cancelled(); err != nil {
 		return err
@@ -206,10 +216,11 @@ func runExperiment(rc *RunContext, benches []workload.Workload, dims string, per
 	cells := makeCells(rc.Config.BuildTypes, benches, dims)
 	p := planRun(rc, cells)
 	p.logSummary(rc)
-	rc.reportProgress(ProgressEvent{Stage: "plan", Done: len(cells) - p.pendingCount(),
-		Total: len(cells), Replayed: p.replayed, Deduped: p.deduped})
-	if rc.Config.Jobs > 1 || len(rc.Config.Hosts) > 0 {
-		return runParallel(rc, p, perType, cellFn)
+	p.done = len(cells) - p.pending
+	rc.reportProgress(p.event("plan"))
+	err := runPlanned(rc, p, perType, cellFn)
+	if mergeErr := p.commit(rc.Log, len(cells), true); mergeErr != nil && err == nil {
+		err = mergeErr
 	}
-	return runSerial(rc, p, perType, cellFn)
+	return err
 }

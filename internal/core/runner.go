@@ -25,17 +25,16 @@ type RunContext struct {
 	Log     *runlog.Writer
 	Verbose io.Writer
 
-	// ctx carries the run's cancellation signal. Every tier observes it:
-	// the serial loop between cells and repetitions, the parallel workers
-	// before starting a cell, the builds goroutine between types, and the
-	// cluster placement loop (which also hands it to Host.Run). nil means
+	// ctx carries the run's cancellation signal. The scheduler loop stops
+	// dispatching and building once it ends, cells observe it between
+	// repetitions, and remote placements hand it to Host.Run. nil means
 	// "never cancelled" (context.Background()).
 	ctx context.Context
 
 	// progress, when set, receives run-progress events: the plan summary
-	// before execution starts and one event per settled cell. It may be
-	// called from concurrent scheduler workers; implementations must be
-	// safe for concurrent use.
+	// before execution starts and one event per settled cell. Events are
+	// delivered one at a time, in order, from the goroutine running the
+	// experiment (the scheduler loop settles every cell).
 	progress func(ProgressEvent)
 
 	// build overrides the framework build system for this context. Cluster
@@ -189,10 +188,11 @@ var errSkipBenchmark = errors.New("core: skip benchmark")
 func SkipBenchmark() error { return errSkipBenchmark }
 
 // Run implements Runner: the experiment loop, routed through the run
-// planner (plan.go). With Config.Jobs > 1 the independent (build type,
-// benchmark) cells of the loop run on a bounded worker pool, and with
-// Config.Hosts they are dispatched to cluster workers (see schedule.go
-// and cluster.go); the default executes the paper-faithful serial order.
+// planner (plan.go) and the scheduler (schedule.go). With Config.Jobs > 1
+// the independent (build type, benchmark) cells of the loop run on that
+// many local workers, and with Config.Hosts on remote workers (see
+// cluster.go); the default single local worker executes the
+// paper-faithful serial order.
 // Every tier runs its cells through the plan: completed cells persist,
 // -resume replays satisfied cells, in-run duplicates measure once, and
 // build types with no cold cells skip their PerTypeAction entirely.

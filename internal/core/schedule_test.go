@@ -369,3 +369,99 @@ func TestVariableInputRunnerParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressMonotonicEveryTier pins progress delivery on every tier:
+// cells settle on the scheduler loop, one at a time, so across the "cell"
+// events Done rises by exactly 1 from the plan's count and ends at Total.
+// The hook deliberately keeps unsynchronized state — under -race a
+// callback from concurrent workers would be reported.
+func TestProgressMonotonicEveryTier(t *testing.T) {
+	for _, mode := range runModes {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			t.Parallel()
+			fx := newSchedFex(t)
+			registerSchedExperiment(t, fx, "progress_"+mode.name, deterministicHooks(time.Millisecond))
+			cfg := Config{
+				Experiment: "progress_" + mode.name,
+				BuildTypes: []string{"gcc_native", "clang_native"},
+				Benchmarks: []string{"fft", "lu", "radix", "ocean"},
+				Reps:       2,
+				Input:      workload.SizeTest,
+				ModelTime:  true,
+			}
+			mode.set(&cfg)
+			var plan ProgressEvent
+			var done []int
+			total := 0
+			_, err := fx.RunWithHooks(context.Background(), cfg, RunHooks{Progress: func(ev ProgressEvent) {
+				switch ev.Stage {
+				case "plan":
+					plan = ev
+				case "cell":
+					done = append(done, ev.Done)
+					total = ev.Total
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(done) == 0 {
+				t.Fatal("no cell progress events")
+			}
+			for i, d := range done {
+				if want := plan.Done + i + 1; d != want {
+					t.Fatalf("cell event %d reports Done=%d, want %d (sequence %v)", i, d, want, done)
+				}
+			}
+			if last := done[len(done)-1]; last != total || total != plan.Total {
+				t.Fatalf("final Done=%d of Total=%d, want %d of %d", last, total, plan.Total, plan.Total)
+			}
+		})
+	}
+}
+
+// TestSchedulerSerialOrder pins the paper's serial order on the one-local-
+// worker run: the second build type's PerTypeAction enters with no cell
+// in flight and every cell of the first type settled. Started cells are
+// counted in the per-benchmark hook, settled ones from progress events.
+func TestSchedulerSerialOrder(t *testing.T) {
+	benches := []string{"fft", "lu", "radix"}
+	var started, settled atomic.Int64
+	hooks := deterministicHooks(time.Millisecond)
+	base := hooks.PerBenchmarkAction
+	hooks.PerBenchmarkAction = func(rc *RunContext, buildType string, w workload.Workload) error {
+		started.Add(1)
+		return base(rc, buildType, w)
+	}
+	var atClang struct{ started, settled int64 }
+	hooks.PerTypeAction = func(rc *RunContext, buildType string) error {
+		if buildType == "clang_native" {
+			atClang.started, atClang.settled = started.Load(), settled.Load()
+		}
+		return nil
+	}
+	fx := newSchedFex(t)
+	registerSchedExperiment(t, fx, "serial_order", hooks)
+	_, err := fx.RunWithHooks(context.Background(), Config{
+		Experiment: "serial_order",
+		BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: benches,
+		Reps:       2,
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+	}, RunHooks{Progress: func(ev ProgressEvent) {
+		if ev.Stage == "cell" {
+			settled.Add(1)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inFlight := atClang.started - atClang.settled; inFlight != 0 {
+		t.Errorf("clang_native PerTypeAction entered with %d cells in flight, want 0", inFlight)
+	}
+	if want := int64(len(benches)); atClang.settled != want {
+		t.Errorf("clang_native PerTypeAction entered with %d gcc_native cells settled, want %d", atClang.settled, want)
+	}
+}

@@ -160,6 +160,9 @@ func (s *Server) Submit(spec RunSpec) (*RunStatus, error) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{id: id, cfg: cfg, status: StatusQueued, ctx: ctx, cancel: cancel}
 	r.cond = sync.NewCond(&r.mu)
+	// Snapshot before enqueueing: once queued, the executor may already
+	// mark the run running, and the submission must report it queued.
+	st := r.snapshot()
 	select {
 	case s.queue <- r:
 	default:
@@ -169,7 +172,7 @@ func (s *Server) Submit(spec RunSpec) (*RunStatus, error) {
 	s.seq++
 	s.runs[id] = r
 	s.order = append(s.order, id)
-	return r.snapshot(), nil
+	return st, nil
 }
 
 // Cancel cancels a run: a queued run settles immediately, a running run's
@@ -303,8 +306,8 @@ func (r *run) settle(report *core.RunReport, err error) {
 	r.cond.Broadcast()
 }
 
-// onProgress implements core.RunHooks.Progress; it may be called from
-// concurrent scheduler workers.
+// onProgress implements core.RunHooks.Progress. Events arrive in order on
+// the run's goroutine; the lock guards the record against status readers.
 func (r *run) onProgress(ev core.ProgressEvent) {
 	r.mu.Lock()
 	if ev.Hosts != nil {

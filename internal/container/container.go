@@ -414,8 +414,9 @@ func (c *Container) Stopped() bool {
 // current filesystem and environment — the cluster-distribution step: the
 // coordinator ships its container state (benchmark sources plus whatever
 // the setup stage installed) to a worker host, which boots a private
-// replica. The clone shares nothing mutable with the original; writes on
-// either side stay invisible to the other.
+// replica. The clone shares only immutable file bytes with the original
+// (vfs.FS.Clone), so it costs O(entries), and writes on either side stay
+// invisible to the other.
 func (c *Container) Clone(id string) (*Container, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

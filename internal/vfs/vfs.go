@@ -54,6 +54,15 @@ func (e *PathError) Error() string {
 // Unwrap supports errors.Is / errors.As.
 func (e *PathError) Unwrap() error { return e.Err }
 
+// node is one filesystem entry.
+//
+// Invariant: a file's bytes data[0:len(data)] are never mutated in
+// place. WriteFile replaces the node and Append only extends the slice,
+// so a data slice taken under the lock stays valid, unchanging, after the
+// lock is released. Save streams such slices without copying them, and
+// Clone and CopyTree share them between nodes: the copy gets
+// data[:len:len], whose capped capacity makes an Append on either side
+// reallocate instead of writing into the other's spare capacity.
 type node struct {
 	name     string
 	isDir    bool
@@ -63,6 +72,16 @@ type node struct {
 	children map[string]*node
 }
 
+func newRoot() *node {
+	return &node{
+		name:     "/",
+		isDir:    true,
+		mode:     fs.ModeDir | 0o755,
+		children: make(map[string]*node),
+	}
+}
+
+// clone copies the tree rooted at n, sharing file bytes (see node).
 func (n *node) clone() *node {
 	c := &node{
 		name:    n.name,
@@ -71,8 +90,7 @@ func (n *node) clone() *node {
 		modTime: n.modTime,
 	}
 	if n.data != nil {
-		c.data = make([]byte, len(n.data))
-		copy(c.data, n.data)
+		c.data = n.data[:len(n.data):len(n.data)]
 	}
 	if n.children != nil {
 		c.children = make(map[string]*node, len(n.children))
@@ -81,6 +99,18 @@ func (n *node) clone() *node {
 		}
 	}
 	return c
+}
+
+// stat describes n, found at path p.
+func (n *node) stat(p string) Stat {
+	return Stat{
+		Name:    n.name,
+		Path:    p,
+		IsDir:   n.isDir,
+		Size:    int64(len(n.data)),
+		Mode:    n.mode,
+		ModTime: n.modTime,
+	}
 }
 
 // FS is an in-memory filesystem. The zero value is not usable; call New.
@@ -103,12 +133,7 @@ func (f *FS) Ops() uint64 { return f.ops.Load() }
 // New returns an empty filesystem containing only the root directory.
 func New() *FS {
 	return &FS{
-		root: &node{
-			name:     "/",
-			isDir:    true,
-			mode:     fs.ModeDir | 0o755,
-			children: make(map[string]*node),
-		},
+		root: newRoot(),
 		// A fixed clock keeps trees byte-identical across runs; callers that
 		// care about real timestamps can override via SetClock.
 		now: func() time.Time { return time.Unix(0, 0).UTC() },
@@ -122,8 +147,9 @@ func (f *FS) SetClock(now func() time.Time) {
 	f.now = now
 }
 
-// Clone returns a deep copy of the filesystem. The clone and the original
-// share no state.
+// Clone returns a copy of the filesystem in O(entries): file bytes are
+// shared, not copied, which the never-mutated-in-place invariant on node
+// makes safe. Writes on either side stay invisible to the other.
 func (f *FS) Clone() *FS {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -344,14 +370,7 @@ func (f *FS) Stat(p string) (Stat, error) {
 	if err != nil {
 		return Stat{}, &PathError{Op: "stat", Path: p, Err: err}
 	}
-	return Stat{
-		Name:    n.name,
-		Path:    path.Clean("/" + p),
-		IsDir:   n.isDir,
-		Size:    int64(len(n.data)),
-		Mode:    n.mode,
-		ModTime: n.modTime,
-	}, nil
+	return n.stat(path.Clean("/" + p)), nil
 }
 
 // Exists reports whether the named path exists.
@@ -386,15 +405,7 @@ func (f *FS) ReadDir(p string) ([]Stat, error) {
 	base := path.Clean("/" + p)
 	out := make([]Stat, 0, len(names))
 	for _, name := range names {
-		c := n.children[name]
-		out = append(out, Stat{
-			Name:    c.name,
-			Path:    path.Join(base, c.name),
-			IsDir:   c.isDir,
-			Size:    int64(len(c.data)),
-			Mode:    c.mode,
-			ModTime: c.modTime,
-		})
+		out = append(out, n.children[name].stat(path.Join(base, name)))
 	}
 	return out, nil
 }
@@ -497,17 +508,23 @@ type WalkFunc func(st Stat) error
 
 // Walk visits every entry below root (excluding root itself).
 func (f *FS) Walk(root string, fn WalkFunc) error {
+	return f.walkTree("walk", root, func(p string, n *node) error { return fn(n.stat(p)) })
+}
+
+// walkTree calls fn for every node below root in Walk order, under one
+// read lock, counting one operation.
+func (f *FS) walkTree(op, root string, fn func(p string, n *node) error) error {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	n, err := f.walk(root)
 	if err != nil {
-		return &PathError{Op: "walk", Path: root, Err: err}
+		return &PathError{Op: op, Path: root, Err: err}
 	}
-	return walkNode(path.Clean("/"+root), n, fn)
+	return visit(path.Clean("/"+root), n, fn)
 }
 
-func walkNode(base string, n *node, fn WalkFunc) error {
+func visit(base string, n *node, fn func(p string, n *node) error) error {
 	if !n.isDir {
 		return nil
 	}
@@ -519,21 +536,11 @@ func walkNode(base string, n *node, fn WalkFunc) error {
 	for _, name := range names {
 		c := n.children[name]
 		p := path.Join(base, name)
-		st := Stat{
-			Name:    c.name,
-			Path:    p,
-			IsDir:   c.isDir,
-			Size:    int64(len(c.data)),
-			Mode:    c.mode,
-			ModTime: c.modTime,
-		}
-		if err := fn(st); err != nil {
+		if err := fn(p, c); err != nil {
 			return err
 		}
-		if c.isDir {
-			if err := walkNode(p, c, fn); err != nil {
-				return err
-			}
+		if err := visit(p, c, fn); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -614,15 +621,9 @@ func (f *FS) CopyTree(src, dst string) error {
 // trees with identical structure and bytes produce identical digests.
 func (f *FS) Digest(root string) (string, error) {
 	h := sha256.New()
-	err := f.Walk(root, func(st Stat) error {
-		fmt.Fprintf(h, "%s|%t|%d\n", st.Path, st.IsDir, st.Size)
-		if !st.IsDir {
-			n, err := f.walk(st.Path)
-			if err != nil {
-				return err
-			}
-			h.Write(n.data)
-		}
+	err := f.walkTree("digest", root, func(p string, n *node) error {
+		fmt.Fprintf(h, "%s|%t|%d\n", p, n.isDir, len(n.data))
+		h.Write(n.data)
 		return nil
 	})
 	if err != nil {

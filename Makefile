@@ -1,22 +1,7 @@
 # Fex build/test/bench entry points.
 GO ?= go
-# pipefail so `go test | tee` recipes fail when the test run fails —
-# otherwise a failing bench would silently regenerate BENCH_4.json.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
 
-# The ablation benchmarks committed as the BENCH_10.json trajectory: the
-# design-decision quantifications (rebuild vs --no-build, repetition
-# estimation, parallel scheduler scaling), the memoized execution
-# engine's -r 32 speedup, the result store's batched plan-ahead resolve
-# (bulk vs per-cell vfs operations on a 1000-cell warm resume), the
-# run planner (in-run dedup executions saved, half-warm
-# time-to-first-measurement, zero-build warm resume), and the load-aware
-# cluster scheduler's makespan win over blind round-robin on a skewed
-# host set.
-ABLATIONS := BenchmarkAblation_(RebuildVsNoBuild|RepetitionEstimate|ParallelScaling|MemoizedReps|StoreBulkResolve|PlanAhead|LoadAware)|BenchmarkModeledRepetition
-
-.PHONY: build test race bench bench-smoke chaos gate gate-baseline
+.PHONY: build test race bench-smoke chaos gate gate-baseline
 
 build:
 	$(GO) build ./...
@@ -40,16 +25,6 @@ chaos:
 		$(GO) test -race -count=1 \
 		-run 'TestClusterChaosSeededFaults|TestClusterDeterminismUnderFaultSchedules' \
 		./internal/core/ -v
-
-# bench regenerates BENCH_10.json from a fresh run of the ablation
-# benchmarks. Commit the result so the perf trajectory travels with the
-# code that produced it (BENCH_4.json, BENCH_6.json and BENCH_7.json are
-# the previous points on that trajectory, kept for comparison).
-bench:
-	$(GO) test -run '^$$' -bench '$(ABLATIONS)' -benchtime 3x -count 1 . | tee .bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_10.json < .bench.out
-	@rm -f .bench.out
-	@echo "wrote BENCH_10.json"
 
 # bench-smoke runs every benchmark in the module exactly once — the CI
 # guard that keeps the bench suite compiling and passing its internal

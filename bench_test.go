@@ -38,16 +38,16 @@ import (
 	"fex/internal/workload"
 )
 
-// newFexB builds a framework instance for a benchmark.
-func newFexB(b *testing.B, installs ...string) *core.Fex {
-	b.Helper()
+// newFexB builds a framework instance for a benchmark or a test.
+func newFexB(tb testing.TB, installs ...string) *core.Fex {
+	tb.Helper()
 	fx, err := core.New(core.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, n := range installs {
 		if _, err := fx.Install(n); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return fx
@@ -532,6 +532,25 @@ func BenchmarkAblation_MemoizedReps(b *testing.B) {
 // reads one pack file per shard instead of probing per cell; batching
 // must use strictly fewer operations.
 func BenchmarkAblation_StoreBulkResolve(b *testing.B) {
+	fsys, fps := bulkResolveStore(b)
+	var perCellOps, bulkOps float64
+	for i := 0; i < b.N; i++ {
+		perCell, bulk := bulkResolveOps(b, fsys, fps)
+		perCellOps, bulkOps = float64(perCell), float64(bulk)
+	}
+	if bulkOps >= perCellOps {
+		b.Fatalf("bulk resolve used %.0f vfs ops, per-cell probing %.0f — batching must win", bulkOps, perCellOps)
+	}
+	printTable("Result-store plan-ahead (1000-cell warm resume)",
+		fmt.Sprintf("per-cell=%.0f vfs ops  bulk=%.0f vfs ops  ratio=%.1fx\n", perCellOps, bulkOps, perCellOps/bulkOps))
+	b.ReportMetric(perCellOps, "percell-vfsops")
+	b.ReportMetric(bulkOps, "bulk-vfsops")
+	b.ReportMetric(perCellOps/bulkOps, "vfsop-ratio")
+}
+
+// bulkResolveStore builds the StoreBulkResolve fixture: a compacted
+// 1000-cell store and the cells' fingerprints.
+func bulkResolveStore(tb testing.TB) (*vfs.FS, []store.Fingerprint) {
 	const cells = 1000
 	fsys := vfs.New()
 	s := store.New(fsys, "/fex/store")
@@ -546,44 +565,41 @@ func BenchmarkAblation_StoreBulkResolve(b *testing.B) {
 			Reps:       "2",
 		}
 		if err := s.Put(fps[i], []byte(fmt.Sprintf("RUN|cell=%d\n", i))); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if _, err := s.Compact(nil); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var perCellOps, bulkOps float64
-	for i := 0; i < b.N; i++ {
-		cold := store.New(fsys, "/fex/store")
-		before := fsys.Ops()
-		for _, fp := range fps {
-			if _, present, err := cold.Get(fp); err != nil || !present {
-				b.Fatalf("per-cell probe for %s: present=%t err=%v", fp.Benchmark, present, err)
-			}
-		}
-		perCellOps = float64(fsys.Ops() - before)
+	return fsys, fps
+}
 
-		cold = store.New(fsys, "/fex/store")
-		before = fsys.Ops()
-		results, err := cold.BulkGet(fps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bulkOps = float64(fsys.Ops() - before)
-		for j, r := range results {
-			if !r.Present || r.Err != nil {
-				b.Fatalf("bulk result %d: present=%t err=%v", j, r.Present, r.Err)
-			}
+// bulkResolveOps resolves every fixture cell through a cold store twice,
+// once per-cell and once in one BulkGet, and returns the vfs operations
+// each way took.
+func bulkResolveOps(tb testing.TB, fsys *vfs.FS, fps []store.Fingerprint) (perCell, bulk uint64) {
+	cold := store.New(fsys, "/fex/store")
+	before := fsys.Ops()
+	for _, fp := range fps {
+		if _, present, err := cold.Get(fp); err != nil || !present {
+			tb.Fatalf("per-cell probe for %s: present=%t err=%v", fp.Benchmark, present, err)
 		}
 	}
-	if bulkOps >= perCellOps {
-		b.Fatalf("bulk resolve used %.0f vfs ops, per-cell probing %.0f — batching must win", bulkOps, perCellOps)
+	perCell = fsys.Ops() - before
+
+	cold = store.New(fsys, "/fex/store")
+	before = fsys.Ops()
+	results, err := cold.BulkGet(fps)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	printTable("Result-store plan-ahead (1000-cell warm resume)",
-		fmt.Sprintf("per-cell=%.0f vfs ops  bulk=%.0f vfs ops  ratio=%.1fx\n", perCellOps, bulkOps, perCellOps/bulkOps))
-	b.ReportMetric(perCellOps, "percell-vfsops")
-	b.ReportMetric(bulkOps, "bulk-vfsops")
-	b.ReportMetric(perCellOps/bulkOps, "vfsop-ratio")
+	bulk = fsys.Ops() - before
+	for j, r := range results {
+		if !r.Present || r.Err != nil {
+			tb.Fatalf("bulk result %d: present=%t err=%v", j, r.Present, r.Err)
+		}
+	}
+	return perCell, bulk
 }
 
 // BenchmarkAblation_ParallelScaling demonstrates the -jobs experiment
@@ -699,16 +715,22 @@ func BenchmarkModeledRepetition(b *testing.B) {
 // repetition estimator over a realistic pilot sample (the statistics the
 // paper lists as future work).
 func BenchmarkAblation_RepetitionEstimate(b *testing.B) {
-	pilot := []float64{100.2, 99.1, 101.7, 100.9, 98.8, 100.4, 99.7, 101.1}
 	var n int
 	for i := 0; i < b.N; i++ {
-		var err error
-		n, err = stats.RequiredRepetitions(pilot, 0.95, 0.01)
-		if err != nil {
-			b.Fatal(err)
-		}
+		n = requiredReps(b)
 	}
 	b.ReportMetric(float64(n), "required-reps")
+}
+
+// requiredReps is the estimator's answer for the ablation's pilot sample
+// at 95% confidence and 1% relative width.
+func requiredReps(tb testing.TB) int {
+	pilot := []float64{100.2, 99.1, 101.7, 100.9, 98.8, 100.4, 99.7, 101.1}
+	n, err := stats.RequiredRepetitions(pilot, 0.95, 0.01)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }
 
 // BenchmarkAblation_PlanAhead quantifies the run planner (plan.go) on the
@@ -733,54 +755,8 @@ func BenchmarkAblation_PlanAhead(b *testing.B) {
 	warmBuilds := -1
 
 	for i := 0; i < b.N; i++ {
-		// (a) Dedup on a duplicated sweep: 5 positions per type, 2
-		// distinct; threads {1,2} × 4 reps.
-		var execs atomic.Int64
-		fx := newFexB(b)
-		hooks := core.Hooks{
-			PerBenchmarkAction: func(rc *core.RunContext, buildType string, w workload.Workload) error {
-				return nil
-			},
-			PerRunAction: func(rc *core.RunContext, buildType string, w workload.Workload, threads, rep int) (*measure.MetricVector, error) {
-				execs.Add(1) // each call stands for one kernel execution
-				return measure.FromMap(map[string]float64{"cycles": float64(len(w.Name())*1000 + threads*10 + rep)}), nil
-			},
-		}
-		if err := fx.RegisterExperiment(&core.Experiment{
-			Name: "plan_dedup",
-			Kind: core.KindPerformance,
-			NewRunner: func(fx *core.Fex) (core.Runner, error) {
-				return &core.BenchRunner{Suite: "splash", Hooks: hooks}, nil
-			},
-			Collect: core.GenericCollect,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.Config{
-			Experiment: "plan_dedup",
-			BuildTypes: []string{"gcc_native", "clang_native"},
-			Benchmarks: []string{"fft", "lu", "fft", "lu", "fft"},
-			Threads:    []int{1, 2},
-			Reps:       4,
-			Input:      workload.SizeTest,
-			ModelTime:  true,
-		}
-		report, err := fx.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dedupExecs = float64(execs.Load())
-		dedupCSV = report.Table.CSVString()
-
-		execs.Store(0)
-		raw := cfg
-		raw.NoDedup = true
-		report, err = fx.Run(context.Background(), raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rawExecs = float64(execs.Load())
-		rawCSV = report.Table.CSVString()
+		dedup, raw, dcsv, rcsv := planDedupExecs(b)
+		dedupExecs, rawExecs, dedupCSV, rawCSV = float64(dedup), float64(raw), dcsv, rcsv
 
 		// (b) Half-warm two-config session: config A measures gcc_native
 		// cold; config B resumes with clang_native added. The planner
@@ -835,24 +811,7 @@ func BenchmarkAblation_PlanAhead(b *testing.B) {
 		}
 		ttfm = time.Duration(firstNS.Load())
 
-		// (c) Fully-warm resume on a real experiment: zero Build calls.
-		wfx := newFexB(b, "gcc-6.1", "clang-3.8.0")
-		wcfg := core.Config{
-			Experiment: "splash",
-			BuildTypes: []string{"gcc_native", "clang_native"},
-			Benchmarks: []string{"fft", "lu"},
-			Input:      workload.SizeTest,
-			ModelTime:  true,
-		}
-		if _, err := wfx.Run(context.Background(), wcfg); err != nil {
-			b.Fatal(err)
-		}
-		before := wfx.BuildSystem().Builds()
-		wcfg.Resume = true
-		if _, err := wfx.Run(context.Background(), wcfg); err != nil {
-			b.Fatal(err)
-		}
-		warmBuilds = wfx.BuildSystem().Builds() - before
+		warmBuilds = planWarmResumeBuilds(b)
 	}
 
 	if dedupCSV != rawCSV {
@@ -878,6 +837,101 @@ func BenchmarkAblation_PlanAhead(b *testing.B) {
 	b.ReportMetric(rawExecs/dedupExecs, "exec-savings")
 	b.ReportMetric(float64(ttfm.Milliseconds()), "halfwarm-ttfm-ms")
 	b.ReportMetric(float64(warmBuilds), "warmresume-builds")
+}
+
+// planDedupExecs runs the PlanAhead dedup ablation: a duplicated-sweep
+// config (5 positions per type, 2 distinct; threads {1,2} x 4 reps)
+// with and without in-run dedup, returning the kernel executions and
+// the collected CSV of each.
+func planDedupExecs(tb testing.TB) (dedup, raw int64, dedupCSV, rawCSV string) {
+	var execs atomic.Int64
+	fx := newFexB(tb)
+	hooks := core.Hooks{
+		PerBenchmarkAction: func(rc *core.RunContext, buildType string, w workload.Workload) error {
+			return nil
+		},
+		PerRunAction: func(rc *core.RunContext, buildType string, w workload.Workload, threads, rep int) (*measure.MetricVector, error) {
+			execs.Add(1) // each call stands for one kernel execution
+			return measure.FromMap(map[string]float64{"cycles": float64(len(w.Name())*1000 + threads*10 + rep)}), nil
+		},
+	}
+	if err := fx.RegisterExperiment(&core.Experiment{
+		Name: "plan_dedup",
+		Kind: core.KindPerformance,
+		NewRunner: func(fx *core.Fex) (core.Runner, error) {
+			return &core.BenchRunner{Suite: "splash", Hooks: hooks}, nil
+		},
+		Collect: core.GenericCollect,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	cfg := core.Config{
+		Experiment: "plan_dedup",
+		BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"fft", "lu", "fft", "lu", "fft"},
+		Threads:    []int{1, 2},
+		Reps:       4,
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+	}
+	report, err := fx.Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dedup, dedupCSV = execs.Load(), report.Table.CSVString()
+
+	execs.Store(0)
+	cfg.NoDedup = true
+	if report, err = fx.Run(context.Background(), cfg); err != nil {
+		tb.Fatal(err)
+	}
+	return dedup, execs.Load(), dedupCSV, report.Table.CSVString()
+}
+
+// planWarmResumeBuilds counts the buildsys.Build calls of a fully-warm
+// -resume rerun of a real experiment.
+func planWarmResumeBuilds(tb testing.TB) int {
+	fx := newFexB(tb, "gcc-6.1", "clang-3.8.0")
+	cfg := core.Config{
+		Experiment: "splash",
+		BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"fft", "lu"},
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+	}
+	if _, err := fx.Run(context.Background(), cfg); err != nil {
+		tb.Fatal(err)
+	}
+	before := fx.BuildSystem().Builds()
+	cfg.Resume = true
+	if _, err := fx.Run(context.Background(), cfg); err != nil {
+		tb.Fatal(err)
+	}
+	return fx.BuildSystem().Builds() - before
+}
+
+// TestAblationCounters pins the machine-independent counters of the
+// ablation benchmarks exactly, so a change to the store's read path, the
+// planner's dedup or build skipping, or the repetition estimator shows
+// up in the ordinary test run rather than only in a benchmark's output.
+func TestAblationCounters(t *testing.T) {
+	fsys, fps := bulkResolveStore(t)
+	if perCell, bulk := bulkResolveOps(t, fsys, fps); perCell != 1003 || bulk != 254 {
+		t.Errorf("1000-cell warm resolve: per-cell %d, bulk %d vfs ops; want 1003 and 254", perCell, bulk)
+	}
+	dedup, raw, dedupCSV, rawCSV := planDedupExecs(t)
+	if dedup != 32 || raw != 80 {
+		t.Errorf("duplicated sweep: %d kernel executions deduped, %d with -no-dedup; want 32 and 80", dedup, raw)
+	}
+	if dedupCSV != rawCSV {
+		t.Errorf("deduped CSV differs from -no-dedup baseline:\n--- no-dedup ---\n%s\n--- deduped ---\n%s", rawCSV, dedupCSV)
+	}
+	if n := planWarmResumeBuilds(t); n != 0 {
+		t.Errorf("fully-warm resume performed %d builds, want 0", n)
+	}
+	if n := requiredReps(t); n != 7 {
+		t.Errorf("required repetitions %d, want 7", n)
+	}
 }
 
 // BenchmarkRIPEMatrix measures raw testbed evaluation speed (850 attack

@@ -17,33 +17,23 @@
 //	serve    [-addr host:port]             run the experiment service (HTTP/JSON API)
 //	list                                   print the supported-experiments inventory (Table I)
 //
-// Flags (matching §III-B): -t build types / plot kind, -b benchmark
-// filter, -m thread counts, -r repetitions (a count, or
-// "auto[:level,relwidth]" for adaptive repetitions that stop once the
-// confidence interval is tight enough), -i input class, -d debug
-// builds, -v verbose, --no-build, -tool measurement tool (perf-stat,
-// perf-stat-mem, time; default per experiment), -o host output directory,
-// --state state
-// file (container persistence between invocations), -jobs parallel
-// experiment cells (default 1: the paper's serial loop), -hosts
-// comma-separated cluster worker hosts (cells are dispatched remotely
-// with failover; logs stay byte-identical to a serial run), -hosts-file
-// a file of host names (one per line; re-read while the run executes, so
-// new names join the cluster mid-run), -host-timeout a per-cell deadline
-// after which a placement is treated as a host fault and fails over,
-// -no-speculate disables speculative straggler re-execution (-speculate,
-// the default, duplicates a straggling cell onto a spare idle host,
-// first result wins), -no-steal disables work-stealing by idle workers,
-// -no-load-aware disables latency-weighted placement (falling back to
-// round-robin), -degrade local runs queued cells on the
-// coordinator while every host is down or probing,
-// --modeled-time record modeled instead of live wall time (makes logs
-// fully machine-independent), -resume replay already-satisfied cells from
-// the persistent result store instead of re-measuring them, -no-memo
-// physically re-execute the kernel for every repetition instead of
-// serving repeated (benchmark, input, threads) configurations from the
-// build system's shared execution memo, -cpuprofile/-memprofile write pprof profiles of the
-// invocation for performance work on real experiment runs.
+// Run flags are not parsed here. The run surface of §III-B (-t build
+// types, -b benchmark filter, -m thread counts, -r repetitions, -i input
+// class, -d debug builds, -v verbose, --no-build) and everything added
+// since (-tool, -jobs, -hosts, -host-timeout, the scheduler ablations,
+// -degrade, -no-memo, -no-dedup, --modeled-time, -resume) live in one
+// flag table in internal/core (args.go): core.ParseArgs reads them into a
+// core.Config, core.Config.Args and String render a run back, and fex
+// serve decodes {"args": [...]} submissions through the same table. Each
+// flag's meaning is documented on its core.Config field. Outside run, -n
+// names the artifact or experiment, -t the plot kind or the two analyze
+// types, and -b the analyze metric.
+//
+// The CLI's own flags: -o host output directory, --state state file
+// (container persistence between invocations), -addr the serve listen
+// address, -hosts-file a file of host names (one per line; re-read while
+// the run executes, so new names join the cluster mid-run), and
+// -cpuprofile/-memprofile pprof profiles of the invocation.
 //
 // Cross-run analysis flags: -baseline names the stored baseline run set
 // for gate, -metric picks the compared per-repetition metric (default
@@ -78,7 +68,6 @@ import (
 	"fex/internal/diff"
 	"fex/internal/remote"
 	"fex/internal/serve"
-	"fex/internal/workload"
 )
 
 func main() {
@@ -88,35 +77,13 @@ func main() {
 	}
 }
 
-// cliArgs holds parsed command-line arguments.
+// cliArgs holds parsed command-line arguments: the run flags, read into
+// cfg through core's flag table, and the CLI's own flags.
 type cliArgs struct {
 	action      string
 	positional  []string
-	name        string
-	types       []string
-	benches     []string
-	threads     []int
-	reps        int
-	adaptive    bool
-	repLevel    float64
-	repRelWidth float64
-	jobs        int
-	hosts       []string
+	cfg         core.Config
 	hostsFile   string
-	hostTimeout time.Duration
-	noSpeculate bool
-	noSteal     bool
-	noLoadAware bool
-	degrade     string
-	input       string
-	debug       bool
-	verbose     bool
-	noBuild     bool
-	noMemo      bool
-	noDedup     bool
-	modelTime   bool
-	resume      bool
-	tool        string
 	addr        string
 	outDir      string
 	stateFile   string
@@ -133,213 +100,53 @@ func parseArgs(argv []string) (cliArgs, error) {
 	if len(argv) == 0 {
 		return cliArgs{}, errors.New("usage: fex <install|run|collect|plot|analyze|diff|gate|export|clean|compact|serve|list> -n <name> [args]")
 	}
-	args := cliArgs{action: argv[0], reps: 1, jobs: 1}
-	i := 1
-	next := func() (string, bool) {
-		if i < len(argv) && !strings.HasPrefix(argv[i], "-") {
-			v := argv[i]
-			i++
-			return v, true
-		}
-		return "", false
+	args := cliArgs{action: argv[0]}
+	cfg, rest, err := core.ParseArgs(argv[1:])
+	args.cfg = cfg
+	if err != nil {
+		return args, err
 	}
-	multi := func() []string {
-		var out []string
-		for {
-			v, ok := next()
-			if !ok {
-				return out
-			}
-			out = append(out, v)
-		}
+	paths := map[string]*string{
+		"-o": &args.outDir, "--state": &args.stateFile, "-addr": &args.addr,
+		"-hosts-file": &args.hostsFile, "-cpuprofile": &args.cpuProfile,
+		"-memprofile": &args.memProfile, "-baseline": &args.baseline, "-metric": &args.metric,
 	}
-	for i < len(argv) {
-		flag := argv[i]
-		i++
+	for i := 0; i < len(rest); i++ {
+		flag := rest[i]
 		// Bare tokens between flags are positional arguments — the run-set
 		// paths of "fex diff <baseline> <candidate>".
 		if !strings.HasPrefix(flag, "-") {
 			args.positional = append(args.positional, flag)
 			continue
 		}
+		if flag == "-higher-is-better" || flag == "--higher-is-better" {
+			args.higherIsBet = true
+			continue
+		}
+		dst, known := paths[flag]
+		if !known && flag != "-alpha" && flag != "-max-regression" {
+			return args, fmt.Errorf("unknown flag %q", flag)
+		}
+		if i+1 == len(rest) || strings.HasPrefix(rest[i+1], "-") {
+			return args, fmt.Errorf("%s requires a value", flag)
+		}
+		i++
+		v := rest[i]
 		switch flag {
-		case "-n":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-n requires a value")
-			}
-			args.name = v
-		case "-t":
-			args.types = multi()
-			if len(args.types) == 0 {
-				return args, errors.New("-t requires at least one value")
-			}
-		case "-b":
-			args.benches = multi()
-		case "-m":
-			vals := multi()
-			threads, err := core.ParseThreadList(vals)
-			if err != nil {
-				return args, err
-			}
-			args.threads = threads
-		case "-r":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-r requires a value")
-			}
-			reps, adaptive, level, relWidth, err := core.ParseRepsSpec(v)
-			if err != nil {
-				return args, err
-			}
-			args.reps, args.adaptive, args.repLevel, args.repRelWidth = reps, adaptive, level, relWidth
-			if adaptive {
-				args.reps = 1 // placeholder; Config.Normalize pins the pilot size
-			}
-		case "-jobs":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-jobs requires a value")
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return args, fmt.Errorf("bad -jobs value %q (want a positive integer)", v)
-			}
-			args.jobs = n
-		case "-hosts":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-hosts requires a comma-separated host list")
-			}
-			for _, h := range strings.Split(v, ",") {
-				h = strings.TrimSpace(h)
-				if h == "" {
-					return args, fmt.Errorf("bad -hosts value %q (empty host name)", v)
-				}
-				args.hosts = append(args.hosts, h)
-			}
-		case "-hosts-file":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-hosts-file requires a file path")
-			}
-			args.hostsFile = v
-		case "-host-timeout":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-host-timeout requires a duration (e.g. 30s)")
-			}
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return args, fmt.Errorf("bad -host-timeout value %q (want a positive duration)", v)
-			}
-			args.hostTimeout = d
-		case "-speculate":
-			args.noSpeculate = false // the default; accepted for symmetry
-		case "-no-speculate", "--no-speculate":
-			args.noSpeculate = true
-		case "-no-steal", "--no-steal":
-			args.noSteal = true
-		case "-no-load-aware", "--no-load-aware":
-			args.noLoadAware = true
-		case "-degrade":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-degrade requires a mode (local)")
-			}
-			args.degrade = v
-		case "-i":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-i requires a value")
-			}
-			args.input = v
-		case "-d":
-			args.debug = true
-		case "-v":
-			args.verbose = true
-		case "--no-build":
-			args.noBuild = true
-		case "-no-memo", "--no-memo":
-			args.noMemo = true
-		case "-no-dedup", "--no-dedup":
-			args.noDedup = true
-		case "--modeled-time":
-			args.modelTime = true
-		case "-resume":
-			args.resume = true
-		case "-tool":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-tool requires a measurement-tool name")
-			}
-			args.tool = v
-		case "-addr":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-addr requires a listen address (host:port)")
-			}
-			args.addr = v
-		case "-cpuprofile":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-cpuprofile requires a file path")
-			}
-			args.cpuProfile = v
-		case "-memprofile":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-memprofile requires a file path")
-			}
-			args.memProfile = v
-		case "-baseline":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-baseline requires a run-set path (directory or state file)")
-			}
-			args.baseline = v
-		case "-metric":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-metric requires a metric name")
-			}
-			args.metric = v
 		case "-alpha":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-alpha requires a value")
-			}
 			a, err := strconv.ParseFloat(v, 64)
 			if err != nil || a <= 0 || a >= 1 {
 				return args, fmt.Errorf("bad -alpha value %q (want a number in (0,1))", v)
 			}
 			args.alpha = a
 		case "-max-regression":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-max-regression requires a percentage")
-			}
 			p, err := strconv.ParseFloat(v, 64)
 			if err != nil || p < 0 {
 				return args, fmt.Errorf("bad -max-regression value %q (want a percentage >= 0)", v)
 			}
 			args.maxRegress = p
-		case "-higher-is-better", "--higher-is-better":
-			args.higherIsBet = true
-		case "-o":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("-o requires a directory")
-			}
-			args.outDir = v
-		case "--state":
-			v, ok := next()
-			if !ok {
-				return args, errors.New("--state requires a file path")
-			}
-			args.stateFile = v
 		default:
-			return args, fmt.Errorf("unknown flag %q", flag)
+			*dst = v
 		}
 	}
 	return args, nil
@@ -390,7 +197,7 @@ func run(argv []string) error {
 	}
 
 	var verbose *os.File
-	if args.verbose {
+	if args.cfg.Verbose {
 		verbose = os.Stderr
 	}
 	fx, err := core.New(core.Options{Verbose: verbose})
@@ -418,10 +225,10 @@ func run(argv []string) error {
 
 	switch args.action {
 	case "install":
-		if args.name == "" {
+		if args.cfg.Experiment == "" {
 			return errors.New("install requires -n <artifact>")
 		}
-		names, err := fx.Install(args.name)
+		names, err := fx.Install(args.cfg.Experiment)
 		if err != nil {
 			return err
 		}
@@ -429,7 +236,7 @@ func run(argv []string) error {
 		return saveState()
 
 	case "run":
-		if args.name == "" {
+		if args.cfg.Experiment == "" {
 			return errors.New("run requires -n <experiment>")
 		}
 		// -hosts-file seeds (and can extend mid-run) the cluster host pool:
@@ -441,9 +248,9 @@ func run(argv []string) error {
 			if err != nil {
 				return err
 			}
-			args.hosts = mergeHosts(args.hosts, fromFile)
+			args.cfg.Hosts = mergeHosts(args.cfg.Hosts, fromFile)
 		}
-		cfg, err := buildConfig(fx, args)
+		cfg, _, err := fx.ResolveConfig(args.cfg)
 		if err != nil {
 			return err
 		}
@@ -477,10 +284,10 @@ func run(argv []string) error {
 		return saveState()
 
 	case "collect":
-		if args.name == "" {
+		if args.cfg.Experiment == "" {
 			return errors.New("collect requires -n <experiment>")
 		}
-		tbl, err := fx.Collect(args.name)
+		tbl, err := fx.Collect(args.cfg.Experiment)
 		if err != nil {
 			return err
 		}
@@ -488,14 +295,15 @@ func run(argv []string) error {
 		return saveState()
 
 	case "plot":
-		if args.name == "" {
+		name := args.cfg.Experiment
+		if name == "" {
 			return errors.New("plot requires -n <experiment>")
 		}
 		kind := ""
-		if len(args.types) > 0 {
-			kind = args.types[0]
+		if len(args.cfg.BuildTypes) > 0 {
+			kind = args.cfg.BuildTypes[0]
 		}
-		svg, err := fx.Plot(args.name, kind)
+		svg, err := fx.Plot(name, kind)
 		if err != nil {
 			return err
 		}
@@ -503,7 +311,7 @@ func run(argv []string) error {
 		if outDir == "" {
 			outDir = "."
 		}
-		out := filepath.Join(outDir, args.name+"_"+orDefault(kind, "default")+".svg")
+		out := filepath.Join(outDir, name+"_"+orDefault(kind, "default")+".svg")
 		if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
 			return fmt.Errorf("write plot: %w", err)
 		}
@@ -512,17 +320,18 @@ func run(argv []string) error {
 
 	case "analyze":
 		// fex analyze -n <experiment> -t <typeA> <typeB> [-b metric]
-		if args.name == "" {
+		types := args.cfg.BuildTypes
+		if args.cfg.Experiment == "" {
 			return errors.New("analyze requires -n <experiment>")
 		}
-		if len(args.types) != 2 {
+		if len(types) != 2 {
 			return errors.New("analyze requires -t <typeA> <typeB>")
 		}
 		metric := ""
-		if len(args.benches) == 1 {
-			metric = args.benches[0]
+		if len(args.cfg.Benchmarks) == 1 {
+			metric = args.cfg.Benchmarks[0]
 		}
-		report, err := fx.Analyze(args.name, metric, args.types[0], args.types[1])
+		report, err := fx.Analyze(args.cfg.Experiment, metric, types[0], types[1])
 		if err != nil {
 			return err
 		}
@@ -668,10 +477,6 @@ func run(argv []string) error {
 	}
 }
 
-// runServe hosts the experiment service until interrupted: it listens on
-// -addr (default 127.0.0.1:8080), serves the HTTP API, and shuts down
-// cleanly on SIGINT/SIGTERM — the in-flight run is cancelled, queued runs
-// settle as cancelled, and state is saved one last time.
 // writeFileAtomic replaces path with the bytes write produces without
 // ever exposing a truncated or half-written file: write fills a
 // temporary file in the same directory, which is synced, closed and only
@@ -708,6 +513,10 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	return os.Rename(f.Name(), path)
 }
 
+// runServe hosts the experiment service until interrupted: it listens on
+// -addr (default 127.0.0.1:8080), serves the HTTP API, and shuts down
+// cleanly on SIGINT/SIGTERM — the in-flight run is cancelled, queued runs
+// settle as cancelled, and state is saved one last time.
 func runServe(fx *core.Fex, args cliArgs, saveState func() error) error {
 	srv := serve.New(fx, serve.Options{
 		OnRunFinished: func(id string, runErr error) {
@@ -834,49 +643,6 @@ func writeDiffArtifacts(report *diff.Report, outDir string) error {
 		return err
 	}
 	return nil
-}
-
-func buildConfig(fx *core.Fex, args cliArgs) (core.Config, error) {
-	cfg := core.Config{
-		Experiment:   args.name,
-		BuildTypes:   args.types,
-		Benchmarks:   args.benches,
-		Threads:      args.threads,
-		Reps:         args.reps,
-		AdaptiveReps: args.adaptive,
-		RepLevel:     args.repLevel,
-		RepRelWidth:  args.repRelWidth,
-		Jobs:         args.jobs,
-		Hosts:        args.hosts,
-		HostTimeout:  args.hostTimeout,
-		NoSpeculate:  args.noSpeculate,
-		NoSteal:      args.noSteal,
-		NoLoadAware:  args.noLoadAware,
-		Degrade:      args.degrade,
-		Debug:        args.debug,
-		Verbose:      args.verbose,
-		NoBuild:      args.noBuild,
-		NoMemo:       args.noMemo,
-		NoDedup:      args.noDedup,
-		ModelTime:    args.modelTime,
-		Resume:       args.resume,
-		Tool:         args.tool,
-	}
-	if args.input != "" {
-		cls, err := workload.ParseSizeClass(args.input)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Input = cls
-	}
-	if len(cfg.BuildTypes) == 0 {
-		exp, err := fx.Experiment(args.name)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.BuildTypes = exp.DefaultTypes
-	}
-	return cfg, nil
 }
 
 // readHostsFile parses a hosts file: one host name per line, blank lines

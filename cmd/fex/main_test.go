@@ -33,22 +33,22 @@ func TestParseArgsRunFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if args.action != "run" || args.name != "splash" {
-		t.Errorf("action/name: %q/%q", args.action, args.name)
+	if args.action != "run" || args.cfg.Experiment != "splash" {
+		t.Errorf("action/name: %q/%q", args.action, args.cfg.Experiment)
 	}
-	if len(args.types) != 2 || args.types[1] != "clang_native" {
-		t.Errorf("types %v", args.types)
+	if len(args.cfg.BuildTypes) != 2 || args.cfg.BuildTypes[1] != "clang_native" {
+		t.Errorf("types %v", args.cfg.BuildTypes)
 	}
-	if len(args.benches) != 2 || len(args.threads) != 3 || args.threads[2] != 4 {
-		t.Errorf("benches %v threads %v", args.benches, args.threads)
+	if len(args.cfg.Benchmarks) != 2 || len(args.cfg.Threads) != 3 || args.cfg.Threads[2] != 4 {
+		t.Errorf("benches %v threads %v", args.cfg.Benchmarks, args.cfg.Threads)
 	}
-	if args.reps != 10 || args.input != "test" {
-		t.Errorf("reps/input: %d/%q", args.reps, args.input)
+	if args.cfg.Reps != 10 || args.cfg.Input.String() != "test" {
+		t.Errorf("reps/input: %d/%q", args.cfg.Reps, args.cfg.Input.String())
 	}
-	if args.jobs != 4 {
-		t.Errorf("jobs: %d, want 4", args.jobs)
+	if args.cfg.Jobs != 4 {
+		t.Errorf("jobs: %d, want 4", args.cfg.Jobs)
 	}
-	if !args.debug || !args.verbose || !args.noBuild {
+	if !args.cfg.Debug || !args.cfg.Verbose || !args.cfg.NoBuild {
 		t.Error("boolean flags not parsed")
 	}
 	if args.outDir != "/tmp/out" || args.stateFile != "/tmp/state" {
@@ -88,10 +88,10 @@ func TestParseArgsResumeAndAdaptiveReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.adaptive || args.repLevel != 0.99 || args.repRelWidth != 0.02 {
-		t.Errorf("adaptive=%t level=%v relwidth=%v", args.adaptive, args.repLevel, args.repRelWidth)
+	if !args.cfg.AdaptiveReps || args.cfg.RepLevel != 0.99 || args.cfg.RepRelWidth != 0.02 {
+		t.Errorf("adaptive=%t level=%v relwidth=%v", args.cfg.AdaptiveReps, args.cfg.RepLevel, args.cfg.RepRelWidth)
 	}
-	if !args.resume {
+	if !args.cfg.Resume {
 		t.Error("-resume not parsed")
 	}
 
@@ -99,8 +99,8 @@ func TestParseArgsResumeAndAdaptiveReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.adaptive || args.repLevel != 0 || args.repRelWidth != 0 {
-		t.Errorf("bare auto: adaptive=%t level=%v relwidth=%v (params must default)", args.adaptive, args.repLevel, args.repRelWidth)
+	if !args.cfg.AdaptiveReps || args.cfg.RepLevel != 0 || args.cfg.RepRelWidth != 0 {
+		t.Errorf("bare auto: adaptive=%t level=%v relwidth=%v (params must default)", args.cfg.AdaptiveReps, args.cfg.RepLevel, args.cfg.RepRelWidth)
 	}
 
 	for _, argv := range [][]string{
@@ -125,7 +125,7 @@ func TestParseArgsMemoAndProfileFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.noMemo {
+	if !args.cfg.NoMemo {
 		t.Error("-no-memo not parsed")
 	}
 	if args.cpuProfile != "/tmp/cpu.pprof" || args.memProfile != "/tmp/mem.pprof" {
@@ -136,7 +136,7 @@ func TestParseArgsMemoAndProfileFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.noMemo {
+	if !args.cfg.NoMemo {
 		t.Error("--no-memo not parsed")
 	}
 }
@@ -420,10 +420,10 @@ func TestParseArgsClusterFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(args.hosts) != 3 || args.hosts[0] != "w1" || args.hosts[1] != "w2" || args.hosts[2] != "w3" {
-		t.Errorf("hosts %v", args.hosts)
+	if len(args.cfg.Hosts) != 3 || args.cfg.Hosts[0] != "w1" || args.cfg.Hosts[1] != "w2" || args.cfg.Hosts[2] != "w3" {
+		t.Errorf("hosts %v", args.cfg.Hosts)
 	}
-	if !args.modelTime {
+	if !args.cfg.ModelTime {
 		t.Error("--modeled-time not parsed")
 	}
 
@@ -453,16 +453,16 @@ func TestParseArgsFaultToleranceFlags(t *testing.T) {
 	if args.hostsFile != "hosts.txt" {
 		t.Errorf("hosts file %q, want hosts.txt", args.hostsFile)
 	}
-	if args.hostTimeout != 30*time.Second {
-		t.Errorf("host timeout %v, want 30s", args.hostTimeout)
+	if args.cfg.HostTimeout != 30*time.Second {
+		t.Errorf("host timeout %v, want 30s", args.cfg.HostTimeout)
 	}
-	if !args.noSpeculate {
+	if !args.cfg.NoSpeculate {
 		t.Error("-no-speculate not parsed")
 	}
-	if args.degrade != "local" {
-		t.Errorf("degrade %q, want local", args.degrade)
+	if args.cfg.Degrade != "local" {
+		t.Errorf("degrade %q, want local", args.cfg.Degrade)
 	}
-	if args.noSteal || args.noLoadAware {
+	if args.cfg.NoSteal || args.cfg.NoLoadAware {
 		t.Error("-no-steal/-no-load-aware defaulted on")
 	}
 
@@ -470,10 +470,10 @@ func TestParseArgsFaultToleranceFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.noSteal {
+	if !args.cfg.NoSteal {
 		t.Error("-no-steal not parsed")
 	}
-	if !args.noLoadAware {
+	if !args.cfg.NoLoadAware {
 		t.Error("--no-load-aware not parsed")
 	}
 
@@ -482,7 +482,7 @@ func TestParseArgsFaultToleranceFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if args.noSpeculate {
+	if args.cfg.NoSpeculate {
 		t.Error("-speculate did not reset -no-speculate")
 	}
 

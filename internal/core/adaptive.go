@@ -156,10 +156,10 @@ func ParseRepsSpec(s string) (reps int, adaptive bool, level, relWidth float64, 
 		}
 		// Validate explicit values here: downstream, 0 means "use the
 		// default", which must not swallow an explicitly typed zero.
-		if level <= 0 || level >= 1 {
+		if !(level > 0 && level < 1) {
 			return 0, false, 0, 0, fmt.Errorf("core: -r auto level %v out of range (0,1)", level)
 		}
-		if relWidth <= 0 {
+		if !(relWidth > 0) {
 			return 0, false, 0, 0, fmt.Errorf("core: -r auto relwidth %v must be positive", relWidth)
 		}
 		return 0, true, level, relWidth, nil

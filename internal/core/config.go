@@ -19,11 +19,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"fex/internal/workload"
 )
@@ -148,21 +148,31 @@ type Config struct {
 
 // Normalize validates the config and fills defaults.
 func (c *Config) Normalize() error {
-	if c.Experiment == "" {
-		return errors.New("core: config requires an experiment name (-n)")
+	if err := checkToken("experiment name (-n)", c.Experiment); err != nil {
+		return err
 	}
 	if len(c.BuildTypes) == 0 {
 		return fmt.Errorf("core: experiment %q requires at least one build type (-t)", c.Experiment)
 	}
 	seen := make(map[string]bool, len(c.BuildTypes))
 	for _, t := range c.BuildTypes {
-		if t == "" {
-			return errors.New("core: empty build type")
+		if err := checkToken("build type (-t)", t); err != nil {
+			return err
 		}
 		if seen[t] {
 			return fmt.Errorf("core: duplicate build type %q", t)
 		}
 		seen[t] = true
+	}
+	for _, b := range c.Benchmarks {
+		if err := checkToken("benchmark (-b)", b); err != nil {
+			return err
+		}
+	}
+	if c.Tool != "" {
+		if err := checkToken("measurement tool (-tool)", c.Tool); err != nil {
+			return err
+		}
 	}
 	if len(c.Threads) == 0 {
 		c.Threads = []int{1}
@@ -179,15 +189,18 @@ func (c *Config) Normalize() error {
 		if c.RepRelWidth == 0 {
 			c.RepRelWidth = DefaultRepRelWidth
 		}
-		if c.RepLevel <= 0 || c.RepLevel >= 1 {
+		if !(c.RepLevel > 0 && c.RepLevel < 1) {
 			return fmt.Errorf("core: adaptive confidence level %v out of range (0,1)", c.RepLevel)
 		}
-		if c.RepRelWidth <= 0 {
+		if !(c.RepRelWidth > 0) {
 			return fmt.Errorf("core: adaptive relative width %v must be positive", c.RepRelWidth)
 		}
 		// The pilot batch is the guaranteed minimum; Reps mirrors it so
 		// log headers and reports stay meaningful under -r auto.
 		c.Reps = AdaptivePilot
+	} else {
+		// Only -r auto carries the stop rule; a fixed count drops it.
+		c.RepLevel, c.RepRelWidth = 0, 0
 	}
 	if c.Reps <= 0 {
 		c.Reps = 1
@@ -200,8 +213,11 @@ func (c *Config) Normalize() error {
 	}
 	seenHost := make(map[string]bool, len(c.Hosts))
 	for _, h := range c.Hosts {
-		if h == "" {
-			return errors.New("core: empty cluster host name")
+		if err := checkToken("cluster host name (-hosts)", h); err != nil {
+			return err
+		}
+		if strings.Contains(h, ",") {
+			return fmt.Errorf("core: cluster host name (-hosts) %q contains ','", h)
 		}
 		if seenHost[h] {
 			return fmt.Errorf("core: duplicate cluster host %q", h)
@@ -219,6 +235,43 @@ func (c *Config) Normalize() error {
 	return nil
 }
 
+// checkToken rejects a value the rendered command line cannot carry
+// back: an empty value vanishes from it, a leading '-' re-parses as a
+// flag, and whitespace splits the value into two tokens.
+func checkToken(field, v string) error {
+	switch {
+	case v == "":
+		return fmt.Errorf("core: empty %s", field)
+	case strings.HasPrefix(v, "-"):
+		return fmt.Errorf("core: %s %q starts with '-'", field, v)
+	case strings.ContainsFunc(v, unicode.IsSpace):
+		return fmt.Errorf("core: %s %q contains whitespace", field, v)
+	}
+	return nil
+}
+
+// ResolveConfig completes a run configuration against the registered
+// experiments: it fills the experiment's default build types when none
+// are given, normalizes, and applies the experiment's own validation.
+// The CLI, fex serve and RunWithHooks all go through it.
+func (fx *Fex) ResolveConfig(cfg Config) (Config, *Experiment, error) {
+	var exp *Experiment
+	if cfg.Experiment != "" {
+		var err error
+		if exp, err = fx.Experiment(cfg.Experiment); err != nil {
+			return cfg, nil, err
+		}
+		if len(cfg.BuildTypes) == 0 {
+			cfg.BuildTypes = exp.DefaultTypes
+		}
+	}
+	// Normalize rejects the empty experiment name, so exp is set below.
+	if err := cfg.Normalize(); err != nil {
+		return cfg, nil, err
+	}
+	return cfg, exp, exp.ValidateConfig(cfg)
+}
+
 // ParseThreadList parses a "-m 1 2 4"-style argument list.
 func ParseThreadList(args []string) ([]int, error) {
 	out := make([]int, 0, len(args))
@@ -230,87 +283,4 @@ func ParseThreadList(args []string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// String renders the config as the equivalent fex command line.
-func (c Config) String() string {
-	var sb strings.Builder
-	sb.WriteString("fex run -n " + c.Experiment)
-	if len(c.BuildTypes) > 0 {
-		sb.WriteString(" -t " + strings.Join(c.BuildTypes, " "))
-	}
-	if len(c.Benchmarks) > 0 {
-		sb.WriteString(" -b " + strings.Join(c.Benchmarks, " "))
-	}
-	if len(c.Threads) > 0 && !(len(c.Threads) == 1 && c.Threads[0] == 1) {
-		parts := make([]string, len(c.Threads))
-		for i, t := range c.Threads {
-			parts[i] = strconv.Itoa(t)
-		}
-		sb.WriteString(" -m " + strings.Join(parts, " "))
-	}
-	level, relWidth := c.RepLevel, c.RepRelWidth
-	if level == 0 {
-		level = DefaultRepLevel
-	}
-	if relWidth == 0 {
-		relWidth = DefaultRepRelWidth
-	}
-	switch {
-	case c.AdaptiveReps && (level != DefaultRepLevel || relWidth != DefaultRepRelWidth):
-		sb.WriteString(fmt.Sprintf(" -r auto:%g,%g", level, relWidth))
-	case c.AdaptiveReps:
-		sb.WriteString(" -r auto")
-	case c.Reps > 1:
-		sb.WriteString(" -r " + strconv.Itoa(c.Reps))
-	}
-	if c.Input != 0 && c.Input != workload.SizeNative {
-		sb.WriteString(" -i " + c.Input.String())
-	}
-	if c.Tool != "" {
-		sb.WriteString(" -tool " + c.Tool)
-	}
-	if c.Jobs > 1 {
-		sb.WriteString(" -jobs " + strconv.Itoa(c.Jobs))
-	}
-	if len(c.Hosts) > 0 {
-		sb.WriteString(" -hosts " + strings.Join(c.Hosts, ","))
-	}
-	if c.HostTimeout > 0 {
-		sb.WriteString(" -host-timeout " + c.HostTimeout.String())
-	}
-	if c.NoSpeculate {
-		sb.WriteString(" -no-speculate")
-	}
-	if c.NoSteal {
-		sb.WriteString(" -no-steal")
-	}
-	if c.NoLoadAware {
-		sb.WriteString(" -no-load-aware")
-	}
-	if c.Degrade != "" {
-		sb.WriteString(" -degrade " + c.Degrade)
-	}
-	if c.NoMemo {
-		sb.WriteString(" -no-memo")
-	}
-	if c.NoDedup {
-		sb.WriteString(" -no-dedup")
-	}
-	if c.ModelTime {
-		sb.WriteString(" --modeled-time")
-	}
-	if c.Resume {
-		sb.WriteString(" -resume")
-	}
-	if c.Debug {
-		sb.WriteString(" -d")
-	}
-	if c.Verbose {
-		sb.WriteString(" -v")
-	}
-	if c.NoBuild {
-		sb.WriteString(" --no-build")
-	}
-	return sb.String()
 }

@@ -603,14 +603,8 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	} else if !validRunID(runID) {
 		return nil, fmt.Errorf("core: invalid run ID %q (want letters, digits, '-', '_', '.')", runID)
 	}
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
-	exp, err := fx.Experiment(cfg.Experiment)
+	cfg, exp, err := fx.ResolveConfig(cfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := exp.ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -13,9 +14,14 @@ import (
 	"fex/internal/workload"
 )
 
-// RunSpec is the submission body of POST /api/v1/runs — the JSON surface
-// of core.Config's command-line flags.
+// RunSpec is the submission body of POST /api/v1/runs. Args carries the
+// run's flags exactly as `fex run` takes them, read through core's flag
+// table; a run status's "args" resubmits verbatim. The named fields are
+// the older JSON shorthand for a subset of those flags, kept frozen for
+// existing clients. A spec uses one form or the other.
 type RunSpec struct {
+	Args []string `json:"args,omitempty"`
+
 	Experiment string   `json:"experiment"`
 	BuildTypes []string `json:"build_types,omitempty"`
 	Benchmarks []string `json:"benchmarks,omitempty"`
@@ -50,6 +56,36 @@ type RunSpec struct {
 // as a cache hit instead of re-executing — by the determinism contract
 // the replayed bytes are identical to a cold run's.
 func (spec RunSpec) config(fx *core.Fex) (core.Config, error) {
+	cfg, err := spec.parse()
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Resume = true
+	cfg, _, err = fx.ResolveConfig(cfg)
+	return cfg, err
+}
+
+// parse reads whichever form the spec uses into a Config. Args must
+// leave nothing over: a flag the table does not know is an error, not
+// something to ignore.
+func (spec RunSpec) parse() (core.Config, error) {
+	fields := spec
+	fields.Args = nil
+	if spec.Args == nil {
+		return fields.fieldConfig()
+	}
+	if !reflect.ValueOf(fields).IsZero() {
+		return core.Config{}, errors.New("serve: run spec sets both args and named fields (use one form)")
+	}
+	cfg, rest, err := core.ParseArgs(spec.Args)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("serve: run spec args: unexpected %q", rest[0])
+	}
+	return cfg, err
+}
+
+// fieldConfig maps the named-field shorthand onto a Config.
+func (spec RunSpec) fieldConfig() (core.Config, error) {
 	cfg := core.Config{
 		Experiment:  spec.Experiment,
 		BuildTypes:  spec.BuildTypes,
@@ -68,32 +104,10 @@ func (spec RunSpec) config(fx *core.Fex) (core.Config, error) {
 		Verbose:     spec.Verbose,
 		NoBuild:     spec.NoBuild,
 		ModelTime:   spec.ModelTime,
-		Resume:      true,
 	}
-	if spec.Input != "" {
-		cls, err := workload.ParseSizeClass(spec.Input)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Input = cls
-	}
-	if cfg.Experiment == "" {
-		return cfg, errors.New("serve: run spec requires an experiment name")
-	}
-	exp, err := fx.Experiment(cfg.Experiment)
-	if err != nil {
-		return cfg, err
-	}
-	if len(cfg.BuildTypes) == 0 {
-		cfg.BuildTypes = exp.DefaultTypes
-	}
-	if err := cfg.Normalize(); err != nil {
-		return cfg, err
-	}
-	if err := exp.ValidateConfig(cfg); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	var err error
+	cfg.Input, err = workload.ParseSizeClass(spec.Input)
+	return cfg, err
 }
 
 // Progress is the JSON rendering of the latest core.ProgressEvent.
@@ -119,7 +133,10 @@ type RunStatus struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
 	// Config is the equivalent fex command line (reproducibility).
-	Config   string    `json:"config"`
+	Config string `json:"config"`
+	// Args is the run's flags as `fex run` takes them; POSTing them back
+	// as {"args": [...]} resubmits the same run.
+	Args     []string  `json:"args"`
 	Progress *Progress `json:"progress,omitempty"`
 	// Hosts carries per-host cluster health and counters (cells
 	// completed, failovers, probes, speculation outcomes); only present
@@ -139,6 +156,7 @@ func (r *run) snapshot() *RunStatus {
 		ID:     r.id,
 		Status: r.status,
 		Config: r.cfg.String(),
+		Args:   r.cfg.Args(),
 		Hosts:  r.hosts,
 		Error:  r.errMsg,
 	}

@@ -8,11 +8,12 @@ package core
 // determinism contract of local execution holds unchanged.
 //
 // Topology: one remote worker per configured host (-hosts h1,h2,...). A
-// remote worker is the host-side half of the experiment — a private
-// container cloned from the coordinator's (the "ship the image to each
-// host" step), its own build system over that container, and a
-// registered "run-cell" command standing in for the SSH session that
-// executes one experiment cell remotely. The scheduler places (build
+// remote worker is the host-side half of the experiment — the host's
+// image (a private container cloned from the coordinator's, the "ship
+// the image to each host" step, with a build system over it), which the
+// framework keeps across runs with the same image key, and the host's
+// "run-cell" command standing in for the SSH session that executes one
+// experiment cell remotely, routed to this run. The scheduler places (build
 // type, benchmark) cells onto remote workers, fetches each cell's shard
 // log from the Host.Run output, and commits the shards into the main log
 // in canonical loop order — so a cluster run's stored log and CSV are
@@ -68,6 +69,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fex/internal/buildsys"
@@ -124,48 +126,132 @@ const (
 // phaseNames renders host phases for status snapshots and -v summaries.
 var phaseNames = [...]string{"healthy", "probation", "evicted"}
 
-// clusterWorker is one host's execution side: the remote host handle
-// plus, once the first cell lands on it, a private container cloned from
-// the coordinator and a build system bound to that container. Every cell
-// dispatched to the worker builds and runs against this private state,
-// so workers share nothing mutable.
+// clusterWorker is one run's handle on a host: the remote host plus, once
+// the first cell lands on it, the host's provisioned image. Every cell
+// dispatched to the worker builds and runs against that image, so
+// workers share nothing mutable with the coordinator or with each other.
 type clusterWorker struct {
 	host *remote.Host
-	fx   *Fex
 
-	// Provisioning (container clone + build system assembly) is lazy:
-	// it runs on the worker's first placement, so spare failover hosts
-	// that never receive a cell cost nothing.
+	// Provisioning is lazy: the image is resolved on the worker's first
+	// placement, so spare failover hosts that never receive a cell cost
+	// nothing. The run holds the image it resolved until it ends.
 	provision sync.Once
 	build     *buildsys.System
 	provErr   error
 }
 
-// buildSystem provisions the worker on first use — the "ship the image
-// to the host" step: clone the coordinator container (after its
-// CleanBuild, so every worker starts from the same pristine,
-// fully-installed state) and assemble a build system over the clone.
-func (w *clusterWorker) buildSystem() (*buildsys.System, error) {
+// buildSystem resolves the worker's host image on first use (see
+// Fex.hostImage).
+func (w *clusterWorker) buildSystem(fx *Fex, key imageKey) (*buildsys.System, error) {
 	w.provision.Do(func() {
-		name := w.host.Name()
-		ctr, err := w.fx.ctr.Clone("worker-" + name)
-		if err != nil {
-			w.provErr = fmt.Errorf("cluster: provision %s: %w", name, err)
-			return
-		}
-		inst, err := installer.New(w.fx.repo, ctr)
-		if err != nil {
-			w.provErr = fmt.Errorf("cluster: provision %s: %w", name, err)
-			return
-		}
-		fsys, err := ctr.FS()
-		if err != nil {
-			w.provErr = fmt.Errorf("cluster: provision %s: %w", name, err)
-			return
-		}
-		w.build, w.provErr = newBenchBuildSystem(fsys, inst.IsInstalled, w.fx.registry)
+		w.build, w.provErr = fx.hostImage(w.host.Name(), key)
 	})
 	return w.build, w.provErr
+}
+
+// hostImage is one host's provisioned image — the "ship the image to the
+// host" step: a private container cloned from the coordinator's and a
+// build system over the clone, whose artifact cache and execution memo
+// then serve every run with the same key. The framework owns it, not the
+// run, so a cluster campaign provisions each host once per build
+// configuration instead of once per run.
+type hostImage struct {
+	key imageKey
+	// once single-flights provisioning between concurrent runs.
+	once  sync.Once
+	build *buildsys.System
+	err   error
+	// reusable is false when the image must serve only the runs that
+	// already hold it: provisioning failed, or the clone's installed set
+	// did not match the key.
+	reusable bool
+}
+
+// imageKey is everything a host image depends on. A worker's build
+// system reads exactly one thing from its cloned container: the install
+// manifest, through IsInstalled (makefiles and compilers come from the
+// shipped defaults and the registry, and binaries are only written). The
+// cost-model hash is added so a mode flip (-d, --modeled-time, -no-memo)
+// provisions fresh like the coordinator's clean build; prepareBuild also
+// drops every image whenever it runs that clean build.
+type imageKey struct {
+	config   string
+	manifest string
+}
+
+// imageKey returns the key of the host images a run with cfg uses,
+// read from the coordinator's current state.
+func (fx *Fex) imageKey(cfg Config) (imageKey, error) {
+	manifest, err := fx.inst.ManifestBytes()
+	if err != nil {
+		return imageKey{}, fmt.Errorf("cluster: read install manifest: %w", err)
+	}
+	return imageKey{config: fx.costModelHash(cfg), manifest: string(manifest)}, nil
+}
+
+// hostImage returns host's image for key, provisioning it on the first
+// call whose key matches no live image. A failed provisioning is never
+// kept: the next run retries it.
+func (fx *Fex) hostImage(host string, key imageKey) (*buildsys.System, error) {
+	fx.imageMu.Lock()
+	img := fx.images[host]
+	if img == nil || img.key != key {
+		img = &hostImage{key: key}
+		fx.images[host] = img
+	}
+	fx.imageMu.Unlock()
+	img.once.Do(func() {
+		fx.provisions.Add(1)
+		img.build, img.reusable, img.err = fx.provision(host, key)
+	})
+	if !img.reusable {
+		fx.imageMu.Lock()
+		if fx.images[host] == img {
+			delete(fx.images, host)
+		}
+		fx.imageMu.Unlock()
+	}
+	return img.build, img.err
+}
+
+// provision clones the coordinator container for host and assembles a
+// build system over the clone. It reports the image reusable only when
+// the clone's installed set is the key's: an install that landed between
+// reading the key and cloning yields an image good for this run only.
+func (fx *Fex) provision(host string, key imageKey) (*buildsys.System, bool, error) {
+	fail := func(err error) (*buildsys.System, bool, error) {
+		return nil, false, fmt.Errorf("cluster: provision %s: %w", host, err)
+	}
+	ctr, err := fx.ctr.Clone("worker-" + host)
+	if err != nil {
+		return fail(err)
+	}
+	inst, err := installer.New(fx.repo, ctr)
+	if err != nil {
+		return fail(err)
+	}
+	manifest, err := inst.ManifestBytes()
+	if err != nil {
+		return fail(err)
+	}
+	fsys, err := ctr.FS()
+	if err != nil {
+		return fail(err)
+	}
+	build, err := newBenchBuildSystem(fsys, inst.IsInstalled, fx.registry)
+	if err != nil {
+		return fail(err)
+	}
+	return build, string(manifest) == key.manifest, nil
+}
+
+// dropHostImages forgets every host image; runs that already hold one
+// keep using it until they end.
+func (fx *Fex) dropHostImages() {
+	fx.imageMu.Lock()
+	clear(fx.images)
+	fx.imageMu.Unlock()
 }
 
 // hostState is the scheduler's view of one worker's host: its
@@ -214,12 +300,16 @@ func (h *hostState) cost() time.Duration { return h.cellEWMA + h.rttEWMA }
 
 // startCluster resolves the configured hosts, ensuring they exist in the
 // framework cluster, and admits one remote worker per host. The returned
-// stop, always non-nil, tears the run-cell sessions down and ends the
-// join subscription: the handler closures capture the workers' cloned
-// containers and build caches, which must not outlive the run on the
-// long-lived cluster hosts.
+// stop, always non-nil, removes the run's cell route from every host and
+// ends the join subscription; a host's run-cell command is unregistered
+// when its last run leaves. Host images outlive the run: the framework
+// owns them (Fex.hostImage).
 func (s *sched) startCluster() (stop func(), err error) {
 	rc := s.rc
+	s.route = strconv.FormatUint(runRoutes.Add(1), 10)
+	if s.image, err = rc.Fex.imageKey(rc.Config); err != nil {
+		return func() {}, err
+	}
 	// Subscribe before resolving the initial workers so a host Ensure'd
 	// concurrently is either resolved below or delivered as a join (known
 	// names dedupe in handleJoin).
@@ -229,7 +319,7 @@ func (s *sched) startCluster() (stop func(), err error) {
 		// s.workers includes hosts that joined mid-run.
 		for _, w := range s.workers {
 			if w.remote != nil {
-				w.remote.host.UnregisterCommand(cmdRunCell)
+				unrouteCells(w.remote.host, s.route)
 			}
 		}
 		unsubscribe()
@@ -248,34 +338,86 @@ func (s *sched) startCluster() (stop func(), err error) {
 		s.vrc.logf("== cluster: host-timeout %v, speculation %s, degrade %s",
 			cfg.HostTimeout, spec, degrade)
 	}
-	// Ensuring a host creates it in the framework cluster; the heavyweight
-	// per-host state is provisioned lazily by buildSystem.
+	// Ensuring a host creates it in the framework cluster; its image is
+	// resolved lazily by buildSystem.
 	for _, name := range rc.Config.Hosts {
 		h, err := rc.Fex.cluster.Ensure(name)
 		if err != nil {
 			return stop, fmt.Errorf("cluster: host %q: %w", name, err)
 		}
-		if err := s.admitWorker(&clusterWorker{host: h, fx: rc.Fex}); err != nil {
+		if err := s.admitWorker(&clusterWorker{host: h}); err != nil {
 			return stop, err
 		}
 	}
 	return stop, nil
 }
 
-// admitWorker registers the run-cell command on a host and adds its
-// remote worker to the pool as healthy and idle.
+// runRoutes numbers the cell routes of cluster runs process-wide, so two
+// runs sharing a host — on one framework or on two over one cluster —
+// never receive each other's cells.
+var runRoutes atomic.Uint64
+
+// cellRoutes maps each host carrying a run-cell command to the handlers
+// of the runs using it, by route. Hosts are shared by concurrent runs
+// while a command name holds one handler, so the command is a router: it
+// dispatches each job by its "run" argument.
+var (
+	routeMu    sync.Mutex
+	cellRoutes = map[*remote.Host]map[string]remote.Handler{}
+)
+
+// routeCells adds a run's handler to h, registering the run-cell router
+// when h has no run yet.
+func routeCells(h *remote.Host, route string, fn remote.Handler) error {
+	routeMu.Lock()
+	defer routeMu.Unlock()
+	routes := cellRoutes[h]
+	if routes == nil {
+		if err := h.RegisterCommand(cmdRunCell, func(ctx context.Context, job remote.Job) (remote.Output, error) {
+			routeMu.Lock()
+			fn := cellRoutes[h][job.Args["run"]]
+			routeMu.Unlock()
+			if fn == nil {
+				return remote.Output{}, fmt.Errorf("cluster: host %s: no run %q", h.Name(), job.Args["run"])
+			}
+			return fn(ctx, job)
+		}); err != nil {
+			return err
+		}
+		routes = make(map[string]remote.Handler)
+		cellRoutes[h] = routes
+	}
+	routes[route] = fn
+	return nil
+}
+
+// unrouteCells removes a run's handler from h, and the run-cell command
+// with it once no run is left on h: the handler closures capture the
+// run's scheduler, which must not outlive the run on the long-lived host.
+func unrouteCells(h *remote.Host, route string) {
+	routeMu.Lock()
+	defer routeMu.Unlock()
+	routes := cellRoutes[h]
+	delete(routes, route)
+	if len(routes) == 0 {
+		h.UnregisterCommand(cmdRunCell)
+		delete(cellRoutes, h)
+	}
+}
+
+// admitWorker routes the run's cells on a host and adds its remote
+// worker to the pool as healthy and idle.
 func (s *sched) admitWorker(w *clusterWorker) error {
-	// The handler executes one cell against the worker's private build
-	// system and ships the shard text back as the command's log output.
-	// It observes the placement's context (not the run's), so deadline
-	// expiry and speculation-loser cancellation stop it between
-	// repetitions.
+	// The handler executes one cell against the host's image and ships
+	// the shard text back as the command's log output. It observes the
+	// placement's context (not the run's), so deadline expiry and
+	// speculation-loser cancellation stop it between repetitions.
 	handler := func(ctx context.Context, job remote.Job) (remote.Output, error) {
 		i, err := strconv.Atoi(job.Args["cell"])
 		if err != nil || i < 0 || i >= len(s.p.cells) {
 			return remote.Output{}, fmt.Errorf("cluster: bad cell index %q", job.Args["cell"])
 		}
-		build, err := w.buildSystem()
+		build, err := w.buildSystem(s.rc.Fex, s.image)
 		if err != nil {
 			return remote.Output{}, fmt.Errorf("%w: %v", errHostProvision, err)
 		}
@@ -289,7 +431,7 @@ func (s *sched) admitWorker(w *clusterWorker) error {
 		}
 		return remote.Output{Log: text}, nil
 	}
-	if err := w.host.RegisterCommand(cmdRunCell, handler); err != nil {
+	if err := routeCells(w.host, s.route, handler); err != nil {
 		return err
 	}
 	s.addWorker(&worker{remote: w, hostState: hostState{stats: HostStatus{Host: w.host.Name()}}})
@@ -315,7 +457,7 @@ func (s *sched) launchRemote(pctx context.Context, w *worker, pl *placement) {
 	go func() {
 		out, err := h.Run(pctx, remote.Job{
 			Command: cmdRunCell,
-			Args:    map[string]string{"cell": strconv.Itoa(ci)},
+			Args:    map[string]string{"run": s.route, "cell": strconv.Itoa(ci)},
 		})
 		var shard *runlog.Shard
 		if err == nil {
@@ -475,7 +617,7 @@ func (s *sched) handleJoin(h *remote.Host) {
 			return
 		}
 	}
-	if err := s.admitWorker(&clusterWorker{host: h, fx: s.rc.Fex}); err != nil {
+	if err := s.admitWorker(&clusterWorker{host: h}); err != nil {
 		s.vrc.logf("cluster: host %s failed to join: %v", h.Name(), err)
 		return
 	}

@@ -111,6 +111,12 @@ type Fex struct {
 	// invocation (artifacts are a pure function of the hashed modes).
 	buildMu       sync.Mutex
 	lastBuildHash string
+	// images holds each cluster host's provisioned image by host name
+	// (see hostImage in cluster.go); provisions counts provisioning
+	// attempts over the framework's lifetime.
+	imageMu    sync.Mutex
+	images     map[string]*hostImage
+	provisions atomic.Int64
 }
 
 // New constructs a framework instance: it boots the container from the
@@ -191,6 +197,7 @@ func New(opts Options) (*Fex, error) {
 		store:       store.New(fsys, StoreDir),
 		experiments: make(map[string]*Experiment),
 		cluster:     cluster,
+		images:      make(map[string]*hostImage),
 		providers: map[string]env.Provider{
 			"native": env.NativeProvider{},
 			"asan":   env.ASanProvider{},
@@ -686,17 +693,22 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 		return nil, fmt.Errorf("store log: %w", err)
 	}
 
-	// Collect immediately, as the all-in-one run command does.
-	tbl, err := fx.Collect(cfg.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	if err := fsys.WriteFile(runCSVPath(runID, cfg.Experiment), []byte(tbl.CSVString()), 0o644); err != nil {
-		return nil, fmt.Errorf("store run csv: %w", err)
-	}
+	// Collect immediately, as the all-in-one run command does — from the
+	// log just written, parsed once, into one CSV stored at both paths.
 	lg, err := runlog.Parse(strings.NewReader(logBuf.String()))
 	if err != nil {
+		return nil, fmt.Errorf("collect %s: %w", cfg.Experiment, err)
+	}
+	tbl, err := collectLog(exp, lg)
+	if err != nil {
 		return nil, err
+	}
+	csv := []byte(tbl.CSVString())
+	if err := fsys.WriteFile(csvPath(cfg.Experiment), csv, 0o644); err != nil {
+		return nil, fmt.Errorf("store csv %s: %w", cfg.Experiment, err)
+	}
+	if err := fsys.WriteFile(runCSVPath(runID, cfg.Experiment), csv, 0o644); err != nil {
+		return nil, fmt.Errorf("store run csv: %w", err)
 	}
 	return &RunReport{
 		Experiment:   cfg.Experiment,
@@ -717,8 +729,9 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 // artifacts are a deterministic function of (workload, build type) under
 // the hashed modes (debug, modeled-time, no-memo, calibration), so a
 // shared artifact measures identically to a fresh one. A hash change
-// (e.g. -d after a release run) rebuilds clean. -no-build runs never
-// touch the marker: they reuse whatever is cached, as before.
+// (e.g. -d after a release run) rebuilds clean, and drops every cluster
+// host image with the coordinator's cache. -no-build runs never touch
+// the marker: they reuse whatever is cached, as before.
 func (fx *Fex) prepareBuild(cfg Config) error {
 	fx.buildMu.Lock()
 	defer fx.buildMu.Unlock()
@@ -728,6 +741,8 @@ func (fx *Fex) prepareBuild(cfg Config) error {
 		return nil
 	}
 	fx.lastBuildHash = "" // a failed CleanBuild must not leave a stale marker
+	// Host images rebuild clean with the coordinator.
+	fx.dropHostImages()
 	if err := fx.build.CleanBuild(); err != nil {
 		return err
 	}
@@ -754,16 +769,26 @@ func (fx *Fex) Collect(experiment string) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: %w", experiment, err)
 	}
+	tbl, err := collectLog(exp, lg)
+	if err != nil {
+		return nil, err
+	}
+	if err := fsys.WriteFile(csvPath(experiment), []byte(tbl.CSVString()), 0o644); err != nil {
+		return nil, fmt.Errorf("store csv %s: %w", experiment, err)
+	}
+	return tbl, nil
+}
+
+// collectLog aggregates a parsed run log through the experiment's collect
+// stage.
+func collectLog(exp *Experiment, lg *runlog.Log) (*table.Table, error) {
 	collect := exp.Collect
 	if collect == nil {
 		collect = GenericCollect
 	}
 	tbl, err := collect(lg)
 	if err != nil {
-		return nil, fmt.Errorf("collect %s: %w", experiment, err)
-	}
-	if err := fsys.WriteFile(csvPath(experiment), []byte(tbl.CSVString()), 0o644); err != nil {
-		return nil, fmt.Errorf("store csv %s: %w", experiment, err)
+		return nil, fmt.Errorf("collect %s: %w", exp.Name, err)
 	}
 	return tbl, nil
 }

@@ -149,8 +149,8 @@ func TestMemoDeterminism(t *testing.T) {
 // tier runs each (benchmark, input, threads) configuration's kernel
 // exactly once across all build types — under -jobs the types of one
 // benchmark race the same cold configuration, and single flight keeps
-// the count exact. The -hosts variant uses one host: each host keeps its
-// own memo, and its artifacts live only as long as the run, so there the
+// the count exact. The -hosts variant uses one host: each host image has
+// its own memo, outside the coordinator's build system, so there the
 // kernel counter stands in for the artifacts' MemoLen sum.
 func TestMemoDeterminismAcrossTiers(t *testing.T) {
 	const configs = 2 * 2 // benchmarks × thread counts

@@ -233,6 +233,12 @@ type sched struct {
 	// cancellation, or a failed log commit.
 	err error
 
+	// route names this run's cell route on its hosts (the "run" argument
+	// of its run-cell jobs) and image keys the host images its workers
+	// use; both set for cluster runs.
+	route string
+	image imageKey
+
 	// events carries closures that run on the loop goroutine: every
 	// goroutine the scheduler starts reports back through it.
 	events   chan func()

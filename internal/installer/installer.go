@@ -319,8 +319,10 @@ func (ins *Installer) appendManifest(fsys *vfs.FS, it Installed) error {
 	return fsys.WriteFile(manifestPath, append(existing, []byte(line)...), 0o644)
 }
 
-// Manifest returns the artifacts recorded as installed in the container.
-func (ins *Installer) Manifest() ([]Installed, error) {
+// ManifestBytes returns the raw install manifest — the installed set
+// exactly as recorded in the container; nil when nothing is installed.
+// Equal bytes mean equal answers from IsInstalled.
+func (ins *Installer) ManifestBytes() ([]byte, error) {
 	fsys, err := ins.ctr.FS()
 	if err != nil {
 		return nil, err
@@ -328,8 +330,13 @@ func (ins *Installer) Manifest() ([]Installed, error) {
 	if !fsys.Exists(manifestPath) {
 		return nil, nil
 	}
-	data, err := fsys.ReadFile(manifestPath)
-	if err != nil {
+	return fsys.ReadFile(manifestPath)
+}
+
+// Manifest returns the artifacts recorded as installed in the container.
+func (ins *Installer) Manifest() ([]Installed, error) {
+	data, err := ins.ManifestBytes()
+	if err != nil || data == nil {
 		return nil, err
 	}
 	var out []Installed

@@ -960,6 +960,41 @@ func TestAblationCounters(t *testing.T) {
 	if n := requiredReps(t); n != 7 {
 		t.Errorf("required repetitions %d, want 7", n)
 	}
+	if parsed, logLen := clusterParsedBytes(t); parsed != logLen {
+		t.Errorf("cold two-host run parsed %d log bytes, want exactly the log's %d", parsed, logLen)
+	}
+}
+
+// clusterParsedBytes runs a cold two-host experiment without duplicate
+// cells or speculative copies and returns the log bytes parsed during
+// the run and the length of the stored log. Every record is parsed once
+// — remote shards on arrival, the header and environment as they are
+// written — so the two are equal.
+func clusterParsedBytes(tb testing.TB) (parsed, logLen uint64) {
+	fx := newFexB(tb, "gcc-6.1", "clang-3.8.0")
+	cfg := core.Config{
+		Experiment:  "splash",
+		BuildTypes:  []string{"gcc_native", "clang_native"},
+		Benchmarks:  []string{"fft", "lu", "radix"},
+		Threads:     []int{1, 2},
+		Reps:        2,
+		Input:       workload.SizeTest,
+		ModelTime:   true,
+		Hosts:       []string{"w1", "w2"},
+		NoDedup:     true,
+		NoSpeculate: true,
+	}
+	before := runlog.ParsedBytes()
+	report, err := fx.Run(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parsed = runlog.ParsedBytes() - before
+	lg, err := fx.ReadResult(report.RunLogPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return parsed, uint64(len(lg))
 }
 
 // BenchmarkRIPEMatrix measures raw testbed evaluation speed (850 attack

@@ -25,6 +25,8 @@
 package buildsys
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"regexp"
@@ -77,6 +79,22 @@ type Makefile struct {
 	Name       string
 	Layer      Layer
 	Directives []Directive
+}
+
+// Digest returns a content hash of makefiles — names, layers and
+// directives, in the given order — or "" when there are none.
+func Digest(makefiles []*Makefile) string {
+	if len(makefiles) == 0 {
+		return ""
+	}
+	h := sha256.New()
+	for _, mf := range makefiles {
+		fmt.Fprintf(h, "%q %d %d\n", mf.Name, mf.Layer, len(mf.Directives))
+		for _, d := range mf.Directives {
+			fmt.Fprintf(h, "%d %q %q\n", d.Op, d.Key, d.Value)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Common errors.

@@ -95,6 +95,33 @@ func (s *System) Makefiles() []string {
 	return out
 }
 
+// MakefileSet returns a copy of the makefile registry, by name.
+func (s *System) MakefileSet() map[string]*Makefile {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]*Makefile, len(s.makefiles))
+	for n, mf := range s.makefiles {
+		out[n] = mf
+	}
+	return out
+}
+
+// ChangedSince returns the makefiles registered on s that base (a
+// MakefileSet) does not hold — a name base lacks, or a later
+// registration of a name it has — sorted by name.
+func (s *System) ChangedSince(base map[string]*Makefile) []*Makefile {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*Makefile
+	for n, mf := range s.makefiles {
+		if base[n] != mf {
+			out = append(out, mf)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // BuildTypes returns the registered experiment-layer makefile names
 // (without the .mk suffix) — the values accepted by the -t flag.
 func (s *System) BuildTypes() []string {

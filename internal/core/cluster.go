@@ -170,14 +170,17 @@ type hostImage struct {
 
 // imageKey is everything a host image depends on. A worker's build
 // system reads exactly one thing from its cloned container: the install
-// manifest, through IsInstalled (makefiles and compilers come from the
-// shipped defaults and the registry, and binaries are only written). The
-// cost-model hash is added so a mode flip (-d, --modeled-time, -no-memo)
-// provisions fresh like the coordinator's clean build; prepareBuild also
-// drops every image whenever it runs that clean build.
+// manifest, through IsInstalled (compilers come from the registry, and
+// binaries are only written). Its makefiles are the shipped defaults,
+// the registry's and the coordinator's added or edited ones, shipped
+// with the image and keyed by their digest. The cost-model hash is added
+// so a mode flip (-d, --modeled-time, -no-memo) provisions fresh like
+// the coordinator's clean build; prepareBuild also drops every image
+// whenever it runs that clean build.
 type imageKey struct {
-	config   string
-	manifest string
+	config    string
+	manifest  string
+	makefiles string
 }
 
 // imageKey returns the key of the host images a run with cfg uses,
@@ -187,7 +190,18 @@ func (fx *Fex) imageKey(cfg Config) (imageKey, error) {
 	if err != nil {
 		return imageKey{}, fmt.Errorf("cluster: read install manifest: %w", err)
 	}
-	return imageKey{config: fx.costModelHash(cfg), manifest: string(manifest)}, nil
+	return imageKey{
+		config:    fx.costModelHash(cfg),
+		manifest:  string(manifest),
+		makefiles: buildsys.Digest(fx.shippedMakefiles()),
+	}, nil
+}
+
+// shippedMakefiles returns the coordinator's makefiles that a host build
+// system does not assemble itself: those added or replaced since New,
+// such as a user's new build type.
+func (fx *Fex) shippedMakefiles() []*buildsys.Makefile {
+	return fx.build.ChangedSince(fx.baseMakefiles)
 }
 
 // hostImage returns host's image for key, provisioning it on the first
@@ -216,9 +230,11 @@ func (fx *Fex) hostImage(host string, key imageKey) (*buildsys.System, error) {
 }
 
 // provision clones the coordinator container for host and assembles a
-// build system over the clone. It reports the image reusable only when
-// the clone's installed set is the key's: an install that landed between
-// reading the key and cloning yields an image good for this run only.
+// build system over the clone, with the coordinator's shipped makefiles.
+// It reports the image reusable only when the clone's installed set and
+// the shipped makefiles are the key's: an install or makefile edit that
+// landed between reading the key and provisioning yields an image good
+// for this run only.
 func (fx *Fex) provision(host string, key imageKey) (*buildsys.System, bool, error) {
 	fail := func(err error) (*buildsys.System, bool, error) {
 		return nil, false, fmt.Errorf("cluster: provision %s: %w", host, err)
@@ -243,7 +259,13 @@ func (fx *Fex) provision(host string, key imageKey) (*buildsys.System, bool, err
 	if err != nil {
 		return fail(err)
 	}
-	return build, string(manifest) == key.manifest, nil
+	shipped := fx.shippedMakefiles()
+	for _, mf := range shipped {
+		if err := build.AddMakefile(mf); err != nil {
+			return fail(err)
+		}
+	}
+	return build, string(manifest) == key.manifest && buildsys.Digest(shipped) == key.makefiles, nil
 }
 
 // dropHostImages forgets every host image; runs that already hold one
@@ -461,18 +483,16 @@ func (s *sched) launchRemote(pctx context.Context, w *worker, pl *placement) {
 		})
 		var shard *runlog.Shard
 		if err == nil {
-			// The command output is the fetched shard log. Validate it
-			// before rebuilding the shard: a corrupted transfer must fail
-			// the cell with host attribution, never merge garbage records
-			// silently into the run log.
-			if verr := runlog.ValidateText(out.Log); verr != nil {
+			// The command output is the fetched shard log. Parsing it
+			// validates it: a corrupted or truncated transfer must fail
+			// the cell with host attribution, never merge garbage
+			// records silently into the run log. The parsed shard
+			// merges through the same Append path as local cells.
+			var perr error
+			if shard, perr = runlog.ParseShard(out.Log); perr != nil {
 				c := s.p.cells[ci]
 				err = fmt.Errorf("cluster: host %s: cell %s/%s [%s]: corrupt shard transfer: %w",
-					h.Name(), c.workload.Suite(), c.workload.Name(), c.buildType, verr)
-			} else {
-				// Rebuild the shard so it merges through the same Append
-				// path as local cells.
-				shard = runlog.RestoreShard(out.Log)
+					h.Name(), c.workload.Suite(), c.workload.Name(), c.buildType, perr)
 			}
 		}
 		s.events <- func() { s.handleResult(pl, shard, err) }

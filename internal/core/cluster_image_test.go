@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"fex/internal/buildsys"
 	"fex/internal/remote"
 	"fex/internal/workload"
 )
@@ -163,6 +165,62 @@ func TestClusterImageCostModelFlip(t *testing.T) {
 		if n, want := fx.provisions.Load(), int64(2*(i+1)); n != want {
 			t.Errorf("after run %d (debug=%t): %d host provisionings, want %d", i+1, debug, n, want)
 		}
+	}
+}
+
+// TestClusterImageShipsCoordinatorMakefiles adds a build type on the
+// coordinator only, as examples/quickstart does: hosts assemble their
+// build systems from the shipped makefiles, so the coordinator's own
+// must travel with the image. A -hosts w1 run then matches serial byte
+// for byte. Editing the makefile between runs changes the image key, so
+// w1 is provisioned again with the new text, and the coordinator
+// rebuilds with it too.
+func TestClusterImageShipsCoordinatorMakefiles(t *testing.T) {
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	ref := newSchedFex(t)
+	installAll(t, ref, "gcc-6.1")
+	cfg := fixedPlacement(Config{
+		Experiment: "splash",
+		BuildTypes: []string{"gcc_native", "gcc_hardened"},
+		Benchmarks: []string{"fft", "lu"},
+		Reps:       2,
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+		Hosts:      []string{"w1"},
+	})
+	var (
+		csvs []string
+		keys []imageKey
+	)
+	for i, text := range []string{
+		"include gcc_native.mk\nCFLAGS += -fstack-protector\n",
+		"include gcc_native.mk\nCFLAGS += -fsanitize=address\nLDFLAGS += -fsanitize=address\n",
+	} {
+		for _, f := range []*Fex{fx, ref} {
+			if err := f.BuildSystem().AddMakefileText("gcc_hardened.mk", buildsys.LayerExperiment, text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key, err := fx.imageKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		lg, csv := runArtifacts(t, fx, cfg)
+		wantLog, wantCSV := serialArtifacts(t, ref, cfg)
+		sameBytes(t, fmt.Sprintf("makefile version %d", i+1), "log", lg, wantLog)
+		sameBytes(t, fmt.Sprintf("makefile version %d", i+1), "CSV", csv, wantCSV)
+		if n, want := fx.provisions.Load(), int64(i+1); n != want {
+			t.Errorf("after makefile version %d: %d host provisionings, want %d", i+1, n, want)
+		}
+		csvs = append(csvs, csv)
+	}
+	if keys[0] == keys[1] {
+		t.Error("the makefile edit left the image key unchanged")
+	}
+	if csvs[0] == csvs[1] {
+		t.Error("the makefile edit did not change the measurements; the test cannot tell a stale image")
 	}
 }
 

@@ -535,6 +535,67 @@ func TestClusterCorruptShardTransferFailsCell(t *testing.T) {
 	}
 }
 
+// TestClusterTruncatedShardTransferFailsCell cuts the last three bytes
+// off every transfer from w1, so the shard's last record arrives as
+// "cycles=40" instead of "cycles=4010\n": well-formed, plausible and
+// wrong. Shard text that does not end in a newline is a cut transfer; the
+// cell must fail with host attribution, nothing may be persisted, and a
+// clean -resume must re-measure the cell rather than replay it.
+func TestClusterTruncatedShardTransferFailsCell(t *testing.T) {
+	fx, cluster := clusterFex(t, "w1")
+	w1, err := cluster.Host("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1.SetCorruptOutput(func(s string) string { return s[:len(s)-3] })
+	hooks := deterministicHooks(0)
+	registerSchedExperiment(t, fx, "cluster_truncated", hooks)
+	cfg := Config{
+		Experiment: "cluster_truncated",
+		BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"fft"},
+		Input:      workload.SizeTest,
+		Hosts:      []string{"w1"},
+	}
+	_, err = fx.Run(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("run succeeded despite a truncated shard transfer")
+	}
+	for _, want := range []string{"host w1", "cell splash/fft [gcc_native]", "corrupt shard transfer", "truncated"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+
+	w1.SetCorruptOutput(nil)
+	resume := cfg
+	resume.Resume = true
+	replayed := -1
+	report, err := fx.RunWithHooks(context.Background(), resume, RunHooks{
+		Progress: func(ev ProgressEvent) {
+			if ev.Stage == "plan" {
+				replayed = ev.Replayed
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("clean -resume after a truncated transfer failed: %v", err)
+	}
+	if replayed != 0 {
+		t.Errorf("clean -resume replayed %d cells, want 0 (the truncated cell re-measured)", replayed)
+	}
+	wantLog, wantCSV := serialReference(t, "cluster_truncated", hooks, cfg)
+	for _, f := range []struct{ path, want string }{{report.RunLogPath, wantLog}, {report.RunCSVPath, wantCSV}} {
+		got, err := fx.ReadResult(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != f.want {
+			t.Errorf("%s after -resume differs from serial:\n--- serial ---\n%s\n--- resumed ---\n%s", f.path, f.want, got)
+		}
+	}
+}
+
 // TestClusterCorruptTransferDoesNotPersist closes the durability hole:
 // a corrupted transfer must not be persisted to the result store either,
 // or a later -resume would replay the garbage. After the failed run, a

@@ -5,11 +5,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fex/internal/env"
+	"fex/internal/measure"
 	"fex/internal/runlog"
 	"fex/internal/table"
 	"fex/internal/workload"
@@ -391,6 +393,88 @@ func TestCollectRereadsStoredLog(t *testing.T) {
 	}
 }
 
+// TestRunCSVEqualsCollectOfStoredLog checks the collect step a run does
+// from its log writer's parsed view — shard parses merged, other records
+// parsed as written — against fx.Collect, which parses the stored log
+// from scratch. They must agree on every way records reach the log:
+// local cells serially and in parallel, remote shards, replayed store
+// entries, a dry-run note, and a runner that writes to the run log
+// directly (RIPE).
+func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
+	splash := Config{
+		Experiment: "splash",
+		BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"fft", "lu", "radix"},
+		Threads:    []int{1, 2},
+		Reps:       2,
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+	}
+	with := func(set func(*Config)) Config {
+		cfg := splash
+		set(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		installs []string
+		resume   bool
+	}{
+		{"serial", splash, nil, false},
+		{"jobs4", with(func(c *Config) { c.Jobs = 4 }), nil, false},
+		{"hosts", with(func(c *Config) { c.Hosts = []string{"w1", "w2"} }), nil, false},
+		{"resume", splash, nil, true},
+		{"dry-run", Config{
+			Experiment: "phoenix", BuildTypes: []string{"gcc_native"},
+			Benchmarks: []string{"histogram", "word_count"}, Reps: 2, Input: workload.SizeTest, ModelTime: true,
+		}, nil, false},
+		{"direct-writer", Config{Experiment: "ripe", BuildTypes: []string{"gcc_native", "clang_native"}}, []string{"ripe"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFex(t)
+			installAll(t, fx, append([]string{"gcc-6.1", "clang-3.8.0"}, tc.installs...)...)
+			cfg := tc.cfg
+			if tc.resume {
+				if _, err := fx.Run(context.Background(), cfg); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Resume = true
+			}
+			replayed := 0
+			report, err := fx.RunWithHooks(context.Background(), cfg, RunHooks{
+				Progress: func(ev ProgressEvent) { replayed = ev.Replayed },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.resume && replayed == 0 {
+				t.Fatal("the -resume run replayed no cells")
+			}
+			csv, err := fx.ReadResult(report.RunCSVPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := fx.Collect(cfg.Experiment)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tbl.CSVString(); got != string(csv) {
+				t.Errorf("run CSV differs from Collect of the stored log:\n--- run ---\n%s\n--- collect ---\n%s", csv, got)
+			}
+			if tc.name == "dry-run" {
+				lg, err := fx.ReadResult(report.RunLogPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(string(lg), "NOTE|dry run") {
+					t.Error("the phoenix run wrote no dry-run note")
+				}
+			}
+		})
+	}
+}
+
 func TestPlotSplashPerf(t *testing.T) {
 	fx := newFex(t)
 	installAll(t, fx, "gcc-6.1", "clang-3.8.0")
@@ -574,6 +658,40 @@ func TestNginxRequiresInstall(t *testing.T) {
 func TestGenericCollectEmptyLog(t *testing.T) {
 	if _, err := GenericCollect(&runlog.Log{}); err == nil {
 		t.Error("expected error for empty log")
+	}
+}
+
+// TestGenericCollectMixedMetricSets averages records whose metric names
+// change between consecutive records and whose group recurs after
+// another group, so the collect stage cannot rely on one name→column
+// mapping or on contiguous groups.
+func TestGenericCollectMixedMetricSets(t *testing.T) {
+	rec := func(bench string, rep int, values map[string]float64) runlog.Measurement {
+		return runlog.Measurement{Suite: "splash", Benchmark: bench, BuildType: "gcc_native",
+			Threads: 1, Rep: rep, Values: measure.FromMap(values)}
+	}
+	tbl, err := GenericCollect(&runlog.Log{Measurements: []runlog.Measurement{
+		rec("fft", 0, map[string]float64{"cycles": 10, "ipc": 1}),
+		rec("fft", 1, map[string]float64{"cycles": 20}),
+		rec("fft", 2, map[string]float64{"cycles": 30, "wall_ns": 5}),
+		rec("lu", 0, map[string]float64{"ipc": 2, "wall_ns": 7}),
+		rec("fft", 3, map[string]float64{"cycles": 40, "ipc": 3}),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]float64{"cycles": {25, 0}, "ipc": {2, 2}, "wall_ns": {5, 7}}
+	for col, w := range want {
+		got, err := tbl.Floats(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s = %v, want %v (rows fft, lu)", col, got, w)
+		}
+	}
+	if n := len(tbl.Names()); n != 7 {
+		t.Errorf("%d columns, want suite, bench, type, threads and 3 metrics", n)
 	}
 }
 

@@ -121,45 +121,69 @@ func (fx *Fex) ExperimentNames() []string {
 // GenericCollect is the stock collect stage: it averages each metric over
 // repetitions, grouped by (suite, benchmark, build type, threads), and
 // emits one row per group — the generic collect.py most experiments
-// re-use unchanged. Aggregation runs on typed metric vectors: per-group
-// sums and counts are MetricVectors keyed like the measurements
-// themselves, so the union of metric names falls out of the vectors'
-// sorted order with no map or re-sort.
+// re-use unchanged. Each group sums into slices indexed by the column of
+// the union of metric names; a record's name→column mapping is reused
+// while consecutive records carry the same metric names (a run's records
+// mostly do), so most values are summed without a name lookup.
 func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 	if len(lg.Measurements) == 0 {
 		return nil, errors.New("core: log contains no measurements")
 	}
 	// The union of metric names across the log, in sorted order.
 	union := measure.NewMetricVector()
+	var prev *measure.MetricVector
 	for _, m := range lg.Measurements {
+		if prev.SameNames(m.Values) {
+			continue
+		}
+		prev = m.Values
 		for i := 0; i < m.Values.Len(); i++ {
 			name, _ := m.Values.At(i)
 			union.Set(name, 0)
 		}
 	}
 	metrics := union.Names()
+	column := make(map[string]int, len(metrics))
+	for c, name := range metrics {
+		column[name] = c
+	}
 
 	type groupKey struct {
 		suite, bench, btype string
 		threads             int
 	}
 	type acc struct {
-		sums, counts *measure.MetricVector
+		sums, counts []float64
 	}
 	var order []groupKey
 	groups := map[groupKey]*acc{}
+	var (
+		g    *acc
+		gk   groupKey
+		cols []int // column of each of prev's metrics
+	)
+	prev = nil
 	for _, m := range lg.Measurements {
-		k := groupKey{m.Suite, m.Benchmark, m.BuildType, m.Threads}
-		g, ok := groups[k]
-		if !ok {
-			g = &acc{sums: measure.NewMetricVector(), counts: measure.NewMetricVector()}
-			groups[k] = g
-			order = append(order, k)
+		if k := (groupKey{m.Suite, m.Benchmark, m.BuildType, m.Threads}); g == nil || k != gk {
+			gk = k
+			if g = groups[k]; g == nil {
+				g = &acc{sums: make([]float64, len(metrics)), counts: make([]float64, len(metrics))}
+				groups[k] = g
+				order = append(order, k)
+			}
 		}
-		for i := 0; i < m.Values.Len(); i++ {
-			name, v := m.Values.At(i)
-			g.sums.Set(name, g.sums.Value(name)+v)
-			g.counts.Set(name, g.counts.Value(name)+1)
+		if !prev.SameNames(m.Values) {
+			prev = m.Values
+			cols = cols[:0]
+			for i := 0; i < m.Values.Len(); i++ {
+				name, _ := m.Values.At(i)
+				cols = append(cols, column[name])
+			}
+		}
+		for i, c := range cols {
+			_, v := m.Values.At(i)
+			g.sums[c] += v
+			g.counts[c]++
 		}
 	}
 
@@ -177,9 +201,9 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 	for _, k := range order {
 		g := groups[k]
 		row := []any{k.suite, k.bench, k.btype, float64(k.threads)}
-		for _, m := range metrics {
-			if c := g.counts.Value(m); c > 0 {
-				row = append(row, g.sums.Value(m)/c)
+		for c := range metrics {
+			if n := g.counts[c]; n > 0 {
+				row = append(row, g.sums[c]/n)
 			} else {
 				row = append(row, 0.0)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -105,12 +106,18 @@ type Fex struct {
 	runSeq atomic.Uint64
 	// buildMu serializes the pre-run build step; lastBuildHash is the
 	// cost-model hash of the config whose CleanBuild the coordinator's
-	// artifact cache currently reflects. A run whose hash matches reuses
+	// artifact cache currently reflects, with the digest of the makefiles
+	// added or edited since New. A run whose hash matches reuses
 	// the warm cache instead of rebuilding — one build per build
 	// configuration serves every experiment of a multi-experiment
 	// invocation (artifacts are a pure function of the hashed modes).
 	buildMu       sync.Mutex
 	lastBuildHash string
+	// baseMakefiles is the build system's makefile registry as
+	// newBenchBuildSystem assembled it. Host build systems assemble the
+	// same set themselves; every makefile added or replaced since is
+	// shipped to them (shippedMakefiles).
+	baseMakefiles map[string]*buildsys.Makefile
 	// images holds each cluster host's provisioned image by host name
 	// (see hostImage in cluster.go); provisions counts provisioning
 	// attempts over the framework's lifetime.
@@ -189,15 +196,16 @@ func New(opts Options) (*Fex, error) {
 		clk = fexclock.Real()
 	}
 	fx := &Fex{
-		ctr:         ctr,
-		inst:        inst,
-		repo:        repo,
-		build:       bld,
-		registry:    reg,
-		store:       store.New(fsys, StoreDir),
-		experiments: make(map[string]*Experiment),
-		cluster:     cluster,
-		images:      make(map[string]*hostImage),
+		ctr:           ctr,
+		inst:          inst,
+		repo:          repo,
+		build:         bld,
+		baseMakefiles: bld.MakefileSet(),
+		registry:      reg,
+		store:         store.New(fsys, StoreDir),
+		experiments:   make(map[string]*Experiment),
+		cluster:       cluster,
+		images:        make(map[string]*hostImage),
 		providers: map[string]env.Provider{
 			"native": env.NativeProvider{},
 			"asan":   env.ASanProvider{},
@@ -634,7 +642,7 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	if hooks.LogSink != nil {
 		logOut = io.MultiWriter(&logBuf, hooks.LogSink)
 	}
-	lw := runlog.NewWriter(logOut)
+	lw := runlog.NewRunWriter(logOut)
 	benchNames := cfg.Benchmarks
 	if len(benchNames) == 0 && exp.Suite != "" {
 		ws, err := fx.registry.Suite(exp.Suite)
@@ -694,8 +702,10 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	}
 
 	// Collect immediately, as the all-in-one run command does — from the
-	// log just written, parsed once, into one CSV stored at both paths.
-	lg, err := runlog.Parse(strings.NewReader(logBuf.String()))
+	// writer's parsed view of the log just written (every record parsed
+	// once, most of them by the cell that produced them), into one CSV
+	// stored at both paths.
+	lg, err := lw.Log()
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: %w", cfg.Experiment, err)
 	}
@@ -727,15 +737,17 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 // CleanBuild (wipe caches, rebuild from pristine sources); subsequent
 // runs whose cost-model hash matches reuse the warm coordinator cache —
 // artifacts are a deterministic function of (workload, build type) under
-// the hashed modes (debug, modeled-time, no-memo, calibration), so a
-// shared artifact measures identically to a fresh one. A hash change
-// (e.g. -d after a release run) rebuilds clean, and drops every cluster
-// host image with the coordinator's cache. -no-build runs never touch
+// the hashed modes (debug, modeled-time, no-memo, calibration) and the
+// makefiles, so a shared artifact measures identically to a fresh one. A
+// hash change (e.g. -d after a release run, or an edited build type)
+// rebuilds clean, and drops every cluster host image with the
+// coordinator's cache. -no-build runs never touch
 // the marker: they reuse whatever is cached, as before.
 func (fx *Fex) prepareBuild(cfg Config) error {
 	fx.buildMu.Lock()
 	defer fx.buildMu.Unlock()
-	hash := fx.costModelHash(cfg)
+	// Makefiles added or edited since New change what a build produces.
+	hash := fx.costModelHash(cfg) + buildsys.Digest(fx.shippedMakefiles())
 	if hash == fx.lastBuildHash {
 		fmt.Fprintf(fx.verbose, "== build: artifacts warm (shared across experiments); skipping clean build\n")
 		return nil
@@ -765,7 +777,7 @@ func (fx *Fex) Collect(experiment string) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: no run log (run the experiment first): %w", experiment, err)
 	}
-	lg, err := runlog.Parse(strings.NewReader(string(data)))
+	lg, err := runlog.Parse(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: %w", experiment, err)
 	}

@@ -112,14 +112,14 @@ func planReplays(rc *RunContext, cells []cell, fps []store.Fingerprint) []*runlo
 		if !r.Present {
 			continue
 		}
-		text := string(r.Payload)
-		if err := runlog.ValidateText(text); err != nil {
+		shard, err := runlog.ParseShard(string(r.Payload))
+		if err != nil {
 			rc.logf("  store: %s/%s [%s]: invalid stored records: %v; re-measuring",
 				c.workload.Suite(), c.workload.Name(), c.buildType, err)
 			continue
 		}
 		rc.logf("  store: replaying %s/%s [%s]", c.workload.Suite(), c.workload.Name(), c.buildType)
-		shards[i] = runlog.RestoreShard(text)
+		shards[i] = shard
 	}
 	return shards
 }
@@ -434,6 +434,11 @@ func (s *sched) launch(wi, ci int, speculative bool) {
 	}
 	go func() {
 		shard, err := s.execCell(pctx, nil, ci)
+		// Parse the shard here, off the loop, so -jobs N parses in
+		// parallel and the commit merges records instead of text. A
+		// shard that does not parse stays unparsed: the run writer
+		// parses it at commit and reports the error with its line.
+		_ = shard.Parse()
 		s.events <- func() { s.handleResult(pl, shard, err) }
 	}()
 }

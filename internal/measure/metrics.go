@@ -62,6 +62,13 @@ func NewMetricVector() *MetricVector {
 	return &MetricVector{}
 }
 
+// NewMetricVectorCap returns an empty, unpooled vector with room for n
+// metrics (none when n is not positive).
+func NewMetricVectorCap(n int) *MetricVector {
+	n = max(n, 0)
+	return &MetricVector{names: make([]string, 0, n), values: make([]float64, 0, n)}
+}
+
 // FromMap builds a vector from a name→value map — a convenience for
 // tests and custom hooks; the measurement hot path uses Acquire + Set.
 func FromMap(m map[string]float64) *MetricVector {
@@ -104,7 +111,14 @@ func (v *MetricVector) search(name string) (int, bool) {
 // Inserting into the middle shifts the tail — metric sets are small
 // (≤ ~10 names), so the shift is cheaper than any map or re-sort, and it
 // allocates nothing once the backing arrays have grown to capacity.
+// Names arriving in sorted order — a parsed record's — append without a
+// search.
 func (v *MetricVector) Set(name string, value float64) {
+	if n := len(v.names); n == 0 || v.names[n-1] < name {
+		v.names = append(v.names, name)
+		v.values = append(v.values, value)
+		return
+	}
 	i, ok := v.search(name)
 	if ok {
 		v.values[i] = value
@@ -154,6 +168,20 @@ func (v *MetricVector) Names() []string {
 		return nil
 	}
 	return append([]string(nil), v.names...)
+}
+
+// SameNames reports whether other holds v's metric names, in the same
+// order. It is false when either vector is nil.
+func (v *MetricVector) SameNames(other *MetricVector) bool {
+	if v == nil || other == nil || len(v.names) != len(other.names) {
+		return false
+	}
+	for i, name := range v.names {
+		if other.names[i] != name {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns an independent, unpooled copy.

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fex/internal/measure"
@@ -90,6 +91,13 @@ type Writer struct {
 	w   *bufio.Writer
 	buf []byte // scratch record buffer, reused under mu
 	err error
+
+	// view is the parsed form of every record written so far, kept by a
+	// run writer (NewRunWriter) and nil otherwise; lines counts the
+	// lines written, so a parse error names the line of the final text.
+	view    *Log
+	lines   int
+	viewErr error
 }
 
 // NewWriter returns a log writer on w.
@@ -97,9 +105,42 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
 }
 
+// NewRunWriter returns a log writer on w that also keeps the parsed view
+// of everything it writes, returned by Log: the collect step's input
+// without a second parse of the finished log. Appended shards that carry
+// their own parse (ParseShard, Shard.Parse) merge those records; every
+// other record — the header, the environment, records written to the
+// writer directly and unparsed shards — is parsed once, as it is written.
+func NewRunWriter(w io.Writer) *Writer {
+	lw := NewWriter(w)
+	lw.view = &Log{}
+	return lw
+}
+
+// Log returns the writer's parsed view: what Parse returns for the text
+// written so far, or its error. It is nil for a writer not made by
+// NewRunWriter. The view is the writer's own; it stays valid, and must
+// not be modified, while the writer is in use.
+func (lw *Writer) Log() (*Log, error) {
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if lw.viewErr != nil {
+		return nil, lw.viewErr
+	}
+	return lw.view, nil
+}
+
 // flushLine writes the scratch buffer (one rendered record, built by the
-// caller under lw.mu) terminated with a newline.
+// caller under lw.mu) terminated with a newline, parsing it into a run
+// writer's view.
 func (lw *Writer) flushLine(b []byte) {
+	if lw.view != nil && lw.viewErr == nil {
+		parsedBytes.Add(uint64(len(b) + 1))
+		lw.lines++
+		if err := lw.view.parseLine(string(b)); err != nil {
+			lw.viewErr = fmt.Errorf("line %d: %w", lw.lines, err)
+		}
+	}
 	b = append(b, '\n')
 	lw.buf = b[:0]
 	if lw.err != nil {
@@ -221,6 +262,10 @@ func (lw *Writer) Flush() error {
 type Shard struct {
 	buf strings.Builder
 	w   *Writer
+	// log is the shard's parsed records and lines the number of lines
+	// of its text, set by Parse (or ParseShard).
+	log   *Log
+	lines int
 }
 
 // NewShard returns an empty log fragment.
@@ -243,18 +288,65 @@ func (s *Shard) Text() (string, error) {
 	return s.buf.String(), nil
 }
 
-// RestoreShard reconstructs a shard from log text previously produced by
-// Text. The coordinator uses it to re-materialize a remote cell's shard so
-// fetched cluster logs merge through the same Append path as local ones.
-func RestoreShard(text string) *Shard {
+// ParseShard checks that text — a shard's Text fetched from a cluster
+// host or read back from the result store — is whole, well-formed log
+// records, and returns it as a shard carrying its parse. Non-empty text
+// must end in a newline: a transfer cut short mid-record would otherwise
+// parse as a shorter, plausible value. The coordinator uses it so a
+// corrupted shard fails (or is re-measured) instead of merging garbage
+// into a run log, and so the merge does not parse the records again.
+func ParseShard(text string) (*Shard, error) {
 	s := NewShard()
 	s.buf.WriteString(text)
-	return s
+	if err := s.Parse(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Parse flushes the shard and parses its records, so Append merges them
+// into a run writer's view without parsing them again. Call it once the
+// shard is complete. On error the shard stays unparsed.
+func (s *Shard) Parse() error {
+	text, err := s.Text()
+	if err != nil {
+		return err
+	}
+	lg, n, err := parseShardText(text)
+	if err != nil {
+		return err
+	}
+	s.log, s.lines = lg, n
+	return nil
+}
+
+// parseShardText parses whole shard text, returning its records and
+// line count.
+func parseShardText(text string) (*Log, int, error) {
+	if text != "" && text[len(text)-1] != '\n' {
+		return nil, 0, fmt.Errorf("%w: truncated: no newline after the last record", ErrBadRecord)
+	}
+	lg := &Log{}
+	n, err := lg.parseText(text, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	return lg, n, nil
+}
+
+// ValidateText reports whether text is whole, well-formed shard text,
+// exactly as ParseShard checks it, without keeping the parse. Run paths
+// call ParseShard; the benchmark harness times this check.
+func ValidateText(text string) error {
+	_, _, err := parseShardText(text)
+	return err
 }
 
 // Append flushes each shard and appends its records to lw in argument
 // order. Nil shards (cells that never ran, e.g. after an earlier cell
-// failed) are skipped. It returns the first shard or writer error.
+// failed) are skipped. A run writer merges each shard's parse into its
+// view, parsing the text of a shard that carries none. It returns the
+// first shard or writer error.
 func (lw *Writer) Append(shards ...*Shard) error {
 	for _, s := range shards {
 		if s == nil {
@@ -263,9 +355,13 @@ func (lw *Writer) Append(shards ...*Shard) error {
 		if err := s.w.Flush(); err != nil {
 			return err
 		}
+		text := s.buf.String()
 		lw.mu.Lock()
 		if lw.err == nil {
-			_, lw.err = lw.w.WriteString(s.buf.String())
+			_, lw.err = lw.w.WriteString(text)
+		}
+		if lw.view != nil && lw.viewErr == nil {
+			lw.record(s, text)
 		}
 		err := lw.err
 		lw.mu.Unlock()
@@ -276,13 +372,17 @@ func (lw *Writer) Append(shards ...*Shard) error {
 	return nil
 }
 
-// ValidateText checks that text parses as well-formed log records — the
-// guard the result store applies before replaying a persisted cell shard
-// into a live log, so a corrupted store entry is re-measured instead of
-// poisoning the resumed log.
-func ValidateText(text string) error {
-	_, err := Parse(strings.NewReader(text))
-	return err
+// record adds a shard's records to the view: its own parse if it has
+// one, otherwise a parse of its text. Called under lw.mu.
+func (lw *Writer) record(s *Shard, text string) {
+	if s.log != nil {
+		lw.view.merge(s.log)
+		lw.lines += s.lines
+		return
+	}
+	n, err := lw.view.parseText(text, lw.lines)
+	lw.lines += n
+	lw.viewErr = err
 }
 
 // Log is a fully parsed experiment log.
@@ -293,47 +393,88 @@ type Log struct {
 	Notes        []Note
 }
 
+// parsedBytes counts the log bytes this process has parsed.
+var parsedBytes atomic.Uint64
+
+// ParsedBytes returns the number of log bytes parsed so far in this
+// process, by Parse, ParseShard, Shard.Parse and run writers together:
+// the counter behind the parse-once contract, read as a difference
+// around the work measured.
+func ParsedBytes() uint64 { return parsedBytes.Load() }
+
 // Parse reads a complete log from r.
 func Parse(r io.Reader) (*Log, error) {
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("runlog: read: %w", err)
+	}
 	out := &Log{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
+	if _, err := out.parseText(sb.String(), 0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseText parses the lines of text onto lg and returns how many lines
+// it read. Line numbers in errors count from first+1, so a segment of a
+// larger log reports the line of the whole. Records keep substrings of
+// text.
+func (lg *Log) parseText(text string, first int) (int, error) {
+	parsedBytes.Add(uint64(len(text)))
+	n := 0
+	for text != "" {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		n++
+		line = strings.TrimRight(line, "\r")
 		if line == "" {
 			continue
 		}
-		parts := strings.Split(line, "|")
-		switch parts[0] {
-		case kindHeader:
-			h, err := parseHeader(parts[1:])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			out.Header = h
-		case kindEnv:
-			if len(parts) < 2 {
-				return nil, fmt.Errorf("line %d: %w: ENV without payload", lineNo, ErrBadRecord)
-			}
-			out.Environment = append(out.Environment, strings.Join(parts[1:], "|"))
-		case kindMeasure:
-			m, err := parseMeasurement(parts[1:])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			out.Measurements = append(out.Measurements, m)
-		case kindNote:
-			out.Notes = append(out.Notes, Note{Text: strings.Join(parts[1:], "|")})
-		default:
-			return nil, fmt.Errorf("line %d: %w: unknown kind %q", lineNo, ErrBadRecord, parts[0])
+		if err := lg.parseLine(line); err != nil {
+			return n, fmt.Errorf("line %d: %w", first+n, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runlog: scan: %w", err)
+	return n, nil
+}
+
+// parseLine parses one non-empty record line onto lg.
+func (lg *Log) parseLine(line string) error {
+	kind, fields, hasFields := strings.Cut(line, "|")
+	switch kind {
+	case kindHeader:
+		h, err := parseHeader(fields, hasFields)
+		if err != nil {
+			return err
+		}
+		lg.Header = h
+	case kindEnv:
+		if !hasFields {
+			return fmt.Errorf("%w: ENV without payload", ErrBadRecord)
+		}
+		lg.Environment = append(lg.Environment, fields)
+	case kindMeasure:
+		m, err := parseMeasurement(fields, hasFields)
+		if err != nil {
+			return err
+		}
+		lg.Measurements = append(lg.Measurements, m)
+	case kindNote:
+		lg.Notes = append(lg.Notes, Note{Text: fields})
+	default:
+		return fmt.Errorf("%w: unknown kind %q", ErrBadRecord, kind)
 	}
-	return out, nil
+	return nil
+}
+
+// merge appends another log's records to lg, as if its text followed
+// lg's: a later header replaces an earlier one.
+func (lg *Log) merge(o *Log) {
+	if o.Header.Experiment != "" {
+		lg.Header = o.Header
+	}
+	lg.Environment = append(lg.Environment, o.Environment...)
+	lg.Measurements = append(lg.Measurements, o.Measurements...)
+	lg.Notes = append(lg.Notes, o.Notes...)
 }
 
 func kv(field string) (string, string, error) {
@@ -344,9 +485,11 @@ func kv(field string) (string, string, error) {
 	return field[:i], field[i+1:], nil
 }
 
-func parseHeader(fields []string) (Header, error) {
+func parseHeader(fields string, more bool) (Header, error) {
 	var h Header
-	for _, f := range fields {
+	for more {
+		var f string
+		f, fields, more = strings.Cut(fields, "|")
 		k, v, err := kv(f)
 		if err != nil {
 			return h, err
@@ -395,9 +538,12 @@ func parseHeader(fields []string) (Header, error) {
 	return h, nil
 }
 
-func parseMeasurement(fields []string) (Measurement, error) {
-	m := Measurement{Values: measure.NewMetricVector()}
-	for _, f := range fields {
+func parseMeasurement(fields string, more bool) (Measurement, error) {
+	// Five of the fields are the cell coordinates; the rest are metrics.
+	m := Measurement{Values: measure.NewMetricVectorCap(strings.Count(fields, "|") - 4)}
+	for more {
+		var f string
+		f, fields, more = strings.Cut(fields, "|")
 		k, v, err := kv(f)
 		if err != nil {
 			return m, err

@@ -295,10 +295,15 @@ func TestShardTextRoundTrip(t *testing.T) {
 		t.Fatalf("shard text missing records:\n%s", text)
 	}
 
-	// A restored shard must merge byte-identically to the original.
+	// A shard parsed back from its text must merge byte-identically to
+	// the original.
+	parsed, err := ParseShard(text)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var restored strings.Builder
 	dw := NewWriter(&restored)
-	if err := dw.Append(RestoreShard(text)); err != nil {
+	if err := dw.Append(parsed); err != nil {
 		t.Fatal(err)
 	}
 	if err := dw.Flush(); err != nil {
@@ -342,9 +347,14 @@ func TestValidateText(t *testing.T) {
 		"RUN|bench=fft|type=t|rep=x\n", // bad rep
 		"HDR|experiment=\n",            // header without name
 		text + "RUN|nonsense",          // valid prefix, corrupt tail
+		text[:len(text)-3],             // transfer cut short mid-record
+		"NOTE|built\nRUN|bench=fft|type=t|cycles=4010",
 	} {
 		if err := ValidateText(bad); err == nil {
 			t.Errorf("ValidateText(%q) accepted corrupt text", bad)
+		}
+		if s, err := ParseShard(bad); err == nil || s != nil {
+			t.Errorf("ParseShard(%q) = %v, %v; want an error", bad, s, err)
 		}
 	}
 }

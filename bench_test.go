@@ -944,8 +944,8 @@ func planWarmResumeBuilds(tb testing.TB) int {
 // up in the ordinary test run rather than only in a benchmark's output.
 func TestAblationCounters(t *testing.T) {
 	fsys, fps := bulkResolveStore(t)
-	if perCell, bulk := bulkResolveOps(t, fsys, fps); perCell != 1003 || bulk != 254 {
-		t.Errorf("1000-cell warm resolve: per-cell %d, bulk %d vfs ops; want 1003 and 254", perCell, bulk)
+	if perCell, bulk := bulkResolveOps(t, fsys, fps); perCell != 1002 || bulk != 253 {
+		t.Errorf("1000-cell warm resolve: per-cell %d, bulk %d vfs ops; want 1002 and 253", perCell, bulk)
 	}
 	dedup, raw, dedupCSV, rawCSV := planDedupExecs(t)
 	if dedup != 32 || raw != 80 {

@@ -101,8 +101,9 @@ type Fex struct {
 	now         func() time.Time
 	clock       fexclock.Clock
 	// runSeq numbers the framework-assigned run IDs ("run-0001", …); it
-	// only advances, so every Run of this instance gets a distinct
-	// artifact directory under RunsDir.
+	// only advances and skips IDs whose directory exists (RunExists), so
+	// every Run gets a distinct artifact directory under RunsDir, also
+	// after LoadState brought in earlier runs.
 	runSeq atomic.Uint64
 	// buildMu serializes the pre-run build step; lastBuildHash is the
 	// cost-model hash of the config whose CleanBuild the coordinator's
@@ -480,6 +481,25 @@ func runPlotPath(runID, experiment, kind string) string {
 	return filepath.Join(runDir(runID), experiment+"_"+kind+".svg")
 }
 
+// RunExists reports whether runID already has an artifact directory under
+// RunsDir — written by an earlier run of this framework or carried in by
+// LoadState. Run ID assignment skips such IDs, so a run never overwrites
+// another's artifacts.
+func (fx *Fex) RunExists(runID string) bool {
+	fsys, err := fx.ctr.FS()
+	return err == nil && fsys.Exists(runDir(runID))
+}
+
+// nextRunID assigns the next framework run ID ("run-0001", …) that no
+// existing run directory holds.
+func (fx *Fex) nextRunID() string {
+	for {
+		if id := fmt.Sprintf("run-%04d", fx.runSeq.Add(1)); !fx.RunExists(id) {
+			return id
+		}
+	}
+}
+
 // validRunID accepts caller-supplied run IDs that are safe as a single
 // path element: letters, digits, '-', '_', '.', not empty, not starting
 // with a dot (no "..", no hidden directories, no separators).
@@ -614,7 +634,7 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	}
 	runID := hooks.RunID
 	if runID == "" {
-		runID = fmt.Sprintf("run-%04d", fx.runSeq.Add(1))
+		runID = fx.nextRunID()
 	} else if !validRunID(runID) {
 		return nil, fmt.Errorf("core: invalid run ID %q (want letters, digits, '-', '_', '.')", runID)
 	}
@@ -886,13 +906,19 @@ func (fx *Fex) SaveState(w io.Writer) error {
 	return fsys.Save(w)
 }
 
-// LoadState restores container state saved by SaveState.
+// LoadState restores container state saved by SaveState. The loaded files
+// replace the result store's wholesale, so its index is dropped and the
+// next store operation reloads it from them.
 func (fx *Fex) LoadState(r io.Reader) error {
 	fsys, err := fx.ctr.FS()
 	if err != nil {
 		return err
 	}
-	return fsys.Load(r)
+	if err := fsys.Load(r); err != nil {
+		return err
+	}
+	fx.store.Reload()
+	return nil
 }
 
 // ReadResult returns a stored artifact (log, CSV, or plot) from the

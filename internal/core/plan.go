@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 
+	"fex/internal/buildsys"
 	"fex/internal/runlog"
 	"fex/internal/store"
 	"fex/internal/workload"
@@ -53,7 +54,6 @@ type runPlan struct {
 	pending  int
 	replayed int
 	deduped  int
-	memoWarm int
 
 	// done counts settled cells for progress events: replayed and deduped
 	// positions settle at plan time, executed cells advance it on the
@@ -65,11 +65,11 @@ type runPlan struct {
 
 // planRun resolves an experiment's cells into an execution plan: one
 // batched store pass (planReplays/BulkGet), then in-run dedup by
-// fingerprint, then the cold-build set, then a memo-warmth probe for the
-// summary. Dedup runs unless Config.NoDedup: two positions with equal
-// fingerprints produce identical records by the determinism contract, so
-// measuring the canonical one and replaying its shard into the duplicate
-// position preserves the merged-log bytes exactly.
+// fingerprint, then the cold-build set. Dedup runs unless Config.NoDedup:
+// two positions with equal fingerprints produce identical records by the
+// determinism contract, so measuring the canonical one and replaying its
+// shard into the duplicate position preserves the merged-log bytes
+// exactly.
 func planRun(rc *RunContext, cells []cell) *runPlan {
 	p := &runPlan{
 		cells:     cells,
@@ -77,8 +77,9 @@ func planRun(rc *RunContext, cells []cell) *runPlan {
 		canon:     make([]int, len(cells)),
 		coldTypes: make(map[string]bool, len(rc.Config.BuildTypes)),
 	}
+	makefiles := buildsys.Digest(rc.Fex.shippedMakefiles())
 	for i, c := range cells {
-		p.fps[i] = cellFingerprint(rc.Fex, rc.Config, c)
+		p.fps[i] = cellFingerprint(rc.Fex, rc.Config, c, makefiles)
 		p.canon[i] = i
 	}
 	p.shards = planReplays(rc, cells, p.fps)
@@ -104,7 +105,6 @@ func planRun(rc *RunContext, cells []cell) *runPlan {
 			p.pending++
 		}
 	}
-	p.probeMemo(rc)
 	return p
 }
 
@@ -150,22 +150,23 @@ func (p *runPlan) commit(lw *runlog.Writer, end int, final bool) error {
 	return lw.Flush()
 }
 
-// probeMemo resolves the plan against the execution memo in the same
-// batch: for every cell about to execute, it checks whether an artifact
-// is already built and the shared memo holds executions for the cell's
-// full thread sweep (under this build type or any other) — those cells
-// re-derive their samples in O(1) per repetition instead of running
-// kernels. The probe is summary-only (memo-warm cells still execute,
-// they are just cheap); variable-input cells (dims != "") sweep inputs
+// memoWarm counts the plan's memo-warm cells: for every cell about to
+// execute, it checks whether an artifact is already built and the shared
+// memo holds executions for the cell's full thread sweep (under this
+// build type or any other) — those cells re-derive their samples in O(1)
+// per repetition instead of running kernels. The count is summary-only
+// (memo-warm cells still execute, they are just cheap), so only the -v
+// summary computes it; variable-input cells (dims != "") sweep inputs
 // inside the cell and are not probed.
-func (p *runPlan) probeMemo(rc *RunContext) {
+func (p *runPlan) memoWarm(rc *RunContext) int {
 	build := rc.build
 	if build == nil {
 		build = rc.Fex.build
 	}
 	if build == nil {
-		return
+		return 0
 	}
+	n := 0
 	for i, c := range p.cells {
 		if !p.executes(i) || c.dims != "" {
 			continue
@@ -183,9 +184,10 @@ func (p *runPlan) probeMemo(rc *RunContext) {
 			}
 		}
 		if warm {
-			p.memoWarm++
+			n++
 		}
 	}
+	return n
 }
 
 // logSummary writes the plan to the -v stream before execution starts:
@@ -197,8 +199,8 @@ func (p *runPlan) logSummary(rc *RunContext) {
 	execN := p.pending
 	line := fmt.Sprintf("== plan: %d cells: %d execute, %d replayed, %d deduped; builds: %d of %d types",
 		len(p.cells), execN, p.replayed, p.deduped, len(p.coldTypes), len(rc.Config.BuildTypes))
-	if p.memoWarm > 0 {
-		line += fmt.Sprintf(" (%d memo-warm)", p.memoWarm)
+	if n := p.memoWarm(rc); n > 0 {
+		line += fmt.Sprintf(" (%d memo-warm)", n)
 	}
 	rc.logf("%s", line)
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"fex/internal/buildsys"
 	"fex/internal/measure"
 	"fex/internal/workload"
 )
@@ -466,5 +468,176 @@ func TestCleanStoreForcesColdRun(t *testing.T) {
 	runOn(t, fx, warm)
 	if reps.Load() == 0 {
 		t.Error("cleaned store still replayed")
+	}
+}
+
+// planOf runs cfg on fx and returns its plan progress event: Total cells,
+// of which Replayed came from the store and Deduped from the run itself.
+func planOf(t *testing.T, fx *Fex, cfg Config) (ProgressEvent, *RunReport) {
+	t.Helper()
+	var plan ProgressEvent
+	report, err := fx.RunWithHooks(context.Background(), cfg, RunHooks{Progress: func(ev ProgressEvent) {
+		if ev.Stage == "plan" {
+			plan = ev
+		}
+	}})
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.String(), err)
+	}
+	return plan, report
+}
+
+// TestResumeRemeasuresEditedMakefile edits a build type's makefile between
+// a cold run and a -resume rerun: the rerun must measure every cell again
+// under the new flags and store the CSV of a cold run with the edited
+// makefile, not replay the old flags' cells. A framework whose makefiles
+// were never edited keeps its default cell keys, pinned here.
+func TestResumeRemeasuresEditedMakefile(t *testing.T) {
+	cfg := Config{
+		Experiment: "splash",
+		BuildTypes: []string{"gcc_native", "gcc_hardened"},
+		Benchmarks: []string{"fft", "lu"},
+		Reps:       2,
+		Input:      workload.SizeTest,
+		ModelTime:  true,
+	}
+	texts := []string{
+		"include gcc_native.mk\nCFLAGS += -fstack-protector\n",
+		"include gcc_native.mk\nCFLAGS += -fsanitize=address\nLDFLAGS += -fsanitize=address\n",
+	}
+	setMakefile := func(fx *Fex, text string) {
+		t.Helper()
+		if err := fx.BuildSystem().AddMakefileText("gcc_hardened.mk", buildsys.LayerExperiment, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	setMakefile(fx, texts[0])
+	_, oldCSV := runOn(t, fx, cfg)
+
+	ref := newSchedFex(t)
+	installAll(t, ref, "gcc-6.1")
+	setMakefile(ref, texts[1])
+	_, wantCSV := runOn(t, ref, cfg)
+	if oldCSV == wantCSV {
+		t.Fatal("the makefile edit did not change the measurements; the test cannot tell a stale replay")
+	}
+
+	setMakefile(fx, texts[1])
+	warm := cfg
+	warm.Resume = true
+	plan, report := planOf(t, fx, warm)
+	if plan.Replayed != 0 {
+		t.Errorf("-resume after a makefile edit replayed %d of %d cells, want 0", plan.Replayed, plan.Total)
+	}
+	csv, err := fx.ReadResult(report.CSVPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(csv) != wantCSV {
+		t.Errorf("-resume CSV after a makefile edit differs from a cold run:\n--- cold ---\n%s\n--- resumed ---\n%s", wantCSV, csv)
+	}
+	// A second -resume rerun with the edit in place replays everything.
+	if plan, _ := planOf(t, fx, warm); plan.Replayed != plan.Total {
+		t.Errorf("unchanged makefile: replayed %d of %d cells", plan.Replayed, plan.Total)
+	}
+
+	// Default keys did not move: no makefile edited, no digest in Dims.
+	plain := newSchedFex(t)
+	installAll(t, plain, "gcc-6.1")
+	runOn(t, plain, Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true})
+	keys, err := plain.ResultStore().Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantKey = "8a439bfc583bedf469072be6b89bbae4fb62187ae51869cc11d3b80f5ee5830a"
+	if len(keys) != 1 || keys[0] != wantKey {
+		t.Errorf("default cell keys %v, want [%s]", keys, wantKey)
+	}
+}
+
+// TestRunIDsSkipLoadedRuns runs, saves the state and loads it into a
+// fresh framework, as two `fex run --state F` invocations do: the second
+// invocation's run must get run-0002 and leave run-0001's artifacts
+// byte-identical.
+func TestRunIDsSkipLoadedRuns(t *testing.T) {
+	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true}
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	first, err := fx.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.RunID != "run-0001" {
+		t.Fatalf("first run ID %q, want run-0001", first.RunID)
+	}
+	firstLog, err := fx.ReadResult(first.RunLogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := fx.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	next := newSchedFex(t)
+	if err := next.LoadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Benchmarks = []string{"lu"} // a different log, so an overwrite shows
+	second, err := next.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.RunID != "run-0002" {
+		t.Errorf("run after LoadState got ID %q, want run-0002", second.RunID)
+	}
+	got, err := next.ReadResult(first.RunLogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, firstLog) {
+		t.Errorf("loaded run-0001 log was overwritten:\n--- saved ---\n%s\n--- now ---\n%s", firstLog, got)
+	}
+}
+
+// TestLoadStateResetsStoreIndex loads a state into a framework whose
+// store already loaded its own index: the loaded files replace the
+// store's, so a -resume run of the saved campaign must replay every cell
+// and execute none.
+func TestLoadStateResetsStoreIndex(t *testing.T) {
+	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"fft", "lu"}, Reps: 1, Input: workload.SizeTest, ModelTime: true}
+	src := newSchedFex(t)
+	installAll(t, src, "gcc-6.1", "clang-3.8.0")
+	_, wantCSV := runOn(t, src, cfg)
+	var state bytes.Buffer
+	if err := src.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	other := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"radix"}, Reps: 1, Input: workload.SizeTest, ModelTime: true, Resume: true}
+	runOn(t, fx, other) // loads the store's index and adds a cell to it
+	if err := fx.LoadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	warm := cfg
+	warm.Resume = true
+	plan, report := planOf(t, fx, warm)
+	if plan.Total == 0 || plan.Replayed != plan.Total {
+		t.Errorf("-resume after LoadState replayed %d of %d cells, want all", plan.Replayed, plan.Total)
+	}
+	csv, err := fx.ReadResult(report.CSVPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(csv) != wantCSV {
+		t.Errorf("replayed CSV differs from the saved run's:\n--- saved ---\n%s\n--- replayed ---\n%s", wantCSV, csv)
 	}
 }

@@ -69,8 +69,19 @@ func makeCells(buildTypes []string, benches []workload.Workload, dims string) []
 // cellFingerprint is the content address of one cell's measurements: the
 // full configuration surface that determines its run-log records, plus the
 // framework's cost-model hash so recalibrating the model (or flipping
-// debug/modeled-time mode) invalidates stored cells wholesale.
-func cellFingerprint(fx *Fex, cfg Config, c cell) store.Fingerprint {
+// debug/modeled-time mode) invalidates stored cells wholesale. makefiles
+// is the digest of the makefiles added or edited since New (empty when
+// there are none): it joins Dims, which compaction's keep predicate does
+// not read, so an edited makefile misses the store without the default
+// keys moving.
+func cellFingerprint(fx *Fex, cfg Config, c cell, makefiles string) store.Fingerprint {
+	dims := c.dims
+	if makefiles != "" {
+		if dims != "" {
+			dims += ";"
+		}
+		dims += "makefiles=" + makefiles
+	}
 	return store.Fingerprint{
 		Experiment: cfg.Experiment,
 		Suite:      c.workload.Suite(),
@@ -80,7 +91,7 @@ func cellFingerprint(fx *Fex, cfg Config, c cell) store.Fingerprint {
 		Reps:       repsSpec(cfg),
 		Input:      cfg.Input.String(),
 		Tool:       cfg.Tool,
-		Dims:       c.dims,
+		Dims:       dims,
 		ConfigHash: fx.costModelHash(cfg),
 	}
 }
@@ -130,13 +141,13 @@ func planReplays(rc *RunContext, cells []cell, fps []store.Fingerprint) []*runlo
 // failed partway, whose completed cells are already durable. Store errors
 // only cost the cache entry; they never fail the measurement that produced
 // it.
-func persistCell(rc *RunContext, c cell, shard *runlog.Shard) {
+func persistCell(rc *RunContext, c cell, fp store.Fingerprint, shard *runlog.Shard) {
 	if rc.Fex.store == nil {
 		return
 	}
 	text, err := shard.Text()
 	if err == nil {
-		err = rc.Fex.store.Put(cellFingerprint(rc.Fex, rc.Config, c), []byte(text))
+		err = rc.Fex.store.Put(fp, []byte(text))
 	}
 	if err != nil {
 		rc.logf("  store: persist %s/%s [%s]: %v", c.workload.Suite(), c.workload.Name(), c.buildType, err)
@@ -545,7 +556,7 @@ func (s *sched) settle(ci int, shard *runlog.Shard) {
 	s.p.shards[ci] = shard
 	// The shard is durable the moment it reaches the coordinator: a run
 	// that later fails still leaves this cell resumable.
-	persistCell(s.vrc, s.p.cells[ci], shard)
+	persistCell(s.vrc, s.p.cells[ci], s.p.fps[ci], shard)
 	s.commit()
 	s.p.done++
 	ev := s.p.event("cell")

@@ -156,6 +156,10 @@ func (s *Server) Submit(spec RunSpec) (*RunStatus, error) {
 	if s.sealed {
 		return nil, ErrClosed
 	}
+	// Skip IDs whose run directory a loaded state already holds.
+	for s.fx.RunExists(fmt.Sprintf("r-%06d", s.seq+1)) {
+		s.seq++
+	}
 	id := fmt.Sprintf("r-%06d", s.seq+1)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	r := &run{id: id, cfg: cfg, status: StatusQueued, ctx: ctx, cancel: cancel}

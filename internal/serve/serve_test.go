@@ -599,3 +599,51 @@ func TestServeClusterRunReportsHostCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSkipsRunIDsOfLoadedState restarts the service over a saved
+// state, as `fex serve --state F` does after a restart: the new server's
+// first run must not reuse a loaded run's ID, and the loaded run's
+// artifacts must stay byte-identical.
+func TestServeSkipsRunIDsOfLoadedState(t *testing.T) {
+	fx := newServeFex(t)
+	installAll(t, fx, "gcc-6.1")
+	s := New(fx, Options{})
+	ts := httptest.NewServer(s.Handler())
+	first := waitStatus(t, ts, postRun(t, ts, splashSpec("fft")).ID, StatusDone, StatusFailed)
+	ts.Close()
+	s.Close()
+	if first.Status != StatusDone {
+		t.Fatalf("first run settled as %s: %s", first.Status, first.Error)
+	}
+	firstLog, err := fx.ReadResult(first.Artifacts.RunLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := fx.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	next := newServeFex(t)
+	if err := next.LoadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(next, Options{})
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	st := postRun(t, ts2, splashSpec("lu"))
+	if st.ID == first.ID {
+		t.Fatalf("restarted service reused run ID %s", st.ID)
+	}
+	if final := waitStatus(t, ts2, st.ID, StatusDone, StatusFailed); final.Status != StatusDone {
+		t.Fatalf("second run settled as %s: %s", final.Status, final.Error)
+	}
+	got, err := next.ReadResult(first.Artifacts.RunLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, firstLog) {
+		t.Errorf("loaded run %s log was overwritten", first.ID)
+	}
+}

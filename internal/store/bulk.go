@@ -15,10 +15,10 @@ type Result struct {
 }
 
 // BulkGet resolves a whole set of fingerprints in one store pass: the
-// index is synced once (one journal read instead of per-key probes) and
-// every backing file that holds a hit is read exactly once, however many
-// records it serves — for a compacted store that is one read per pack
-// shard, not one per cell. Results are positionally aligned with fps.
+// index is loaded at most once (never per key) and every backing file that
+// holds a hit is read exactly once, however many records it serves — for
+// a compacted store that is one read per pack shard, not one per cell.
+// Results are positionally aligned with fps.
 //
 // BulkGet trusts the index for misses: a record file written behind the
 // store's back (no journal entry) is reported absent, which the replay
@@ -27,10 +27,9 @@ type Result struct {
 // exactly Get's semantics; for arbitrary API-driven store states the two
 // are equivalent (a property the test suite pins).
 func (s *Store) BulkGet(fps []Fingerprint) ([]Result, error) {
-	out := make([]Result, len(fps))
 	s.mu.Lock()
-	if err := s.syncLocked(); err != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
 		return nil, err
 	}
 	type want struct {
@@ -45,33 +44,26 @@ func (s *Store) BulkGet(fps []Fingerprint) ([]Result, error) {
 			byFile[e.file] = append(byFile[e.file], want{i: i, key: key, e: e})
 		}
 	}
-	s.mu.Unlock()
 	files := make([]string, 0, len(byFile))
 	for f := range byFile {
 		files = append(files, f)
 	}
 	sort.Strings(files)
+	out := make([]Result, len(fps))
 	for _, file := range files {
 		data, err := s.fsys.ReadFile(s.root + "/" + file)
 		for _, w := range byFile[file] {
-			if err != nil {
-				out[w.i] = s.slowResult(fps[w.i])
-				continue
+			if err == nil {
+				if payload, verr := verifySlice(data, w.key, w.e, fps[w.i]); verr == nil {
+					out[w.i] = Result{Payload: payload, Present: true}
+					continue
+				}
 			}
-			payload, verr := verifySlice(data, w.key, w.e, fps[w.i])
-			if verr != nil {
-				out[w.i] = s.slowResult(fps[w.i])
-				continue
-			}
-			out[w.i] = Result{Payload: payload, Present: true}
+			// The index entry and its file disagree: resolve the key
+			// through the per-key Get path.
+			payload, present, gerr := s.getLocked(fps[w.i], true)
+			out[w.i] = Result{Payload: payload, Present: present, Err: gerr}
 		}
 	}
 	return out, nil
-}
-
-// slowResult resolves one fingerprint through the per-key Get path — the
-// fallback when an index entry and its file disagree.
-func (s *Store) slowResult(fp Fingerprint) Result {
-	payload, present, err := s.Get(fp)
-	return Result{Payload: payload, Present: present, Err: err}
 }

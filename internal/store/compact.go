@@ -22,20 +22,17 @@ type CompactStats struct {
 	Bytes int64
 }
 
-// Compact garbage-collects and repacks the store under the maintenance
-// lock: records failing the keep predicate (nil keeps everything) are
-// dropped, the survivors are packed into one pack file per shard — records
-// concatenated in key order — the loose files and emptied shard
-// directories are removed, and a fresh index snapshot is written. The scan
-// reads the record files themselves, not the index being rebuilt, so
-// Compact doubles as an authoritative self-heal.
-//
-// Compaction is safe to run while other processes write: a Put landing
-// mid-compaction keeps its loose record file (Compact only removes what it
-// scanned), so the record stays reachable through the per-key Get path and
-// is re-indexed by the next rescan.
+// Compact garbage-collects and repacks the store under the store's lock,
+// so no Put or lookup interleaves: records failing the keep predicate (nil
+// keeps everything) are dropped, the survivors are packed into one pack
+// file per shard — records concatenated in key order — the loose files and
+// emptied shard directories are removed, and a fresh index snapshot is
+// written. The scan reads the record files themselves, not the index being
+// rebuilt, so Compact doubles as an authoritative self-heal.
 func (s *Store) Compact(keep func(Fingerprint) bool) (CompactStats, error) {
 	var cs CompactStats
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.fsys.IsDir(s.root) {
 		return cs, nil
 	}
@@ -43,10 +40,6 @@ func (s *Store) Compact(keep func(Fingerprint) bool) (CompactStats, error) {
 	if err != nil {
 		return cs, fmt.Errorf("store: %w", err)
 	}
-	s.lockMaint()
-	defer s.unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	recs, err := s.scanFiles()
 	if err != nil {
 		return cs, err
@@ -76,27 +69,16 @@ func (s *Store) Compact(keep func(Fingerprint) bool) (CompactStats, error) {
 		}
 		packs[shard] = append(packs[shard], r.raw...)
 	}
-	// Write the packs (stage-then-rename), then drop every scanned loose
-	// file and prune emptied shard dirs, then remove packs whose shard
-	// ended up empty.
+	// Write the packs, then drop every scanned loose file and prune
+	// emptied shard dirs, then remove packs whose shard ended up empty.
 	shards := make([]string, 0, len(packs))
 	for shard := range packs {
 		shards = append(shards, shard)
 	}
 	sort.Strings(shards)
 	for _, shard := range shards {
-		tmp := fmt.Sprintf("%s/%s/%s.pack.%d", s.root, tmpDir, shard, s.seq.Add(1))
-		if err := s.fsys.WriteFile(tmp, packs[shard], 0o644); err != nil {
-			return cs, fmt.Errorf("store: stage pack %s: %w", shard, err)
-		}
-		final := s.root + "/" + packDir + "/" + shard + ".pack"
-		if err := s.fsys.MkdirAll(s.root + "/" + packDir); err != nil {
-			_ = s.fsys.Remove(tmp)
-			return cs, fmt.Errorf("store: %w", err)
-		}
-		if err := s.fsys.Rename(tmp, final); err != nil {
-			_ = s.fsys.Remove(tmp)
-			return cs, fmt.Errorf("store: commit pack %s: %w", shard, err)
+		if err := s.fsys.WriteFile(s.root+"/"+packDir+"/"+shard+".pack", packs[shard], 0o644); err != nil {
+			return cs, fmt.Errorf("store: write pack %s: %w", shard, err)
 		}
 	}
 	for key, r := range recs {

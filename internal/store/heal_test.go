@@ -3,46 +3,11 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"strings"
 	"testing"
 
 	"fex/internal/vfs"
 )
-
-// TestMaintLockStaleBreak pins the crashed-maintenance story: a lockfile
-// left behind by a dead process must not wedge the store forever.
-// Maintenance spins briefly, then breaks the stale lock, runs, and
-// releases it.
-func TestMaintLockStaleBreak(t *testing.T) {
-	fsys := vfs.New()
-	s := New(fsys, "/fex/store")
-	for i := 0; i < 4; i++ {
-		if err := s.Put(fpN(i), []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Simulate a maintenance run that died holding the lock.
-	if err := fsys.WriteFile("/fex/store/"+lockFile, []byte("crashed\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := s.Compact(nil)
-	if err != nil {
-		t.Fatalf("compact against a stale lock: %v", err)
-	}
-	if stats.Kept != 4 {
-		t.Fatalf("kept %d records, want 4", stats.Kept)
-	}
-	if _, err := fsys.ReadFile("/fex/store/" + lockFile); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatalf("lockfile not released after compaction: %v", err)
-	}
-	// And the store still resolves everything.
-	for i := 0; i < 4; i++ {
-		if _, present, err := s.Get(fpN(i)); err != nil || !present {
-			t.Fatalf("record %d after stale-lock compact: present=%t err=%v", i, present, err)
-		}
-	}
-}
 
 // damagePack picks one pack file of a compacted store and rewrites it
 // through fn, returning the pack's path.

@@ -6,25 +6,23 @@ package store
 //
 // On-disk state under the store root:
 //
-//	<ab>/<key>      loose record files, written by Put (stage-then-rename)
+//	<ab>/<key>      loose record files, written by Put
 //	pack/<ab>.pack  packed shards: records concatenated in key order,
 //	                written only by Compact
 //	index           index snapshot: header, sorted entry lines, integrity
 //	                trailer
 //	journal         entry lines appended since the snapshot (one per
 //	                Put/Delete; vfs.Append keeps each line atomic)
-//	tmp/            staging area for stage-then-rename writes
-//	lock            maintenance lockfile (exclusive-create) held while
-//	                compacting or persisting a rescan
 //
-// Writers stay lock-free: Put commits a complete record file by rename and
-// then appends one line to the journal, so any number of processes can
-// write concurrently; the index snapshot is only rewritten by maintenance
-// operations (Compact, self-heal rescans), which serialize on the
-// lockfile. Readers treat the index as a cache over the record files: a
-// missing or corrupt snapshot, an unparseable journal, or an entry whose
-// bytes fail verification all fall back to the files themselves and
-// trigger a rescan — a damaged index can cost time, never a wrong replay.
+// The Store owning the root is its only writer, and its mutex serializes
+// every write: Put writes a whole record file and appends one journal
+// line; maintenance (Compact, a packed Delete, a self-heal rescan)
+// rewrites the snapshot and empties the journal. The in-memory index is
+// loaded once and kept current by the store's own writes. It is still a
+// cache over the record files: a missing or corrupt snapshot, an
+// unparseable journal, or an entry whose bytes fail verification all fall
+// back to the files themselves and trigger a rescan — a damaged index can
+// cost time, never a wrong replay.
 
 import (
 	"bytes"
@@ -35,7 +33,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"fex/internal/vfs"
 )
@@ -44,7 +41,6 @@ const (
 	indexMagic  = "FEXINDEX|1"
 	indexFile   = "index"
 	journalFile = "journal"
-	lockFile    = "lock"
 	packDir     = "pack"
 	// tombstone marks a deleted key in the journal (never in a snapshot).
 	tombstone = "-"
@@ -65,7 +61,6 @@ type indexEntry struct {
 
 func (s *Store) indexPath() string   { return s.root + "/" + indexFile }
 func (s *Store) journalPath() string { return s.root + "/" + journalFile }
-func (s *Store) lockPath() string    { return s.root + "/" + lockFile }
 
 func isLowerHex(s string) bool {
 	for i := 0; i < len(s); i++ {
@@ -238,25 +233,12 @@ func applyJournal(entries map[string]indexEntry, data []byte) error {
 	return nil
 }
 
-// syncLocked brings the in-memory index up to date: a full load on first
-// use, a cheap journal-tail refresh afterwards. Callers hold s.mu.
-func (s *Store) syncLocked() error {
-	if !s.loaded {
-		return s.loadLocked()
-	}
-	return s.refreshLocked()
-}
-
 // loadLocked (re)builds the in-memory index from the snapshot and journal
 // files. A missing snapshot with a journal is normal (no maintenance has
 // run yet); a snapshot or journal that fails to parse, or record files
 // with no index state at all (a store written before the index existed),
 // trigger a self-heal rescan.
 func (s *Store) loadLocked() error {
-	if !s.opened {
-		s.opened = true
-		s.sweepTmpLocked()
-	}
 	iData, err := s.fsys.ReadFile(s.indexPath())
 	haveSnap := err == nil
 	if err != nil && !errors.Is(err, vfs.ErrNotExist) {
@@ -285,35 +267,7 @@ func (s *Store) loadLocked() error {
 	}
 	s.gen = gen
 	s.entries = entries
-	s.snapRaw = iData
-	s.journal = jData
 	s.loaded = true
-	return nil
-}
-
-// refreshLocked syncs the in-memory index with writes from other store
-// instances (other processes sharing the filesystem): if the journal has
-// only grown, the new tail is replayed in place; anything else — a new
-// snapshot, a truncated journal — means maintenance ran elsewhere, and the
-// whole index is reloaded.
-func (s *Store) refreshLocked() error {
-	jData, err := s.fsys.ReadFile(s.journalPath())
-	if err != nil && !errors.Is(err, vfs.ErrNotExist) {
-		return fmt.Errorf("store: journal: %w", err)
-	}
-	iData, ierr := s.fsys.ReadFile(s.indexPath())
-	if ierr != nil && !errors.Is(ierr, vfs.ErrNotExist) {
-		return fmt.Errorf("store: index: %w", ierr)
-	}
-	if !bytes.Equal(iData, s.snapRaw) || !bytes.HasPrefix(jData, s.journal) {
-		return s.loadLocked()
-	}
-	if delta := jData[len(s.journal):]; len(delta) > 0 {
-		if err := applyJournal(s.entries, delta); err != nil {
-			return s.rescanLocked()
-		}
-		s.journal = jData
-	}
 	return nil
 }
 
@@ -334,13 +288,6 @@ func (s *Store) hasRecordFiles() bool {
 		}
 	}
 	return false
-}
-
-// sweepTmpLocked clears staging files stranded by a crash between stage
-// and commit. It runs once per store instance, at open, so it cannot race
-// a live writer's in-flight staging file from this instance.
-func (s *Store) sweepTmpLocked() {
-	_ = s.fsys.RemoveAll(s.root + "/" + tmpDir)
 }
 
 // scanRec is one record discovered by scanFiles.
@@ -429,10 +376,7 @@ func (s *Store) scanFiles() (map[string]scanRec, error) {
 }
 
 // rescanLocked rebuilds the index from the record files themselves — the
-// self-heal path behind every index disagreement. The rebuilt snapshot is
-// persisted when the maintenance lock is free; otherwise (another process
-// mid-maintenance) the rebuild stays in-memory and the current on-disk
-// state is cached as the refresh baseline.
+// self-heal path behind every index disagreement — and persists it.
 func (s *Store) rescanLocked() error {
 	recs, err := s.scanFiles()
 	if err != nil {
@@ -445,54 +389,17 @@ func (s *Store) rescanLocked() error {
 	s.entries = entries
 	s.gen++
 	s.loaded = true
-	if s.tryLock() {
-		defer s.unlock()
-		return s.persistLocked()
-	}
-	// Could not persist: remember the on-disk bytes as seen so refreshes
-	// stay quiet until maintenance elsewhere actually changes them.
-	s.snapRaw, _ = s.fsys.ReadFile(s.indexPath())
-	s.journal, _ = s.fsys.ReadFile(s.journalPath())
-	return nil
+	return s.persistLocked()
 }
 
 // persistLocked writes the in-memory index as a fresh snapshot and resets
-// the journal. Callers hold the maintenance lockfile.
+// the journal. Callers hold s.mu.
 func (s *Store) persistLocked() error {
-	s.snapRaw = encodeIndex(s.gen, s.entries)
-	if err := s.fsys.WriteFile(s.indexPath(), s.snapRaw, 0o644); err != nil {
+	if err := s.fsys.WriteFile(s.indexPath(), encodeIndex(s.gen, s.entries), 0o644); err != nil {
 		return fmt.Errorf("store: index: %w", err)
 	}
 	if err := s.fsys.WriteFile(s.journalPath(), nil, 0o644); err != nil {
 		return fmt.Errorf("store: journal: %w", err)
 	}
-	s.journal = nil
 	return nil
-}
-
-// tryLock attempts to take the maintenance lockfile without blocking.
-func (s *Store) tryLock() bool {
-	return s.fsys.WriteFileExcl(s.lockPath(), []byte("fex maintenance\n"), 0o644) == nil
-}
-
-func (s *Store) unlock() {
-	_ = s.fsys.Remove(s.lockPath())
-}
-
-// lockMaint acquires the maintenance lockfile, spinning briefly and then
-// breaking the lock. The filesystem has no lease expiry, so a lockfile
-// left by a crashed maintenance run would wedge the store forever;
-// breaking a (rare) live lock instead makes two maintenance runs race,
-// which is safe — both are idempotent rebuilds from the record files.
-func (s *Store) lockMaint() {
-	for i := 0; i < 200; i++ {
-		if s.tryLock() {
-			return
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	s.unlock()
-	if !s.tryLock() {
-		_ = s.fsys.WriteFile(s.lockPath(), []byte("fex maintenance (taken over)\n"), 0o644)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"fex/internal/vfs"
@@ -18,162 +17,42 @@ func fpN(i int) Fingerprint {
 	return fp
 }
 
-// TestTwoWritersShareStore is the multi-process write-safety proof: two
-// Store instances over the same filesystem — the moral equivalent of two
-// fex processes sharing a --state file — write concurrently, including
-// overlapping keys, and a third instance opened afterwards sees every
-// record intact. Run under -race in CI.
-func TestTwoWritersShareStore(t *testing.T) {
-	fsys := vfs.New()
-	a := New(fsys, "/fex/store")
-	b := New(fsys, "/fex/store")
-	// Load both instances before racing: the tmp/ sweep at open is
-	// per-instance and must not fire mid-write.
-	for _, s := range []*Store{a, b} {
-		if _, err := s.Keys(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const n = 24
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		for _, s := range []*Store{a, b} {
-			wg.Add(1)
-			go func(s *Store, i int) {
-				defer wg.Done()
-				// Both instances put the same key set: same-key collisions
-				// must resolve to a complete record, never a torn one.
-				if err := s.Put(fpN(i), []byte(fmt.Sprintf("payload%03d", i))); err != nil {
-					t.Errorf("put %d: %v", i, err)
-				}
-			}(s, i)
-		}
-	}
-	wg.Wait()
-	// A third "process" opens the store cold and must see all n records.
-	c := New(fsys, "/fex/store")
-	keys, err := c.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != n {
-		t.Fatalf("third instance sees %d keys, want %d", len(keys), n)
-	}
-	for i := 0; i < n; i++ {
-		payload, present, err := c.Get(fpN(i))
-		if err != nil || !present {
-			t.Fatalf("record %d: present=%t err=%v", i, present, err)
-		}
-		if want := fmt.Sprintf("payload%03d", i); string(payload) != want {
-			t.Errorf("record %d payload %q, want %q", i, payload, want)
-		}
-		// BulkGet must agree.
-	}
-	results, err := c.BulkGet([]Fingerprint{fpN(0), fpN(n - 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.Present || r.Err != nil {
-			t.Errorf("bulk result %d: present=%t err=%v", i, r.Present, r.Err)
-		}
-	}
-	// No staging leftovers survived the collision storm.
-	if entries, err := fsys.ReadDir("/fex/store/" + tmpDir); err == nil && len(entries) != 0 {
-		t.Errorf("%d staging leftovers after concurrent puts", len(entries))
-	}
-}
-
-// TestConcurrentCompacts pins maintenance serialization: two instances
-// compacting at once must both succeed (the lockfile serializes or the
-// stale-break takes over) and leave a store that still resolves every
-// record.
-func TestConcurrentCompacts(t *testing.T) {
-	fsys := vfs.New()
-	a := New(fsys, "/fex/store")
-	const n = 12
-	for i := 0; i < n; i++ {
-		if err := a.Put(fpN(i), []byte("p")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := New(fsys, "/fex/store")
-	var wg sync.WaitGroup
-	for _, s := range []*Store{a, b} {
-		wg.Add(1)
-		go func(s *Store) {
-			defer wg.Done()
-			if _, err := s.Compact(nil); err != nil {
-				t.Errorf("compact: %v", err)
-			}
-		}(s)
-	}
-	wg.Wait()
-	c := New(fsys, "/fex/store")
-	for i := 0; i < n; i++ {
-		if _, present, err := c.Get(fpN(i)); !present || err != nil {
-			t.Fatalf("record %d after dueling compacts: present=%t err=%v", i, present, err)
-		}
-	}
-	if fsys.Exists("/fex/store/" + lockFile) {
-		t.Error("maintenance lockfile leaked")
-	}
-}
-
-// TestPutCleansStagingOnCommitFailure is the staging-leak fault-injection
-// test: when MkdirAll or Rename fails mid-Put, the staged file must be
-// removed, not stranded in tmp/ forever.
+// TestPutCleansStagingOnCommitFailure is the failed-write fault-injection
+// test: when the record file cannot be written mid-Put, the Put fails,
+// nothing is journaled, and no key appears — in this store or in one
+// reopened over the same files.
 func TestPutCleansStagingOnCommitFailure(t *testing.T) {
 	fp := testFingerprint()
 	key := fp.Key()
-
-	// Rename fails: a directory squats on the record's final path.
-	s, fsys := newTestStore(t)
-	if err := fsys.MkdirAll("/fex/store/" + key[:2] + "/" + key); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(fp, []byte("p")); err == nil {
-		t.Fatal("put over a directory succeeded")
-	}
-	if entries, err := fsys.ReadDir("/fex/store/" + tmpDir); err == nil && len(entries) != 0 {
-		t.Errorf("rename failure stranded %d staging files", len(entries))
-	}
-
-	// MkdirAll fails: a file squats on the shard directory's path.
-	s2, fsys2 := newTestStore(t)
-	if err := fsys2.WriteFile("/fex/store/"+key[:2], []byte("squatter"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Put(fp, []byte("p")); err == nil {
-		t.Fatal("put through a file-squatted shard dir succeeded")
-	}
-	if entries, err := fsys2.ReadDir("/fex/store/" + tmpDir); err == nil && len(entries) != 0 {
-		t.Errorf("mkdir failure stranded %d staging files", len(entries))
-	}
-}
-
-// TestOpenSweepsStrandedStaging simulates a crash between stage and
-// commit: a file left in tmp/ by a dead process is swept when the next
-// store instance opens.
-func TestOpenSweepsStrandedStaging(t *testing.T) {
-	fsys := vfs.New()
-	a := New(fsys, "/fex/store")
-	if err := a.Put(testFingerprint(), []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	// The "crash": a staged record that never got renamed into place.
-	if err := fsys.WriteFile("/fex/store/"+tmpDir+"/deadbeef.1", []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b := New(fsys, "/fex/store")
-	if _, err := b.Keys(); err != nil {
-		t.Fatal(err)
-	}
-	if fsys.Exists("/fex/store/" + tmpDir + "/deadbeef.1") {
-		t.Error("stranded staging file survived store open")
-	}
-	if _, present, err := b.Get(testFingerprint()); !present || err != nil {
-		t.Errorf("real record lost to the sweep: present=%t err=%v", present, err)
+	for _, tc := range []struct {
+		name  string
+		squat func(fsys *vfs.FS) error
+	}{
+		// A directory squats on the record's final path.
+		{"dir on record", func(fsys *vfs.FS) error { return fsys.MkdirAll("/fex/store/" + key[:2] + "/" + key) }},
+		// A file squats on the shard directory's path.
+		{"file on shard", func(fsys *vfs.FS) error {
+			return fsys.WriteFile("/fex/store/"+key[:2], []byte("squatter"), 0o644)
+		}},
+	} {
+		s, fsys := newTestStore(t)
+		if _, err := s.Keys(); err != nil { // load the index first
+			t.Fatal(err)
+		}
+		if err := tc.squat(fsys); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(fp, []byte("p")); err == nil {
+			t.Fatalf("%s: put succeeded", tc.name)
+		}
+		if j, err := fsys.ReadFile("/fex/store/" + journalFile); err == nil && len(j) != 0 {
+			t.Errorf("%s: failed put journaled %q", tc.name, j)
+		}
+		for _, st := range []*Store{s, New(fsys, "/fex/store")} {
+			if keys, err := st.Keys(); err != nil || len(keys) != 0 {
+				t.Errorf("%s: keys after failed put: %v, %v", tc.name, keys, err)
+			}
+		}
 	}
 }
 

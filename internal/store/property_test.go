@@ -11,10 +11,11 @@ import (
 
 // TestBulkGetEquivalentToGet is the property test behind the plan-ahead
 // path: for arbitrary API-driven store states — random interleavings of
-// Put, Delete, Compact, and overwrites, observed from randomly chosen
-// store instances — BulkGet over an arbitrary fingerprint set returns
-// exactly what per-key Get returns for each fingerprint. The seed is fixed
-// so failures replay deterministically.
+// Put, Delete, Compact, and overwrites on one store — BulkGet over an
+// arbitrary fingerprint set returns exactly what per-key Get returns for
+// each fingerprint, both on the store that made the state and on a fresh
+// store reopened over the same files. The seed is fixed so failures
+// replay deterministically.
 func TestBulkGetEquivalentToGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const universe = 40 // fingerprints the generator draws from
@@ -24,12 +25,9 @@ func TestBulkGetEquivalentToGet(t *testing.T) {
 	}
 	for iter := 0; iter < 50; iter++ {
 		fsys := vfs.New()
-		// Two instances over one filesystem: operations land on either, so
-		// the property also covers cross-instance index staleness.
-		stores := []*Store{New(fsys, "/fex/store"), New(fsys, "/fex/store")}
+		s := New(fsys, "/fex/store")
 		ops := 5 + rng.Intn(40)
 		for i := 0; i < ops; i++ {
-			s := stores[rng.Intn(len(stores))]
 			fp := fps[rng.Intn(universe)]
 			switch rng.Intn(10) {
 			case 0, 1:
@@ -47,28 +45,44 @@ func TestBulkGetEquivalentToGet(t *testing.T) {
 				}
 			}
 		}
-		// Query an arbitrary subset (with duplicates) from an arbitrary
-		// instance and compare against per-key Get on the same instance.
-		reader := stores[rng.Intn(len(stores))]
+		// Query an arbitrary subset (with duplicates) and compare against
+		// per-key Get, on the writer and on a reopened store.
 		q := make([]Fingerprint, 1+rng.Intn(universe))
 		for i := range q {
 			q[i] = fps[rng.Intn(universe)]
 		}
-		results, err := reader.BulkGet(q)
-		if err != nil {
-			t.Fatalf("iter %d: bulkget: %v", iter, err)
-		}
-		for i, fp := range q {
-			payload, present, gerr := reader.Get(fp)
-			r := results[i]
-			if r.Present != present {
-				t.Fatalf("iter %d, fp %s: bulk present=%t, get present=%t", iter, fp.Benchmark, r.Present, present)
+		var want []Result
+		for _, reader := range []*Store{s, New(fsys, "/fex/store")} {
+			name := "writer"
+			if reader != s {
+				name = "reopened"
 			}
-			if (r.Err == nil) != (gerr == nil) {
-				t.Fatalf("iter %d, fp %s: bulk err=%v, get err=%v", iter, fp.Benchmark, r.Err, gerr)
+			results, err := reader.BulkGet(q)
+			if err != nil {
+				t.Fatalf("iter %d, %s: bulkget: %v", iter, name, err)
 			}
-			if !bytes.Equal(r.Payload, payload) {
-				t.Fatalf("iter %d, fp %s: bulk payload %q, get payload %q", iter, fp.Benchmark, r.Payload, payload)
+			for i, fp := range q {
+				payload, present, gerr := reader.Get(fp)
+				r := results[i]
+				if r.Present != present {
+					t.Fatalf("iter %d, %s, fp %s: bulk present=%t, get present=%t", iter, name, fp.Benchmark, r.Present, present)
+				}
+				if (r.Err == nil) != (gerr == nil) {
+					t.Fatalf("iter %d, %s, fp %s: bulk err=%v, get err=%v", iter, name, fp.Benchmark, r.Err, gerr)
+				}
+				if !bytes.Equal(r.Payload, payload) {
+					t.Fatalf("iter %d, %s, fp %s: bulk payload %q, get payload %q", iter, name, fp.Benchmark, r.Payload, payload)
+				}
+			}
+			// The writer and the reopened store agree with each other too.
+			if want == nil {
+				want = results
+				continue
+			}
+			for i := range q {
+				if results[i].Present != want[i].Present || !bytes.Equal(results[i].Payload, want[i].Payload) {
+					t.Fatalf("iter %d, fp %s: writer and reopened store disagree", iter, q[i].Benchmark)
+				}
 			}
 		}
 	}

@@ -7,18 +7,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"fex/internal/vfs"
 )
 
 // Storage layout: one file per cell under root, sharded by the first key
-// byte pair (root/ab/abcdef...) so directory listings stay shallow, plus a
-// tmp/ staging area for the write-then-rename idiom.
-const (
-	recordMagic = "FEXSTORE|1"
-	tmpDir      = "tmp"
-)
+// byte pair (root/ab/abcdef...) so directory listings stay shallow.
+const recordMagic = "FEXSTORE|1"
 
 // Common errors, matchable with errors.Is.
 var (
@@ -170,24 +165,21 @@ func decodeNext(data []byte) (Record, int, error) {
 // SaveState/LoadState persistence (the CLI's --state file) carries the
 // store across invocations for free.
 //
-// Multiple Store instances (concurrent goroutines, or separate processes
-// sharing the filesystem through a --state file) may read and write the
-// same root concurrently: record writes commit by rename and announce
-// themselves through an append-only journal, and every instance treats its
-// in-memory index as a cache it can refresh or rebuild from the files (see
-// index.go).
+// A Store is the single owner of its root: one mutex guards both its
+// in-memory index and every write to the files under root, and no other
+// writer touches them. Goroutines share one Store, never two Stores over
+// one root. A --state file is loaded and saved whole, so two processes
+// never share a root either: whichever saves last wins. After the files
+// are replaced wholesale (Fex.LoadState), Reload drops the index so the
+// next operation rebuilds it from them (see index.go).
 type Store struct {
 	fsys *vfs.FS
 	root string
 
 	mu      sync.Mutex
-	opened  bool                  // tmp/ swept (once per instance)
 	loaded  bool                  // entries reflect snapshot+journal
 	gen     int64                 // snapshot generation counter
 	entries map[string]indexEntry // key → record location
-	snapRaw []byte                // snapshot bytes entries were built from
-	journal []byte                // journal bytes already applied
-	seq     atomic.Uint64         // staging-name uniquifier
 }
 
 // New returns a store rooted at root inside fsys.
@@ -195,53 +187,43 @@ func New(fsys *vfs.FS, root string) *Store {
 	return &Store{fsys: fsys, root: root}
 }
 
+// Reload drops the in-memory index, so the next operation rebuilds it from
+// the snapshot and journal under root — the call to make after those files
+// were replaced behind the store's back.
+func (s *Store) Reload() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loaded = false
+	s.entries = nil
+}
+
 // path returns the record file for a key, sharded by its first byte pair.
 func (s *Store) path(key string) string {
 	return s.root + "/" + key[:2] + "/" + key
 }
 
-// Put persists one cell under its fingerprint's content address. The write
-// goes to a staging file first and is renamed into place, so concurrent
-// readers under the vfs lock observe either no record or a complete one;
-// the committed record is then announced to other store instances through
-// one atomic journal append, keeping Put lock-free across processes.
-// Re-putting an existing fingerprint overwrites it (same key, same
-// context — the newer measurement batch wins). A staging file whose commit
-// fails is removed, not stranded.
+// Put persists one cell under its fingerprint's content address: one
+// whole-file write of the record, then one journal append announcing it.
+// Both run under the store's lock, and vfs.WriteFile replaces the file
+// whole under the filesystem's lock, so no reader and no saved state sees
+// a torn record. Re-putting an existing fingerprint overwrites it (same
+// key, same context — the newer measurement batch wins). A record whose
+// write fails is not journaled.
 func (s *Store) Put(fp Fingerprint, payload []byte) error {
 	key := fp.Key()
 	data := Encode(Record{Fingerprint: fp, Payload: payload})
-	// Stage under a per-call unique name: concurrent writers may put the
-	// same key simultaneously, and each must stage privately.
-	var tmp string
-	for {
-		tmp = fmt.Sprintf("%s/%s/%s.%d", s.root, tmpDir, key, s.seq.Add(1))
-		err := s.fsys.WriteFileExcl(tmp, data, 0o644)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, vfs.ErrExist) {
-			return fmt.Errorf("store: stage %s: %w", key, err)
-		}
-	}
-	final := s.path(key)
-	if err := s.fsys.MkdirAll(final[:strings.LastIndexByte(final, '/')]); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.fsys.Rename(tmp, final); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return fmt.Errorf("store: commit %s: %w", key, err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.fsys.WriteFile(s.path(key), data, 0o644); err != nil {
+		return fmt.Errorf("store: put %s: %w", key, err)
 	}
 	e := looseEntry(key, data)
 	if _, err := s.fsys.Append(s.journalPath(), []byte(formatEntry(key, e))); err != nil {
 		return fmt.Errorf("store: journal %s: %w", key, err)
 	}
-	s.mu.Lock()
 	if s.loaded {
 		s.entries[key] = e
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -253,26 +235,22 @@ func (s *Store) Put(fp Fingerprint, payload []byte) error {
 //
 // The index fast path only serves records that live inside pack files; a
 // loose record is read from its own file exactly as before the index
-// existed, so tampering semantics and cross-process visibility are
-// unchanged. An index entry that promises a record Get cannot read
-// triggers one self-heal rescan before the miss is final.
+// existed, so tampering semantics are unchanged. An index entry that
+// promises a record Get cannot read triggers one self-heal rescan before
+// the miss is final.
 func (s *Store) Get(fp Fingerprint) ([]byte, bool, error) {
-	return s.get(fp, true)
-}
-
-func (s *Store) get(fp Fingerprint, retry bool) ([]byte, bool, error) {
-	key := fp.Key()
 	s.mu.Lock()
-	err := s.ensureLoadedLocked()
-	var e indexEntry
-	var indexed bool
-	if err == nil {
-		e, indexed = s.entries[key]
-	}
-	s.mu.Unlock()
-	if err != nil {
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
 		return nil, false, err
 	}
+	return s.getLocked(fp, true)
+}
+
+// getLocked is Get with the index loaded. Callers hold s.mu.
+func (s *Store) getLocked(fp Fingerprint, retry bool) ([]byte, bool, error) {
+	key := fp.Key()
+	e, indexed := s.entries[key]
 	if indexed && e.file == packDir+"/"+key[:2]+".pack" {
 		if payload, perr := s.readPacked(fp, key, e); perr == nil {
 			return payload, true, nil
@@ -296,13 +274,10 @@ func (s *Store) get(fp Fingerprint, retry bool) ([]byte, bool, error) {
 	}
 	if indexed && retry {
 		// The index promised a record nothing holds: self-heal and retry.
-		s.mu.Lock()
-		herr := s.rescanLocked()
-		s.mu.Unlock()
-		if herr != nil {
-			return nil, false, herr
+		if err := s.rescanLocked(); err != nil {
+			return nil, false, err
 		}
-		return s.get(fp, false)
+		return s.getLocked(fp, false)
 	}
 	return nil, false, nil
 }
@@ -350,22 +325,17 @@ func (s *Store) ensureLoadedLocked() error {
 // Delete removes one fingerprint's record; deleting an absent record is
 // not an error. The emptied shard directory is pruned so Walk-based
 // consumers never traverse a growing set of husks, and the deletion is
-// journaled so other instances observe it.
+// journaled so a reopened store does not resurrect it.
 func (s *Store) Delete(fp Fingerprint) error {
 	key := fp.Key()
 	s.mu.Lock()
-	err := s.syncLocked()
-	var e indexEntry
-	var indexed bool
-	if err == nil {
-		e, indexed = s.entries[key]
-	}
-	s.mu.Unlock()
-	if err != nil {
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
 		return err
 	}
+	e, indexed := s.entries[key]
 	if indexed && e.file == packDir+"/"+key[:2]+".pack" {
-		return s.deletePacked(key)
+		return s.deletePackedLocked(key, e)
 	}
 	if err := s.removeLoose(key); err != nil {
 		return err
@@ -374,9 +344,7 @@ func (s *Store) Delete(fp Fingerprint) error {
 		if _, err := s.fsys.Append(s.journalPath(), []byte(formatTombstone(key))); err != nil {
 			return fmt.Errorf("store: journal %s: %w", key, err)
 		}
-		s.mu.Lock()
 		delete(s.entries, key)
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -399,31 +367,11 @@ func (s *Store) pruneShardDir(shard string) {
 	}
 }
 
-// deletePacked removes a record that lives inside a pack file: under the
-// maintenance lock, the pack is rewritten without the record (or removed
-// outright when that empties it) and a fresh snapshot is persisted, since
-// the surviving records' offsets shift.
-func (s *Store) deletePacked(key string) error {
-	s.lockMaint()
-	defer s.unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadLocked(); err != nil {
-		return err
-	}
-	e, indexed := s.entries[key]
-	if !indexed {
-		return nil
-	}
-	if e.file != packDir+"/"+key[:2]+".pack" {
-		// Re-puts moved the record back to a loose file meanwhile.
-		if err := s.removeLoose(key); err != nil {
-			return err
-		}
-		delete(s.entries, key)
-		s.gen++
-		return s.persistLocked()
-	}
+// deletePackedLocked removes a record that lives inside a pack file: the
+// pack is rewritten without the record (or removed outright when that
+// empties it) and a fresh snapshot is persisted, since the surviving
+// records' offsets shift. Callers hold s.mu.
+func (s *Store) deletePackedLocked(key string, e indexEntry) error {
 	packPath := s.root + "/" + e.file
 	data, err := s.fsys.ReadFile(packPath)
 	if err != nil {
@@ -460,7 +408,7 @@ func (s *Store) deletePacked(key string) error {
 func (s *Store) Keys() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.syncLocked(); err != nil {
+	if err := s.ensureLoadedLocked(); err != nil {
 		return nil, err
 	}
 	keys := make([]string, 0, len(s.entries))
@@ -478,42 +426,35 @@ func (s *Store) Keys() ([]string, error) {
 // ErrCorrupt / ErrMismatch in its chain) rather than leaking into a
 // cross-run analysis.
 func (s *Store) Records() ([]Record, error) {
-	return s.records(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
+		return nil, err
+	}
+	return s.recordsLocked(true)
 }
 
-func (s *Store) records(retry bool) ([]Record, error) {
-	s.mu.Lock()
-	err := s.syncLocked()
+// recordsLocked is Records with the index loaded. Callers hold s.mu.
+func (s *Store) recordsLocked(retry bool) ([]Record, error) {
 	keys := make([]string, 0, len(s.entries))
-	entries := make(map[string]indexEntry, len(s.entries))
-	if err == nil {
-		for k, e := range s.entries {
-			keys = append(keys, k)
-			entries[k] = e
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	for k := range s.entries {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]Record, 0, len(keys))
 	cache := map[string][]byte{}
 	for _, key := range keys {
-		e := entries[key]
+		e := s.entries[key]
 		data, cached := cache[e.file]
 		if !cached {
 			d, rerr := s.fsys.ReadFile(s.root + "/" + e.file)
 			if rerr != nil {
 				if errors.Is(rerr, vfs.ErrNotExist) && retry {
 					// A file the index promised is gone: self-heal once.
-					s.mu.Lock()
-					herr := s.rescanLocked()
-					s.mu.Unlock()
-					if herr != nil {
+					if herr := s.rescanLocked(); herr != nil {
 						return nil, herr
 					}
-					return s.records(false)
+					return s.recordsLocked(false)
 				}
 				return nil, fmt.Errorf("store: %w", rerr)
 			}
@@ -574,7 +515,6 @@ func (s *Store) Clean() error {
 		return fmt.Errorf("store: clean: %w", err)
 	}
 	s.entries = map[string]indexEntry{}
-	s.snapRaw, s.journal = nil, nil
 	s.gen = 0
 	s.loaded = true
 	return nil

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -241,39 +242,49 @@ func TestStoreDeleteKeysStatsClean(t *testing.T) {
 	}
 }
 
-// TestStoreNoStagingLeftovers asserts Put's write-then-rename leaves no
-// tmp files behind, and that staged files never show up as keys.
+// TestStoreNoStagingLeftovers asserts Put writes nothing but the record
+// file and the journal line, and that a stray file under the root never
+// shows up as a key.
 func TestStoreNoStagingLeftovers(t *testing.T) {
 	s, fsys := newTestStore(t)
-	if err := s.Put(testFingerprint(), []byte("p")); err != nil {
+	fp := testFingerprint()
+	if err := s.Put(fp, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := fsys.ReadDir("/fex/store/" + tmpDir)
-	if err != nil {
+	var paths []string
+	if err := fsys.Walk("/fex/store", func(st vfs.Stat) error {
+		if !st.IsDir {
+			paths = append(paths, st.Path)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Errorf("%d staged leftovers", len(entries))
+	want := []string{"/fex/store/" + fp.Key()[:2] + "/" + fp.Key(), "/fex/store/" + journalFile}
+	sort.Strings(want)
+	if fmt.Sprint(paths) != fmt.Sprint(want) {
+		t.Errorf("files after put: %v, want %v", paths, want)
 	}
-	// Plant a stranded staging file (a crash between write and rename):
-	// it must not be listed as a record.
-	if err := fsys.WriteFile("/fex/store/"+tmpDir+"/stranded", []byte("x"), 0o644); err != nil {
+	if err := fsys.WriteFile("/fex/store/tmp/stranded", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := s.Keys()
+	keys, err := New(fsys, "/fex/store").Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != 1 {
-		t.Errorf("keys %v include staging leftovers", keys)
+		t.Errorf("keys %v include a stray file", keys)
 	}
 }
 
+// TestStoreConcurrentPuts races Puts on one store under -race: distinct
+// keys all land, and concurrent Puts of the same key resolve to one
+// complete record, never a torn one.
 func TestStoreConcurrentPuts(t *testing.T) {
-	s, _ := newTestStore(t)
+	s, fsys := newTestStore(t)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
 			fp := testFingerprint()
@@ -282,14 +293,32 @@ func TestStoreConcurrentPuts(t *testing.T) {
 				t.Errorf("put %d: %v", i, err)
 			}
 		}(i)
+		go func(i int) {
+			defer wg.Done()
+			if err := s.Put(testFingerprint(), []byte(fmt.Sprintf("same%02d", i))); err != nil {
+				t.Errorf("same-key put %d: %v", i, err)
+			}
+		}(i)
 	}
 	wg.Wait()
 	keys, err := s.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 16 {
-		t.Errorf("%d keys, want 16", len(keys))
+	if len(keys) != 17 {
+		t.Errorf("%d keys, want 17", len(keys))
+	}
+	// The same-key winner is whole, and the index agrees with the file:
+	// both this store and a reopened one return it.
+	for _, st := range []*Store{s, New(fsys, "/fex/store")} {
+		payload, present, err := st.Get(testFingerprint())
+		if err != nil || !present || !strings.HasPrefix(string(payload), "same") || len(payload) != len("same00") {
+			t.Fatalf("same-key record: %q present=%t err=%v", payload, present, err)
+		}
+		res, err := st.BulkGet([]Fingerprint{testFingerprint()})
+		if err != nil || !res[0].Present || string(res[0].Payload) != string(payload) {
+			t.Fatalf("bulk same-key record: %+v err=%v, want %q", res, err, payload)
+		}
 	}
 }
 

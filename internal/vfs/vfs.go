@@ -29,8 +29,6 @@ import (
 var (
 	// ErrNotExist reports that a path does not exist.
 	ErrNotExist = errors.New("file does not exist")
-	// ErrExist reports that a path already exists.
-	ErrExist = errors.New("file already exists")
 	// ErrIsDir reports that a file operation was attempted on a directory.
 	ErrIsDir = errors.New("is a directory")
 	// ErrNotDir reports that a directory operation was attempted on a file.
@@ -271,37 +269,6 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 	return nil
 }
 
-// WriteFileExcl writes data to the named file like WriteFile, but fails
-// with ErrExist if the file already exists. The existence check and the
-// create happen under one lock acquisition, giving callers an O_EXCL-style
-// primitive: of several concurrent creators of the same path, exactly one
-// succeeds. The result store's maintenance lockfile is built on it.
-func (f *FS) WriteFileExcl(p string, data []byte, mode fs.FileMode) error {
-	dir := path.Dir(path.Clean("/" + p))
-	if err := f.MkdirAll(dir); err != nil {
-		return err
-	}
-	f.ops.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(p)
-	if err != nil {
-		return &PathError{Op: "create", Path: p, Err: err}
-	}
-	if _, ok := parent.children[name]; ok {
-		return &PathError{Op: "create", Path: p, Err: ErrExist}
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	parent.children[name] = &node{
-		name:    name,
-		data:    buf,
-		mode:    mode,
-		modTime: f.now(),
-	}
-	return nil
-}
-
 // Append appends data to the named file, creating it (and parent
 // directories) if absent, and returns the offset at which the data landed
 // (the file's previous length). The read-modify-write happens under one
@@ -427,53 +394,6 @@ func (f *FS) Remove(p string) error {
 		return &PathError{Op: "remove", Path: p, Err: ErrNotEmpty}
 	}
 	delete(parent.children, name)
-	return nil
-}
-
-// Rename moves the entry at oldp to newp, replacing any existing file at
-// newp (like os.Rename). The destination's parent directories must exist;
-// renaming onto an existing directory, a directory onto an existing file,
-// or a directory into its own subtree is an error (matching os.Rename,
-// which would otherwise orphan the subtree as an unreachable cycle).
-// Renaming a path onto itself is a no-op. Combined with WriteFile it
-// gives callers the write-temp-then-rename idiom: the entry at newp is
-// either the old content or the complete new content, never a partial
-// state observable under the FS lock.
-func (f *FS) Rename(oldp, newp string) error {
-	f.ops.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	oldClean := path.Clean("/" + strings.TrimSpace(oldp))
-	newClean := path.Clean("/" + strings.TrimSpace(newp))
-	oldParent, oldName, err := f.walkParent(oldp)
-	if err != nil {
-		return &PathError{Op: "rename", Path: oldp, Err: err}
-	}
-	n, ok := oldParent.children[oldName]
-	if !ok {
-		return &PathError{Op: "rename", Path: oldp, Err: ErrNotExist}
-	}
-	if newClean == oldClean {
-		return nil
-	}
-	if n.isDir && strings.HasPrefix(newClean, oldClean+"/") {
-		return &PathError{Op: "rename", Path: newp, Err: fmt.Errorf("destination is inside source %q", oldClean)}
-	}
-	newParent, newName, err := f.walkParent(newp)
-	if err != nil {
-		return &PathError{Op: "rename", Path: newp, Err: err}
-	}
-	if existing, ok := newParent.children[newName]; ok {
-		if existing.isDir {
-			return &PathError{Op: "rename", Path: newp, Err: ErrIsDir}
-		}
-		if n.isDir {
-			return &PathError{Op: "rename", Path: newp, Err: ErrNotDir}
-		}
-	}
-	delete(oldParent.children, oldName)
-	n.name = newName
-	newParent.children[newName] = n
 	return nil
 }
 

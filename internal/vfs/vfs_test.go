@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -415,108 +414,6 @@ func TestQuickDigestStableUnderClone(t *testing.T) {
 	}
 }
 
-func TestRenameFile(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a/src.txt", []byte("payload"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/b/dst.txt", []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/a/src.txt", "/b/dst.txt"); err != nil {
-		t.Fatalf("Rename: %v", err)
-	}
-	if fs.Exists("/a/src.txt") {
-		t.Error("source survived rename")
-	}
-	got, err := fs.ReadFile("/b/dst.txt")
-	if err != nil || string(got) != "payload" {
-		t.Errorf("destination = %q, %v; want replaced content", got, err)
-	}
-	st, err := fs.Stat("/b/dst.txt")
-	if err != nil || st.Name != "dst.txt" || st.Mode != 0o600 {
-		t.Errorf("stat after rename: %+v, %v", st, err)
-	}
-}
-
-func TestRenameDirectory(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a/d/f.txt", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MkdirAll("/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/a/d", "/b/moved"); err != nil {
-		t.Fatalf("Rename dir: %v", err)
-	}
-	if _, err := fs.ReadFile("/b/moved/f.txt"); err != nil {
-		t.Errorf("moved child unreadable: %v", err)
-	}
-	if fs.Exists("/a/d") {
-		t.Error("source dir survived rename")
-	}
-}
-
-func TestRenameErrors(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a/f.txt", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MkdirAll("/dir"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/missing", "/a/g.txt"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("missing source: %v", err)
-	}
-	if err := fs.Rename("/a/f.txt", "/nodir/g.txt"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("missing destination parent: %v", err)
-	}
-	if err := fs.Rename("/a/f.txt", "/dir"); !errors.Is(err, ErrIsDir) {
-		t.Errorf("rename onto directory: %v", err)
-	}
-	if err := fs.Rename("/dir", "/a/f.txt"); !errors.Is(err, ErrNotDir) {
-		t.Errorf("rename directory onto file: %v", err)
-	}
-	if got, err := fs.ReadFile("/a/f.txt"); err != nil || string(got) != "x" {
-		t.Errorf("failed renames must not move the source: %q, %v", got, err)
-	}
-}
-
-// TestRenameIntoOwnSubtree pins the cycle guard: moving a directory into
-// its own subtree must fail (os.Rename gives EINVAL) instead of silently
-// detaching the subtree into an unreachable cycle.
-func TestRenameIntoOwnSubtree(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a/b/f.txt", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/a", "/a/b/c"); err == nil {
-		t.Fatal("rename into own subtree accepted")
-	}
-	if _, err := fs.ReadFile("/a/b/f.txt"); err != nil {
-		t.Errorf("subtree lost after rejected rename: %v", err)
-	}
-}
-
-// TestRenameOntoSelf pins the no-op: renaming any entry onto itself
-// succeeds and changes nothing, like os.Rename.
-func TestRenameOntoSelf(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/d/f.txt", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename("/d/f.txt", "/d/f.txt"); err != nil {
-		t.Errorf("file self-rename: %v", err)
-	}
-	if err := fs.Rename("/d", "/d"); err != nil {
-		t.Errorf("directory self-rename: %v", err)
-	}
-	if got, err := fs.ReadFile("/d/f.txt"); err != nil || string(got) != "x" {
-		t.Errorf("self-rename perturbed the tree: %q, %v", got, err)
-	}
-}
-
 // TestAppend pins the journal primitive: appends accumulate in order, each
 // returning the offset its bytes landed at, the file springs into existence
 // (parents included) on first append, and appending to a directory fails.
@@ -572,38 +469,6 @@ func TestAppendConcurrent(t *testing.T) {
 		if end > int64(len(data)) || string(data[offs[i]:end]) != lines[i] {
 			t.Errorf("offset %d does not address line %d", offs[i], i)
 		}
-	}
-}
-
-// TestWriteFileExcl pins the O_EXCL primitive: the first creator wins, a
-// second create of the same path fails with ErrExist, and parents are
-// created as needed.
-func TestWriteFileExcl(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFileExcl("/locks/l", []byte("a"), 0o644); err != nil {
-		t.Fatalf("first create: %v", err)
-	}
-	if err := fs.WriteFileExcl("/locks/l", []byte("b"), 0o644); !errors.Is(err, ErrExist) {
-		t.Fatalf("second create: %v", err)
-	}
-	if got, _ := fs.ReadFile("/locks/l"); string(got) != "a" {
-		t.Errorf("losing create overwrote the file: %q", got)
-	}
-	// Concurrent creators: exactly one must win.
-	var wins atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if fs.WriteFileExcl("/locks/race", nil, 0o644) == nil {
-				wins.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if wins.Load() != 1 {
-		t.Errorf("exclusive create won %d times, want 1", wins.Load())
 	}
 }
 

@@ -23,7 +23,13 @@ type InstalledFunc func(artifact string) (bool, error)
 // System is the build subsystem: a registry of layered makefiles plus the
 // machinery to resolve them and compile benchmarks into artifacts.
 type System struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// tree orders writes into the build tree against its removal: Build
+	// writes a binary holding it shared, so builds stay parallel, and
+	// CleanBuild removes the tree holding it exclusively, so a removal
+	// cannot land between a write's parent-directory creation and the
+	// write itself.
+	tree      sync.RWMutex
 	makefiles map[string]*Makefile
 	compilers map[string]*toolchain.Compiler
 	installed InstalledFunc
@@ -293,7 +299,10 @@ func (s *System) Build(w workload.Workload, buildType string, debug bool) (*tool
 	if s.fs != nil {
 		binPath := fmt.Sprintf("%s/%s/%s/%s/%s", BuildRoot, w.Suite(), w.Name(), buildType, w.Name())
 		content := fmt.Sprintf("#!ELF %s %s\nhash=%s\n", w.Name(), buildType, artifact.BinaryHash)
-		if err := s.fs.WriteFile(binPath, []byte(content), 0o755); err != nil {
+		s.tree.RLock()
+		err := s.fs.WriteFile(binPath, []byte(content), 0o755)
+		s.tree.RUnlock()
+		if err != nil {
 			return nil, fmt.Errorf("build %s/%s: write binary: %w", w.Suite(), w.Name(), err)
 		}
 	}
@@ -317,7 +326,10 @@ func (s *System) CleanBuild() error {
 	fs := s.fs
 	s.mu.Unlock()
 	if fs != nil {
-		if err := fs.RemoveAll(BuildRoot); err != nil {
+		s.tree.Lock()
+		err := fs.RemoveAll(BuildRoot)
+		s.tree.Unlock()
+		if err != nil {
 			return fmt.Errorf("clean build tree: %w", err)
 		}
 	}

@@ -311,8 +311,8 @@ func (fx *Fex) CompactStore() (store.CompactStats, error) {
 // repetition records. Any drift here must miss the store rather than
 // replay measurements taken under a different model. The calibration
 // rendering is constant for the process, so its digest is computed once;
-// the per-call work is hashing a short fixed-size string (this runs up to
-// twice per cell, from concurrent scheduler workers).
+// the per-call work is hashing a short fixed-size string (once per run
+// plan, once per build and once per cluster image key).
 func (fx *Fex) costModelHash(cfg Config) string {
 	fx.calOnce.Do(func() {
 		sum := sha256.Sum256([]byte(toolchain.CalibrationCanonical()))

@@ -36,7 +36,9 @@ import (
 // positionally aligned with cells (canonical loop order).
 type runPlan struct {
 	cells []cell
-	fps   []store.Fingerprint
+	// fps holds each cell's fingerprint, rendered once for the plan's
+	// dedup, store lookup and store put.
+	fps []store.Cell
 	// shards holds, per position: the replayed shard (store hit) from plan
 	// time, the measured shard once the cell executes, or nil. Duplicate
 	// positions are backfilled from their canonical cell at commit time.
@@ -73,13 +75,14 @@ type runPlan struct {
 func planRun(rc *RunContext, cells []cell) *runPlan {
 	p := &runPlan{
 		cells:     cells,
-		fps:       make([]store.Fingerprint, len(cells)),
+		fps:       make([]store.Cell, len(cells)),
 		canon:     make([]int, len(cells)),
 		coldTypes: make(map[string]bool, len(rc.Config.BuildTypes)),
 	}
+	run := runFingerprint(rc.Fex, rc.Config)
 	makefiles := buildsys.Digest(rc.Fex.shippedMakefiles())
 	for i, c := range cells {
-		p.fps[i] = cellFingerprint(rc.Fex, rc.Config, c, makefiles)
+		p.fps[i] = store.NewCell(cellFingerprint(run, c, makefiles))
 		p.canon[i] = i
 	}
 	p.shards = planReplays(rc, cells, p.fps)

@@ -284,10 +284,7 @@ func TestResumeCorruptEntrySelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := fx.ResultStore().Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := storeKeys(t, fx)
 	if len(keys) == 0 {
 		t.Fatal("cold run stored nothing")
 	}
@@ -334,10 +331,7 @@ func TestResumePlantedRecordRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := fx.ResultStore().Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := storeKeys(t, fx)
 	if len(keys) != 1 {
 		t.Fatalf("%d store records, want 1", len(keys))
 	}
@@ -548,10 +542,7 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 	installAll(t, plain, "gcc-6.1")
 	runOn(t, plain, Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true})
-	keys, err := plain.ResultStore().Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := storeKeys(t, plain)
 	const wantKey = "8a439bfc583bedf469072be6b89bbae4fb62187ae51869cc11d3b80f5ee5830a"
 	if len(keys) != 1 || keys[0] != wantKey {
 		t.Errorf("default cell keys %v, want [%s]", keys, wantKey)
@@ -640,4 +631,18 @@ func TestLoadStateResetsStoreIndex(t *testing.T) {
 	if string(csv) != wantCSV {
 		t.Errorf("replayed CSV differs from the saved run's:\n--- saved ---\n%s\n--- replayed ---\n%s", wantCSV, csv)
 	}
+}
+
+// storeKeys lists the content addresses of fx's stored records, sorted.
+func storeKeys(t *testing.T, fx *Fex) []string {
+	t.Helper()
+	recs, err := fx.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Fingerprint.Key()
+	}
+	return keys
 }

@@ -66,15 +66,28 @@ func makeCells(buildTypes []string, benches []workload.Workload, dims string) []
 	return out
 }
 
+// runFingerprint is the part of a cell's fingerprint that every cell of a
+// run shares: the run's configuration surface, plus the framework's
+// cost-model hash so recalibrating the model (or flipping
+// debug/modeled-time mode) invalidates stored cells wholesale.
+func runFingerprint(fx *Fex, cfg Config) store.Fingerprint {
+	return store.Fingerprint{
+		Experiment: cfg.Experiment,
+		Threads:    cfg.Threads,
+		Reps:       repsSpec(cfg),
+		Input:      cfg.Input.String(),
+		Tool:       cfg.Tool,
+		ConfigHash: fx.costModelHash(cfg),
+	}
+}
+
 // cellFingerprint is the content address of one cell's measurements: the
-// full configuration surface that determines its run-log records, plus the
-// framework's cost-model hash so recalibrating the model (or flipping
-// debug/modeled-time mode) invalidates stored cells wholesale. makefiles
-// is the digest of the makefiles added or edited since New (empty when
-// there are none): it joins Dims, which compaction's keep predicate does
-// not read, so an edited makefile misses the store without the default
-// keys moving.
-func cellFingerprint(fx *Fex, cfg Config, c cell, makefiles string) store.Fingerprint {
+// run's shared fingerprint (runFingerprint) completed with the cell's
+// workload, build type and dimensions. makefiles is the digest of the
+// makefiles added or edited since New (empty when there are none): it
+// joins Dims, which compaction's keep predicate does not read, so an
+// edited makefile misses the store without the default keys moving.
+func cellFingerprint(run store.Fingerprint, c cell, makefiles string) store.Fingerprint {
 	dims := c.dims
 	if makefiles != "" {
 		if dims != "" {
@@ -82,33 +95,27 @@ func cellFingerprint(fx *Fex, cfg Config, c cell, makefiles string) store.Finger
 		}
 		dims += "makefiles=" + makefiles
 	}
-	return store.Fingerprint{
-		Experiment: cfg.Experiment,
-		Suite:      c.workload.Suite(),
-		Benchmark:  c.workload.Name(),
-		BuildType:  c.buildType,
-		Threads:    cfg.Threads,
-		Reps:       repsSpec(cfg),
-		Input:      cfg.Input.String(),
-		Tool:       cfg.Tool,
-		Dims:       dims,
-		ConfigHash: fx.costModelHash(cfg),
-	}
+	fp := run
+	fp.Suite = c.workload.Suite()
+	fp.Benchmark = c.workload.Name()
+	fp.BuildType = c.buildType
+	fp.Dims = dims
+	return fp
 }
 
 // planReplays resolves every cell's store lookup in one batched pass
-// before the run starts executing: one BulkGet over all cell fingerprints
-// (precomputed by the planner) syncs the index once and reads each
-// backing file once, instead of a per-cell store probe. The returned
+// before the run starts executing: one BulkGetCells over all cells
+// (rendered once by the planner) loads the index at most once and reads
+// each backing file once, instead of a per-cell store probe. The returned
 // slice is positionally aligned with cells; a nil shard means "execute
 // the cell". Corrupt or mismatched records are reported to the -v stream
 // and treated as misses, so a damaged store self-heals by re-measuring.
-func planReplays(rc *RunContext, cells []cell, fps []store.Fingerprint) []*runlog.Shard {
+func planReplays(rc *RunContext, cells []cell, fps []store.Cell) []*runlog.Shard {
 	shards := make([]*runlog.Shard, len(cells))
 	if !rc.Config.Resume || rc.Fex.store == nil {
 		return shards
 	}
-	results, err := rc.Fex.store.BulkGet(fps)
+	results, err := rc.Fex.store.BulkGetCells(fps)
 	if err != nil {
 		// A failed plan never fails the run: every cell just measures cold.
 		rc.logf("  store: plan lookup failed: %v; re-measuring", err)
@@ -129,7 +136,9 @@ func planReplays(rc *RunContext, cells []cell, fps []store.Fingerprint) []*runlo
 				c.workload.Suite(), c.workload.Name(), c.buildType, err)
 			continue
 		}
-		rc.logf("  store: replaying %s/%s [%s]", c.workload.Suite(), c.workload.Name(), c.buildType)
+		if rc.Config.Verbose { // spare a replay the boxing of logf's arguments
+			rc.logf("  store: replaying %s/%s [%s]", c.workload.Suite(), c.workload.Name(), c.buildType)
+		}
 		shards[i] = shard
 	}
 	return shards
@@ -141,13 +150,13 @@ func planReplays(rc *RunContext, cells []cell, fps []store.Fingerprint) []*runlo
 // failed partway, whose completed cells are already durable. Store errors
 // only cost the cache entry; they never fail the measurement that produced
 // it.
-func persistCell(rc *RunContext, c cell, fp store.Fingerprint, shard *runlog.Shard) {
+func persistCell(rc *RunContext, c cell, fp store.Cell, shard *runlog.Shard) {
 	if rc.Fex.store == nil {
 		return
 	}
 	text, err := shard.Text()
 	if err == nil {
-		err = rc.Fex.store.Put(fp, []byte(text))
+		err = rc.Fex.store.PutCell(fp, []byte(text))
 	}
 	if err != nil {
 		rc.logf("  store: persist %s/%s [%s]: %v", c.workload.Suite(), c.workload.Name(), c.buildType, err)

@@ -113,11 +113,7 @@ func sameLog(a, b *Log) bool {
 }
 
 // rawShard returns a shard holding text without a parse.
-func rawShard(text string) *Shard {
-	s := NewShard()
-	s.buf.WriteString(text)
-	return s
-}
+func rawShard(text string) *Shard { return &Shard{text: text} }
 
 // writeDirect re-emits one log line through the Writer's record methods,
 // as a runner writing to the run log does. It reports false for a line

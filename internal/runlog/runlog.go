@@ -260,6 +260,11 @@ func (lw *Writer) Flush() error {
 // Writer.Append, which makes a parallel run's log byte-identical to the
 // serial run's.
 type Shard struct {
+	// text holds the shard's records while it has no writer: the text
+	// ParseShard was given, kept as is.
+	text string
+	// w writes into buf; Writer creates both on first use, moving text
+	// into buf.
 	buf strings.Builder
 	w   *Writer
 	// log is the shard's parsed records and lines the number of lines
@@ -269,19 +274,27 @@ type Shard struct {
 }
 
 // NewShard returns an empty log fragment.
-func NewShard() *Shard {
-	s := &Shard{}
-	s.w = NewWriter(&s.buf)
-	return s
-}
+func NewShard() *Shard { return &Shard{} }
 
-// Writer returns the shard's record writer.
-func (s *Shard) Writer() *Writer { return s.w }
+// Writer returns the shard's record writer. Writing to a parsed shard
+// drops its parse, so Append parses the records written since.
+func (s *Shard) Writer() *Writer {
+	if s.w == nil {
+		s.buf.WriteString(s.text)
+		s.text = ""
+		s.w = NewWriter(&s.buf)
+		s.log, s.lines = nil, 0
+	}
+	return s.w
+}
 
 // Text flushes the shard and returns its accumulated records as log text —
 // what a cluster worker ships back to the coordinator (the "fetch the
 // logs" step of a remote cell).
 func (s *Shard) Text() (string, error) {
+	if s.w == nil {
+		return s.text, nil
+	}
 	if err := s.w.Flush(); err != nil {
 		return "", err
 	}
@@ -295,9 +308,9 @@ func (s *Shard) Text() (string, error) {
 // parse as a shorter, plausible value. The coordinator uses it so a
 // corrupted shard fails (or is re-measured) instead of merging garbage
 // into a run log, and so the merge does not parse the records again.
+// The shard keeps text itself, not a copy.
 func ParseShard(text string) (*Shard, error) {
-	s := NewShard()
-	s.buf.WriteString(text)
+	s := &Shard{text: text}
 	if err := s.Parse(); err != nil {
 		return nil, err
 	}
@@ -352,10 +365,10 @@ func (lw *Writer) Append(shards ...*Shard) error {
 		if s == nil {
 			continue
 		}
-		if err := s.w.Flush(); err != nil {
+		text, err := s.Text()
+		if err != nil {
 			return err
 		}
-		text := s.buf.String()
 		lw.mu.Lock()
 		if lw.err == nil {
 			_, lw.err = lw.w.WriteString(text)
@@ -363,7 +376,7 @@ func (lw *Writer) Append(shards ...*Shard) error {
 		if lw.view != nil && lw.viewErr == nil {
 			lw.record(s, text)
 		}
-		err := lw.err
+		err = lw.err
 		lw.mu.Unlock()
 		if err != nil {
 			return err

@@ -312,6 +312,24 @@ func TestShardTextRoundTrip(t *testing.T) {
 	if restored.String() != text {
 		t.Errorf("restored shard merge differs:\n%q\nvs\n%q", restored.String(), text)
 	}
+
+	// Writing to a parsed shard keeps its text and drops its parse, so a
+	// run writer's view holds the records written since as well.
+	parsed.Writer().WriteNote("appended")
+	var out strings.Builder
+	rw := NewRunWriter(&out)
+	if err := rw.Append(parsed); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := text + "NOTE|appended\n"; out.String() != want {
+		t.Errorf("written parsed shard merged as\n%q\nwant\n%q", out.String(), want)
+	}
+	if lg, err := rw.Log(); err != nil || len(lg.Notes) != 2 || len(lg.Measurements) != 1 {
+		t.Errorf("run writer view after a written parsed shard: %+v, %v", lg, err)
+	}
 }
 
 func TestShardTextEmpty(t *testing.T) {

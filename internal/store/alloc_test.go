@@ -1,0 +1,50 @@
+//go:build !race
+
+// Allocation pins live behind !race: the race runtime adds bookkeeping
+// allocations. Counts do not depend on the machine, so a regression
+// shows as a changed count, not a timing; they can differ between Go
+// toolchains, so each ceiling leaves a margin over the measured count.
+package store
+
+import (
+	"testing"
+
+	"fex/internal/runlog"
+)
+
+// replayCellAllocs is the allocation ceiling of replaying one stored cell:
+// BulkGetCells of its rendered fingerprint (index lookup, one file read,
+// digest and byte-comparison verification) and ParseShard of the payload
+// (one measurement record). The count measured with go1.24 is 17; the
+// ceiling leaves 8 more for toolchains whose escape analysis or map
+// runtime allocate differently. The path the byte comparison replaced,
+// which rendered the fingerprint three times and decoded every hit, took
+// 104 with the same ParseShard, so a return to it still fails the pin.
+const replayCellAllocs = 25
+
+// TestReplayCellAllocs pins the allocations of replaying one stored cell
+// through BulkGetCells and ParseShard at or below replayCellAllocs.
+func TestReplayCellAllocs(t *testing.T) {
+	s, _ := newTestStore(t)
+	fp := testFingerprint()
+	payload := "RUN|suite=phoenix|bench=histogram|type=gcc_native|threads=1|rep=0|cycles=42|wall_ns=1000\n"
+	if err := s.Put(fp, []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	cells := []Cell{NewCell(fp)}
+	replay := func() {
+		res, err := s.BulkGetCells(cells)
+		if err != nil || !res[0].Present || res[0].Err != nil {
+			t.Fatalf("replay: %+v, %v", res, err)
+		}
+		if _, err := runlog.ParseShard(string(res[0].Payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay() // load the index
+	allocs := testing.AllocsPerRun(500, replay)
+	t.Logf("one replayed cell: %.0f allocations", allocs)
+	if allocs > replayCellAllocs {
+		t.Errorf("replaying one stored cell allocates %.0f times, ceiling %d", allocs, replayCellAllocs)
+	}
+}

@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Result is one BulkGet resolution, mirroring Get's three return values:
@@ -27,43 +28,50 @@ type Result struct {
 // exactly Get's semantics; for arbitrary API-driven store states the two
 // are equivalent (a property the test suite pins).
 func (s *Store) BulkGet(fps []Fingerprint) ([]Result, error) {
+	cells := make([]Cell, len(fps))
+	for i, fp := range fps {
+		cells[i] = NewCell(fp)
+	}
+	return s.BulkGetCells(cells)
+}
+
+// BulkGetCells is BulkGet for fingerprints already rendered as Cells.
+func (s *Store) BulkGetCells(cells []Cell) ([]Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensureLoadedLocked(); err != nil {
 		return nil, err
 	}
+	// Each hit, ordered by the file that holds it, so each file is read
+	// once.
 	type want struct {
-		i   int
-		key string
-		e   indexEntry
+		i int
+		e indexEntry
 	}
-	byFile := map[string][]want{}
-	for i, fp := range fps {
-		key := fp.Key()
-		if e, ok := s.entries[key]; ok {
-			byFile[e.file] = append(byFile[e.file], want{i: i, key: key, e: e})
+	hits := make([]want, 0, len(cells))
+	for i := range cells {
+		if e, ok := s.entries[cells[i].key]; ok {
+			hits = append(hits, want{i: i, e: e})
 		}
 	}
-	files := make([]string, 0, len(byFile))
-	for f := range byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	out := make([]Result, len(fps))
-	for _, file := range files {
-		data, err := s.fsys.ReadFile(s.root + "/" + file)
-		for _, w := range byFile[file] {
-			if err == nil {
-				if payload, verr := verifySlice(data, w.key, w.e, fps[w.i]); verr == nil {
-					out[w.i] = Result{Payload: payload, Present: true}
-					continue
-				}
+	slices.SortStableFunc(hits, func(a, b want) int { return strings.Compare(a.e.file, b.e.file) })
+	out := make([]Result, len(cells))
+	var data []byte
+	var err error
+	for j, w := range hits {
+		if j == 0 || w.e.file != hits[j-1].e.file {
+			data, err = s.fsys.ReadFile(s.root + "/" + w.e.file)
+		}
+		if err == nil {
+			if payload, verr := verifySlice(data, w.e, cells[w.i]); verr == nil {
+				out[w.i] = Result{Payload: payload, Present: true}
+				continue
 			}
-			// The index entry and its file disagree: resolve the key
-			// through the per-key Get path.
-			payload, present, gerr := s.getLocked(fps[w.i], true)
-			out[w.i] = Result{Payload: payload, Present: present, Err: gerr}
 		}
+		// The index entry and its file disagree: resolve the key
+		// through the per-key Get path.
+		payload, present, gerr := s.getLocked(cells[w.i], true)
+		out[w.i] = Result{Payload: payload, Present: present, Err: gerr}
 	}
 	return out, nil
 }

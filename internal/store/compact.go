@@ -82,7 +82,7 @@ func (s *Store) Compact(keep func(Fingerprint) bool) (CompactStats, error) {
 		}
 	}
 	for key, r := range recs {
-		if !strings.HasPrefix(r.entry.file, packDir+"/") {
+		if !r.entry.packed() {
 			if err := s.removeLoose(key); err != nil {
 				return cs, err
 			}

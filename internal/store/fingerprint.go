@@ -19,8 +19,8 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Fingerprint identifies one experiment cell's full measurement context.
@@ -53,24 +53,69 @@ type Fingerprint struct {
 	ConfigHash string
 }
 
-// fields returns the fingerprint's (name, value) pairs in canonical order.
-func (fp Fingerprint) fields() [][2]string {
-	threads := make([]string, len(fp.Threads))
-	for i, t := range fp.Threads {
-		threads[i] = strconv.Itoa(t)
+// fieldNames are the fingerprint's field names in canonical order: the
+// order of Canonical's lines and of a record's F lines.
+var fieldNames = [...]string{"experiment", "suite", "bench", "type", "threads", "reps", "input", "tool", "dims", "confighash"}
+
+// threadsField is the index of the thread list in fieldNames, the one
+// field that is not a string.
+const threadsField = 4
+
+// values returns the fingerprint's string fields in canonical order;
+// the thread list's slot is empty (see appendThreads).
+func (fp *Fingerprint) values() [len(fieldNames)]string {
+	return [...]string{fp.Experiment, fp.Suite, fp.Benchmark, fp.BuildType, "", fp.Reps, fp.Input, fp.Tool, fp.Dims, fp.ConfigHash}
+}
+
+// appendThreads appends the thread list as comma-separated decimals —
+// digits, '-' and commas only, so it needs no quoting.
+func appendThreads(b []byte, threads []int) []byte {
+	for i, t := range threads {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(t), 10)
 	}
-	return [][2]string{
-		{"experiment", fp.Experiment},
-		{"suite", fp.Suite},
-		{"bench", fp.Benchmark},
-		{"type", fp.BuildType},
-		{"threads", strings.Join(threads, ",")},
-		{"reps", fp.Reps},
-		{"input", fp.Input},
-		{"tool", fp.Tool},
-		{"dims", fp.Dims},
-		{"confighash", fp.ConfigHash},
+	return b
+}
+
+// appendCanonical appends the canonical string (see Canonical) to b.
+func (fp *Fingerprint) appendCanonical(b []byte) []byte {
+	for i, v := range fp.values() {
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = append(b, fieldNames[i]...)
+		b = append(b, '=')
+		if i == threadsField {
+			b = append(b, '"')
+			b = appendThreads(b, fp.Threads)
+			b = append(b, '"')
+		} else {
+			b = strconv.AppendQuote(b, v)
+		}
 	}
+	return b
+}
+
+// appendHeader appends the record header Encode writes ahead of the DATA
+// line: the magic line and one F|name|value line per field, quoted with
+// strconv.Quote except for the unquoted thread list.
+func (fp *Fingerprint) appendHeader(b []byte) []byte {
+	b = append(b, recordMagic...)
+	b = append(b, '\n')
+	for i, v := range fp.values() {
+		b = append(b, "F|"...)
+		b = append(b, fieldNames[i]...)
+		b = append(b, '|')
+		if i == threadsField {
+			b = appendThreads(b, fp.Threads)
+		} else {
+			b = strconv.AppendQuote(b, v)
+		}
+		b = append(b, '\n')
+	}
+	return b
 }
 
 // Canonical renders the fingerprint as a canonical string: one
@@ -79,26 +124,43 @@ func (fp Fingerprint) fields() [][2]string {
 // string, so keying on its digest cannot alias cells whose field values
 // merely concatenate alike.
 func (fp Fingerprint) Canonical() string {
-	var sb strings.Builder
-	for i, f := range fp.fields() {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		sb.WriteString(f[0])
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(f[1]))
-	}
-	return sb.String()
+	var buf [256]byte
+	return string(fp.appendCanonical(buf[:0]))
 }
 
 // Key returns the fingerprint's content address: the hex SHA-256 of its
 // canonical string.
 func (fp Fingerprint) Key() string {
-	sum := sha256.Sum256([]byte(fp.Canonical()))
+	var buf [256]byte
+	sum := sha256.Sum256(fp.appendCanonical(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }
 
-// Equal reports whether two fingerprints are identical.
+// Equal reports whether two fingerprints are identical: whether their
+// canonical strings are equal. A nil and an empty thread list render
+// alike, so they are equal.
 func (fp Fingerprint) Equal(other Fingerprint) bool {
-	return fp.Canonical() == other.Canonical()
+	return fp.Experiment == other.Experiment && fp.Suite == other.Suite &&
+		fp.Benchmark == other.Benchmark && fp.BuildType == other.BuildType &&
+		slices.Equal(fp.Threads, other.Threads) && fp.Reps == other.Reps &&
+		fp.Input == other.Input && fp.Tool == other.Tool && fp.Dims == other.Dims &&
+		fp.ConfigHash == other.ConfigHash
 }
+
+// Cell is a fingerprint rendered once: its content address and its record
+// header, computed together so that a run's dedup, lookups and puts of
+// the cell share one rendering.
+type Cell struct {
+	Fingerprint Fingerprint
+	key         string
+	header      []byte
+}
+
+// NewCell renders fp's content address and record header.
+func NewCell(fp Fingerprint) Cell {
+	var buf [512]byte
+	return Cell{Fingerprint: fp, key: fp.Key(), header: slices.Clone(fp.appendHeader(buf[:0]))}
+}
+
+// Key returns the cell's content address, Fingerprint.Key.
+func (c Cell) Key() string { return c.key }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fex/internal/vfs"
@@ -57,15 +58,41 @@ func FuzzFingerprintRoundTrip(f *testing.F) {
 // FuzzStoreCodec hardens Decode against arbitrary store-file bytes: it
 // must never panic, and anything it accepts must re-encode to the exact
 // input bytes (strict canonical format — a property Put/Get rely on for
-// tamper detection).
+// tamper detection). The store-hit verification must agree with Decode
+// followed by Equal on the same bytes — payload and error class — both
+// against the fingerprint the bytes hold and against a fixed one. The
+// seeds include a valid record's damaged variants: a flipped byte,
+// swapped fields, threads written as 01, a cut DATA line and a foreign
+// fingerprint.
 func FuzzStoreCodec(f *testing.F) {
 	f.Add([]byte(recordMagic + "\n"))
 	f.Add(Encode(Record{Fingerprint: Fingerprint{Experiment: "e", Threads: []int{1}}, Payload: []byte("p")}))
 	f.Add(Encode(Record{Fingerprint: Fingerprint{Suite: "s|t", Benchmark: "b\nc"}, Payload: nil}))
 	f.Add([]byte("FEXSTORE|1\nF|experiment|\"x\"\nDATA|0\n"))
 	f.Add([]byte("FEXSTORE|1\nF|experiment|\"x\"\nF|suite|\"\"\nF|bench|\"\"\nF|type|\"\"\nF|threads|\nF|reps|\"\"\nF|input|\"\"\nF|tool|\"\"\nF|dims|\"\"\nF|confighash|\"\"\nDATA|0\n"))
+	valid := Encode(Record{Fingerprint: testFingerprint(), Payload: []byte("RUN|cycles=1\n")})
+	flipped := append([]byte(nil), valid...)
+	flipped[len(recordMagic)+5] ^= 0x20
+	f.Add(flipped)
+	f.Add([]byte(strings.Replace(string(valid), "F|suite|\"phoenix\"\nF|bench|\"histogram\"", "F|bench|\"histogram\"\nF|suite|\"phoenix\"", 1)))
+	f.Add([]byte(strings.Replace(string(valid), "F|threads|1,2,4", "F|threads|01,2,4", 1)))
+	f.Add(valid[:bytes.Index(valid, []byte("DATA|"))+3])
+	foreign := testFingerprint()
+	foreign.Experiment = "splash"
+	f.Add(Encode(Record{Fingerprint: foreign, Payload: []byte("RUN|cycles=1\n")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)
+		fps := []Fingerprint{testFingerprint()}
+		if err == nil {
+			fps = append(fps, rec.Fingerprint)
+		}
+		for _, fp := range fps {
+			got, verr := verifyRecord(data, NewCell(fp))
+			want, werr := decodeAndCompare(data, fp)
+			if errClass(verr) != errClass(werr) || !bytes.Equal(got, want) {
+				t.Fatalf("verifyRecord against %s: %q, %v; reference %q, %v", fp.Canonical(), got, verr, want, werr)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -163,11 +163,10 @@ func TestStatsFreshAndCleaned(t *testing.T) {
 // entry.
 func TestParseEntryRejectsMalformedLines(t *testing.T) {
 	key := fpN(0).Key()
-	good := formatEntry(key, looseEntry(key, []byte("payload")))
-	if _, _, err := parseEntry(strings.TrimSuffix(good, "\n")); err != nil {
+	if _, _, err := parseEntry(entryLine(key, looseEntry(key, []byte("payload")))); err != nil {
 		t.Fatalf("canonical entry rejected: %v", err)
 	}
-	if _, _, err := parseEntry(strings.TrimSuffix(formatTombstone(key), "\n")); err != nil {
+	if _, _, err := parseEntry(tombstoneLine(key)); err != nil {
 		t.Fatalf("canonical tombstone rejected: %v", err)
 	}
 	sum := sumHex([]byte("payload"))
@@ -194,7 +193,7 @@ func TestParseEntryRejectsMalformedLines(t *testing.T) {
 // and tombstone-freeness must all hold.
 func TestDecodeIndexRejectsStructuralDamage(t *testing.T) {
 	key := fpN(0).Key()
-	entry := strings.TrimSuffix(formatEntry(key, looseEntry(key, []byte("p"))), "\n")
+	entry := entryLine(key, looseEntry(key, []byte("p")))
 	reseal := func(body string) []byte {
 		data := []byte(body)
 		h := sha256.Sum256(data)
@@ -207,7 +206,7 @@ func TestDecodeIndexRejectsStructuralDamage(t *testing.T) {
 		"bad count":        "FEXINDEX|1|gen=0|n=x\n",
 		"count mismatch":   "FEXINDEX|1|gen=0|n=2\n" + entry + "\n",
 		"duplicate keys":   "FEXINDEX|1|gen=0|n=2\n" + entry + "\n" + entry + "\n",
-		"tombstone inside": "FEXINDEX|1|gen=0|n=1\n" + strings.TrimSuffix(formatTombstone(key), "\n") + "\n",
+		"tombstone inside": "FEXINDEX|1|gen=0|n=1\n" + tombstoneLine(key) + "\n",
 	} {
 		if _, _, err := decodeIndex(reseal(body)); err == nil {
 			t.Errorf("%s: decodeIndex accepted the snapshot", name)

@@ -12,12 +12,12 @@ package store
 //	index           index snapshot: header, sorted entry lines, integrity
 //	                trailer
 //	journal         entry lines appended since the snapshot (one per
-//	                Put/Delete; vfs.Append keeps each line atomic)
+//	                Put; vfs.Append keeps each line atomic)
 //
 // The Store owning the root is its only writer, and its mutex serializes
 // every write: Put writes a whole record file and appends one journal
-// line; maintenance (Compact, a packed Delete, a self-heal rescan)
-// rewrites the snapshot and empties the journal. The in-memory index is
+// line; maintenance (Compact, a self-heal rescan) rewrites the snapshot
+// and empties the journal. The in-memory index is
 // loaded once and kept current by the store's own writes. It is still a
 // cache over the record files: a missing or corrupt snapshot, an
 // unparseable journal, or an entry whose bytes fail verification all fall
@@ -43,7 +43,13 @@ const (
 	journalFile = "journal"
 	packDir     = "pack"
 	// tombstone marks a deleted key in the journal (never in a snapshot).
+	// Nothing writes tombstones any more; journals of older states that
+	// hold them still load.
 	tombstone = "-"
+	// entryLen bounds the length of an index or journal line: a key, a
+	// loose file name, two offsets of at most 19 digits, a digest, four
+	// separators and the newline.
+	entryLen = 64 + 1 + (3 + 64) + 1 + 19 + 1 + 19 + 1 + 64 + 1
 )
 
 // indexEntry locates one record's bytes relative to the store root.
@@ -57,6 +63,18 @@ type indexEntry struct {
 	// sum is the hex SHA-256 of those record bytes, so a stale entry is
 	// detected before its payload can be replayed.
 	sum string
+}
+
+// packed reports whether the entry's record lives in a pack file.
+func (e indexEntry) packed() bool { return strings.HasPrefix(e.file, packDir+"/") }
+
+// slice returns the entry's byte range of data, the bytes of its file,
+// and false when the range lies outside them.
+func (e indexEntry) slice(data []byte) ([]byte, bool) {
+	if e.off < 0 || e.length < 0 || e.length > int64(len(data)) || e.off > int64(len(data))-e.length {
+		return nil, false
+	}
+	return data[e.off : e.off+e.length], true
 }
 
 func (s *Store) indexPath() string   { return s.root + "/" + indexFile }
@@ -87,15 +105,19 @@ func looseEntry(key string, data []byte) indexEntry {
 	}
 }
 
-// formatEntry renders one index/journal line: key|file|off|length|sum.
-func formatEntry(key string, e indexEntry) string {
-	return key + "|" + e.file + "|" +
-		strconv.FormatInt(e.off, 10) + "|" +
-		strconv.FormatInt(e.length, 10) + "|" + e.sum + "\n"
-}
-
-func formatTombstone(key string) string {
-	return key + "|" + tombstone + "|0|0|" + tombstone + "\n"
+// appendEntry appends one index/journal line to b:
+// key|file|off|length|sum and a newline.
+func appendEntry(b []byte, key string, e indexEntry) []byte {
+	b = append(b, key...)
+	b = append(b, '|')
+	b = append(b, e.file...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, e.off, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, e.length, 10)
+	b = append(b, '|')
+	b = append(b, e.sum...)
+	return append(b, '\n')
 }
 
 // parseEntry parses one index/journal line. It is strict — five fields,
@@ -146,14 +168,20 @@ func encodeIndex(gen int64, entries map[string]indexEntry) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|gen=%d|n=%d\n", indexMagic, gen, len(entries))
+	const trailerLen = len("SUM|") + 2*sha256.Size + 1
+	b := make([]byte, 0, 64+len(entries)*entryLen+trailerLen)
+	b = append(b, indexMagic+"|gen="...)
+	b = strconv.AppendInt(b, gen, 10)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(len(entries)), 10)
+	b = append(b, '\n')
 	for _, k := range keys {
-		sb.WriteString(formatEntry(k, entries[k]))
+		b = appendEntry(b, k, entries[k])
 	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	fmt.Fprintf(&sb, "SUM|%s\n", hex.EncodeToString(sum[:]))
-	return []byte(sb.String())
+	sum := sha256.Sum256(b)
+	b = append(b, "SUM|"...)
+	b = hex.AppendEncode(b, sum[:])
+	return append(b, '\n')
 }
 
 // decodeIndex parses a snapshot produced by encodeIndex. Any deviation —

@@ -36,7 +36,7 @@ func TestPutCleansStagingOnCommitFailure(t *testing.T) {
 		}},
 	} {
 		s, fsys := newTestStore(t)
-		if _, err := s.Keys(); err != nil { // load the index first
+		if _, err := s.Stats(); err != nil { // load the index first
 			t.Fatal(err)
 		}
 		if err := tc.squat(fsys); err != nil {
@@ -49,8 +49,8 @@ func TestPutCleansStagingOnCommitFailure(t *testing.T) {
 			t.Errorf("%s: failed put journaled %q", tc.name, j)
 		}
 		for _, st := range []*Store{s, New(fsys, "/fex/store")} {
-			if keys, err := st.Keys(); err != nil || len(keys) != 0 {
-				t.Errorf("%s: keys after failed put: %v, %v", tc.name, keys, err)
+			if keys := storedKeys(t, st); len(keys) != 0 {
+				t.Errorf("%s: keys after failed put: %v", tc.name, keys)
 			}
 		}
 	}
@@ -146,11 +146,7 @@ func TestLegacyStoreGainsIndex(t *testing.T) {
 		}
 	}
 	s := New(fsys, "/fex/store")
-	keys, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != n {
+	if keys := storedKeys(t, s); len(keys) != n {
 		t.Fatalf("legacy store: %d keys, want %d", len(keys), n)
 	}
 	for i := 0; i < n; i++ {
@@ -163,41 +159,49 @@ func TestLegacyStoreGainsIndex(t *testing.T) {
 	}
 }
 
-// TestDeletePrunesShardDir is the satellite bugfix regression test:
-// deleting the last record of a shard removes the now-empty shard
-// directory instead of leaving a husk for Walk to traverse forever.
-func TestDeletePrunesShardDir(t *testing.T) {
+// TestCompactPrunesShardDir pins that the store's one removal path
+// leaves no husks for Walk to traverse: a compaction that drops records
+// removes their loose files and emptied shard directories, a pack whose
+// records were all dropped, and the pack directory once it is empty.
+func TestCompactPrunesShardDir(t *testing.T) {
 	s, fsys := newTestStore(t)
-	fp := testFingerprint()
-	if err := s.Put(fp, []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	shard := "/fex/store/" + fp.Key()[:2]
-	if !fsys.IsDir(shard) {
-		t.Fatal("shard dir missing after put")
-	}
-	if err := s.Delete(fp); err != nil {
-		t.Fatal(err)
-	}
-	if fsys.Exists(shard) {
-		t.Error("empty shard dir survived delete")
-	}
-	// A shard that still holds records is kept.
 	a, b := fpN(1), fpN(2)
 	if a.Key()[:2] == b.Key()[:2] {
-		t.Skip("fingerprints landed in the same shard; adjust fpN seeds")
+		t.Fatal("fingerprints landed in the same shard; adjust fpN seeds")
 	}
-	if err := s.Put(a, []byte("x")); err != nil {
+	for _, fp := range []Fingerprint{a, b} {
+		if err := s.Put(fp, []byte(fp.Benchmark)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shardA, shardB := "/fex/store/"+a.Key()[:2], "/fex/store/"+b.Key()[:2]
+	if !fsys.IsDir(shardA) || !fsys.IsDir(shardB) {
+		t.Fatal("shard dirs missing after put")
+	}
+	cs, err := s.Compact(func(fp Fingerprint) bool { return fp.Equal(b) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b, []byte("y")); err != nil {
+	if cs.Kept != 1 || cs.Dropped != 1 || cs.Packs != 1 {
+		t.Fatalf("compact stats %+v, want 1 kept, 1 dropped, 1 pack", cs)
+	}
+	if fsys.Exists(shardA) || fsys.Exists(shardB) {
+		t.Error("loose shard dir survived compaction")
+	}
+	if fsys.Exists("/fex/store/" + packDir + "/" + a.Key()[:2] + ".pack") {
+		t.Error("dropped record got a pack")
+	}
+	if !fsys.Exists("/fex/store/" + packDir + "/" + b.Key()[:2] + ".pack") {
+		t.Error("kept record's pack missing")
+	}
+	if _, err := s.Compact(func(Fingerprint) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(a); err != nil {
-		t.Fatal(err)
+	if fsys.Exists("/fex/store/" + packDir) {
+		t.Error("empty pack dir survived compaction")
 	}
-	if !fsys.IsDir("/fex/store/" + b.Key()[:2]) {
-		t.Error("occupied shard dir was pruned")
+	if keys := storedKeys(t, s); len(keys) != 0 {
+		t.Errorf("keys after dropping every record: %v", keys)
 	}
 }
 
@@ -262,12 +266,12 @@ func TestCompactDropsAndPacks(t *testing.T) {
 	if payload, present, err := c.Get(fpN(0)); !present || err != nil || string(payload) != "payload000" {
 		t.Errorf("cold read of packed record: %q present=%t err=%v", payload, present, err)
 	}
-	// Deleting a packed record rewrites its pack and keeps the rest.
-	if err := c.Delete(fpN(0)); err != nil {
+	// Dropping a packed record rewrites its pack and keeps the rest.
+	if _, err := c.Compact(func(fp Fingerprint) bool { return !fp.Equal(fpN(0)) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, present, _ := c.Get(fpN(0)); present {
-		t.Error("packed record still present after delete")
+		t.Error("packed record still present after it was dropped")
 	}
 	if _, present, err := c.Get(fpN(2)); !present || err != nil {
 		t.Errorf("pack rewrite lost a sibling record: present=%t err=%v", present, err)
@@ -284,6 +288,23 @@ func TestCompactDropsAndPacks(t *testing.T) {
 	}
 	if payload, _, _ := c.Get(fpN(2)); string(payload) != "newer" {
 		t.Errorf("recompaction resurrected stale record: %q", payload)
+	}
+	// A key with a packed copy and a newer loose one stays dropped once a
+	// compaction drops it: neither copy comes back on a later compaction
+	// or in a reopened store.
+	if err := c.Put(fpN(4), []byte("loose")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Compact(func(fp Fingerprint) bool { return !fp.Equal(fpN(4)) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{c, New(fsys, "/fex/store")} {
+		if payload, present, _ := st.Get(fpN(4)); present {
+			t.Errorf("dropped record came back: %q", payload)
+		}
 	}
 }
 
@@ -355,4 +376,48 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	if _, _, err := decodeIndex(nil); err == nil {
 		t.Error("empty snapshot accepted")
 	}
+}
+
+// TestJournalTombstoneLoads pins that a journal of an older state, where
+// a deleted key's entry line is followed by a tombstone line and its
+// record file is gone, loads as that key deleted: the key misses, Stats
+// counts no record for it, and loading runs no self-heal rescan.
+func TestJournalTombstoneLoads(t *testing.T) {
+	fsys := vfs.New()
+	a := New(fsys, "/fex/store")
+	kept, gone := fpN(0), fpN(1)
+	for _, fp := range []Fingerprint{kept, gone} {
+		if err := a.Put(fp, []byte(fp.Benchmark)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := gone.Key()
+	if err := fsys.Remove("/fex/store/" + key[:2] + "/" + key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fsys.Append("/fex/store/"+journalFile, []byte(tombstoneLine(key)+"\n")); err != nil {
+		t.Fatal(err)
+	}
+	b := New(fsys, "/fex/store")
+	noRescan := func(when string) {
+		t.Helper()
+		if fsys.Exists("/fex/store/"+indexFile) || b.gen != 0 {
+			t.Fatalf("%s: loading the tombstoned journal ran a rescan (gen %d)", when, b.gen)
+		}
+	}
+	st, err := b.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 1 {
+		t.Errorf("Stats counts %d records, want 1", st.Records)
+	}
+	noRescan("after Stats")
+	if payload, present, err := b.Get(gone); err != nil || present {
+		t.Errorf("tombstoned key: payload %q present=%t err=%v, want a miss", payload, present, err)
+	}
+	if payload, present, err := b.Get(kept); err != nil || !present || string(payload) != kept.Benchmark {
+		t.Errorf("kept key: payload %q present=%t err=%v", payload, present, err)
+	}
+	noRescan("after Get")
 }

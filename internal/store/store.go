@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,7 +14,11 @@ import (
 
 // Storage layout: one file per cell under root, sharded by the first key
 // byte pair (root/ab/abcdef...) so directory listings stay shallow.
-const recordMagic = "FEXSTORE|1"
+const (
+	recordMagic = "FEXSTORE|1"
+	// dataTag opens the line carrying the payload's byte count.
+	dataTag = "DATA|"
+)
 
 // Common errors, matchable with errors.Is.
 var (
@@ -37,23 +42,21 @@ type Record struct {
 // one F|name|quoted-value line per fingerprint field, a DATA line carrying
 // the payload byte count, then the payload verbatim.
 func Encode(r Record) []byte {
-	var sb strings.Builder
-	sb.WriteString(recordMagic)
-	sb.WriteByte('\n')
-	for _, f := range r.Fingerprint.fields() {
-		sb.WriteString("F|")
-		sb.WriteString(f[0])
-		sb.WriteByte('|')
-		if f[0] == "threads" {
-			sb.WriteString(f[1]) // digits and commas only; no quoting needed
-		} else {
-			sb.WriteString(strconv.Quote(f[1]))
-		}
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "DATA|%d\n", len(r.Payload))
-	sb.Write(r.Payload)
-	return []byte(sb.String())
+	var buf [512]byte
+	return encode(r.Fingerprint.appendHeader(buf[:0]), r.Payload)
+}
+
+// encode renders a record from its fingerprint's header (appendHeader)
+// and its payload, into one slice of exactly the record's size.
+func encode(header, payload []byte) []byte {
+	var num [20]byte
+	n := strconv.AppendInt(num[:0], int64(len(payload)), 10)
+	out := make([]byte, 0, len(header)+len(dataTag)+len(n)+1+len(payload))
+	out = append(out, header...)
+	out = append(out, dataTag...)
+	out = append(out, n...)
+	out = append(out, '\n')
+	return append(out, payload...)
 }
 
 // Decode parses a record previously produced by Encode. It is strict: the
@@ -77,44 +80,42 @@ func Decode(data []byte) (Record, error) {
 // inside the record; only trailing bytes are the caller's business.
 func decodeNext(data []byte) (Record, int, error) {
 	var r Record
-	rest := string(data)
-	line := func() (string, bool) {
-		i := strings.IndexByte(rest, '\n')
+	rest := data
+	line := func() ([]byte, bool) {
+		i := bytes.IndexByte(rest, '\n')
 		if i < 0 {
-			return "", false
+			return nil, false
 		}
 		l := rest[:i]
 		rest = rest[i+1:]
 		return l, true
 	}
-	if l, ok := line(); !ok || l != recordMagic {
+	if l, ok := line(); !ok || string(l) != recordMagic {
 		return r, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	want := Fingerprint{}.fields()
-	values := make([]string, len(want))
-	for i, f := range want {
+	var values [len(fieldNames)]string
+	for i, name := range fieldNames {
 		l, ok := line()
 		if !ok {
 			return r, 0, fmt.Errorf("%w: truncated fingerprint", ErrCorrupt)
 		}
-		prefix := "F|" + f[0] + "|"
-		if !strings.HasPrefix(l, prefix) {
-			return r, 0, fmt.Errorf("%w: expected field %q, got %q", ErrCorrupt, f[0], l)
+		if len(l) < len(name)+3 || string(l[:2]) != "F|" || string(l[2:2+len(name)]) != name || l[2+len(name)] != '|' {
+			return r, 0, fmt.Errorf("%w: expected field %q, got %q", ErrCorrupt, name, l)
 		}
-		raw := l[len(prefix):]
-		if f[0] == "threads" {
+		raw := string(l[len(name)+3:])
+		if i == threadsField {
 			values[i] = raw
 			continue
 		}
 		v, err := strconv.Unquote(raw)
 		if err != nil {
-			return r, 0, fmt.Errorf("%w: field %q: %v", ErrCorrupt, f[0], err)
+			return r, 0, fmt.Errorf("%w: field %q: %v", ErrCorrupt, name, err)
 		}
 		// Reject non-canonical quotings ("\x41" for "A"): Encode emits
 		// exactly strconv.Quote, and Decode must accept nothing else for
 		// the decode/encode identity to hold.
 		if strconv.Quote(v) != raw {
-			return r, 0, fmt.Errorf("%w: non-canonical quoting of field %q", ErrCorrupt, f[0])
+			return r, 0, fmt.Errorf("%w: non-canonical quoting of field %q", ErrCorrupt, name)
 		}
 		values[i] = v
 	}
@@ -129,25 +130,25 @@ func decodeNext(data []byte) (Record, int, error) {
 		Dims:       values[8],
 		ConfigHash: values[9],
 	}
-	if values[4] != "" {
-		for _, s := range strings.Split(values[4], ",") {
+	if threads := values[threadsField]; threads != "" {
+		for _, s := range strings.Split(threads, ",") {
 			n, err := strconv.Atoi(s)
 			if err != nil {
 				return r, 0, fmt.Errorf("%w: bad thread count %q", ErrCorrupt, s)
 			}
 			fp.Threads = append(fp.Threads, n)
 		}
-	}
-	// Reject non-canonical thread renderings ("01", "+2") so a decoded
-	// record re-encodes to the exact input bytes.
-	if got := fp.fields()[4][1]; got != values[4] {
-		return r, 0, fmt.Errorf("%w: non-canonical thread list %q", ErrCorrupt, values[4])
+		// Reject non-canonical thread renderings ("01", "+2") so a
+		// decoded record re-encodes to the exact input bytes.
+		if string(appendThreads(nil, fp.Threads)) != threads {
+			return r, 0, fmt.Errorf("%w: non-canonical thread list %q", ErrCorrupt, threads)
+		}
 	}
 	l, ok := line()
-	if !ok || !strings.HasPrefix(l, "DATA|") {
+	if !ok || !bytes.HasPrefix(l, []byte(dataTag)) {
 		return r, 0, fmt.Errorf("%w: missing DATA header", ErrCorrupt)
 	}
-	lenStr := l[len("DATA|"):]
+	lenStr := string(l[len(dataTag):])
 	n, err := strconv.Atoi(lenStr)
 	if err != nil || n < 0 || strconv.Itoa(n) != lenStr {
 		return r, 0, fmt.Errorf("%w: bad DATA length %q", ErrCorrupt, l)
@@ -156,8 +157,49 @@ func decodeNext(data []byte) (Record, int, error) {
 		return r, 0, fmt.Errorf("%w: payload is %d bytes, DATA header says %d", ErrCorrupt, len(rest), n)
 	}
 	r.Fingerprint = fp
-	r.Payload = []byte(rest[:n])
+	r.Payload = append([]byte(nil), rest[:n]...)
 	return r, len(data) - (len(rest) - n), nil
+}
+
+// verifyRecord checks that raw is c's record and returns its payload. A
+// record that is byte for byte what Encode renders for c's fingerprint
+// passes on that comparison alone; any other bytes go through Decode and
+// Equal, which say what is wrong with them (ErrCorrupt or ErrMismatch).
+// Since Decode accepts only Encode's exact rendering, both paths accept
+// the same records with the same payloads.
+func verifyRecord(raw []byte, c Cell) ([]byte, error) {
+	if payload, ok := exactPayload(raw, c.header); ok {
+		return payload, nil
+	}
+	rec, err := Decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !rec.Fingerprint.Equal(c.Fingerprint) {
+		return nil, fmt.Errorf("%w: key %s", ErrMismatch, c.key)
+	}
+	return rec.Payload, nil
+}
+
+// exactPayload returns the payload of raw when raw is header, then the
+// DATA line for the bytes after it, then those bytes. The payload's
+// capacity ends at its length, so appending to it cannot write into
+// whatever follows it in raw.
+func exactPayload(raw, header []byte) ([]byte, bool) {
+	if !bytes.HasPrefix(raw, header) {
+		return nil, false
+	}
+	rest := raw[len(header):]
+	i := bytes.IndexByte(rest, '\n')
+	if i < 0 {
+		return nil, false
+	}
+	payload := rest[i+1:]
+	var want [len(dataTag) + 20]byte
+	if !bytes.Equal(rest[:i], strconv.AppendInt(append(want[:0], dataTag...), int64(len(payload)), 10)) {
+		return nil, false
+	}
+	return payload[:len(payload):len(payload)], true
 }
 
 // Store is a content-addressed result store over a vfs filesystem — the
@@ -210,15 +252,21 @@ func (s *Store) path(key string) string {
 // key, same context — the newer measurement batch wins). A record whose
 // write fails is not journaled.
 func (s *Store) Put(fp Fingerprint, payload []byte) error {
-	key := fp.Key()
-	data := Encode(Record{Fingerprint: fp, Payload: payload})
+	return s.PutCell(NewCell(fp), payload)
+}
+
+// PutCell is Put for a fingerprint already rendered as a Cell.
+func (s *Store) PutCell(c Cell, payload []byte) error {
+	key := c.key
+	data := encode(c.header, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.fsys.WriteFile(s.path(key), data, 0o644); err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
 	e := looseEntry(key, data)
-	if _, err := s.fsys.Append(s.journalPath(), []byte(formatEntry(key, e))); err != nil {
+	var line [entryLen]byte
+	if _, err := s.fsys.Append(s.journalPath(), appendEntry(line[:0], key, e)); err != nil {
 		return fmt.Errorf("store: journal %s: %w", key, err)
 	}
 	if s.loaded {
@@ -244,15 +292,15 @@ func (s *Store) Get(fp Fingerprint) ([]byte, bool, error) {
 	if err := s.ensureLoadedLocked(); err != nil {
 		return nil, false, err
 	}
-	return s.getLocked(fp, true)
+	return s.getLocked(NewCell(fp), true)
 }
 
 // getLocked is Get with the index loaded. Callers hold s.mu.
-func (s *Store) getLocked(fp Fingerprint, retry bool) ([]byte, bool, error) {
-	key := fp.Key()
+func (s *Store) getLocked(c Cell, retry bool) ([]byte, bool, error) {
+	key := c.key
 	e, indexed := s.entries[key]
-	if indexed && e.file == packDir+"/"+key[:2]+".pack" {
-		if payload, perr := s.readPacked(fp, key, e); perr == nil {
+	if indexed && e.packed() {
+		if payload, perr := s.readPacked(c, e); perr == nil {
 			return payload, true, nil
 		}
 		// The pack disagrees with the index; fall through to the loose
@@ -260,14 +308,11 @@ func (s *Store) getLocked(fp Fingerprint, retry bool) ([]byte, bool, error) {
 	}
 	data, rerr := s.fsys.ReadFile(s.path(key))
 	if rerr == nil {
-		rec, derr := Decode(data)
-		if derr != nil {
-			return nil, true, derr
+		payload, verr := verifyRecord(data, c)
+		if verr != nil {
+			return nil, true, verr
 		}
-		if !rec.Fingerprint.Equal(fp) {
-			return nil, true, fmt.Errorf("%w: key %s", ErrMismatch, key)
-		}
-		return rec.Payload, true, nil
+		return payload, true, nil
 	}
 	if !errors.Is(rerr, vfs.ErrNotExist) {
 		return nil, false, fmt.Errorf("store: %w", rerr)
@@ -277,7 +322,7 @@ func (s *Store) getLocked(fp Fingerprint, retry bool) ([]byte, bool, error) {
 		if err := s.rescanLocked(); err != nil {
 			return nil, false, err
 		}
-		return s.getLocked(fp, false)
+		return s.getLocked(c, false)
 	}
 	return nil, false, nil
 }
@@ -285,33 +330,26 @@ func (s *Store) getLocked(fp Fingerprint, retry bool) ([]byte, bool, error) {
 // readPacked reads one record out of a pack file via its index entry,
 // verifying the byte range's digest and the embedded fingerprint before
 // trusting it.
-func (s *Store) readPacked(fp Fingerprint, key string, e indexEntry) ([]byte, error) {
+func (s *Store) readPacked(c Cell, e indexEntry) ([]byte, error) {
 	data, err := s.fsys.ReadFile(s.root + "/" + e.file)
 	if err != nil {
 		return nil, err
 	}
-	return verifySlice(data, key, e, fp)
+	return verifySlice(data, e, c)
 }
 
 // verifySlice extracts and verifies one record from a file's bytes using
-// its index entry: bounds, digest, decode, and fingerprint must all agree
+// its index entry: bounds, digest, and the record itself must all agree
 // before the payload is released for replay.
-func verifySlice(data []byte, key string, e indexEntry, fp Fingerprint) ([]byte, error) {
-	if e.off+e.length > int64(len(data)) || e.off < 0 {
-		return nil, fmt.Errorf("%w: index entry for %s out of bounds", ErrCorrupt, key)
+func verifySlice(data []byte, e indexEntry, c Cell) ([]byte, error) {
+	raw, ok := e.slice(data)
+	if !ok {
+		return nil, fmt.Errorf("%w: index entry for %s out of bounds", ErrCorrupt, c.key)
 	}
-	raw := data[e.off : e.off+e.length]
 	if sumHex(raw) != e.sum {
-		return nil, fmt.Errorf("%w: index digest mismatch for %s", ErrCorrupt, key)
+		return nil, fmt.Errorf("%w: index digest mismatch for %s", ErrCorrupt, c.key)
 	}
-	rec, err := Decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	if !rec.Fingerprint.Equal(fp) {
-		return nil, fmt.Errorf("%w: key %s", ErrMismatch, key)
-	}
-	return rec.Payload, nil
+	return verifyRecord(raw, c)
 }
 
 // ensureLoadedLocked loads the index on first use. Callers hold s.mu.
@@ -320,33 +358,6 @@ func (s *Store) ensureLoadedLocked() error {
 		return nil
 	}
 	return s.loadLocked()
-}
-
-// Delete removes one fingerprint's record; deleting an absent record is
-// not an error. The emptied shard directory is pruned so Walk-based
-// consumers never traverse a growing set of husks, and the deletion is
-// journaled so a reopened store does not resurrect it.
-func (s *Store) Delete(fp Fingerprint) error {
-	key := fp.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
-		return err
-	}
-	e, indexed := s.entries[key]
-	if indexed && e.file == packDir+"/"+key[:2]+".pack" {
-		return s.deletePackedLocked(key, e)
-	}
-	if err := s.removeLoose(key); err != nil {
-		return err
-	}
-	if indexed {
-		if _, err := s.fsys.Append(s.journalPath(), []byte(formatTombstone(key))); err != nil {
-			return fmt.Errorf("store: journal %s: %w", key, err)
-		}
-		delete(s.entries, key)
-	}
-	return nil
 }
 
 // removeLoose deletes a loose record file and prunes its shard directory
@@ -365,58 +376,6 @@ func (s *Store) pruneShardDir(shard string) {
 	if entries, err := s.fsys.ReadDir(dir); err == nil && len(entries) == 0 {
 		_ = s.fsys.Remove(dir)
 	}
-}
-
-// deletePackedLocked removes a record that lives inside a pack file: the
-// pack is rewritten without the record (or removed outright when that
-// empties it) and a fresh snapshot is persisted, since the surviving
-// records' offsets shift. Callers hold s.mu.
-func (s *Store) deletePackedLocked(key string, e indexEntry) error {
-	packPath := s.root + "/" + e.file
-	data, err := s.fsys.ReadFile(packPath)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var keep []byte
-	for off := 0; off < len(data); {
-		rec, n, derr := decodeNext(data[off:])
-		if derr != nil {
-			break
-		}
-		raw := data[off : off+n]
-		if k := rec.Fingerprint.Key(); k != key {
-			if cur, ok := s.entries[k]; ok && cur.file == e.file {
-				s.entries[k] = indexEntry{file: e.file, off: int64(len(keep)), length: int64(n), sum: sumHex(raw)}
-			}
-			keep = append(keep, raw...)
-		}
-		off += n
-	}
-	delete(s.entries, key)
-	if len(keep) == 0 {
-		if err := s.fsys.Remove(packPath); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-			return fmt.Errorf("store: %w", err)
-		}
-	} else if err := s.fsys.WriteFile(packPath, keep, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.gen++
-	return s.persistLocked()
-}
-
-// Keys lists the stored content addresses, sorted.
-func (s *Store) Keys() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // Records decodes every stored cell, in sorted key order, reading each
@@ -462,11 +421,11 @@ func (s *Store) recordsLocked(retry bool) ([]Record, error) {
 			cache[e.file] = d
 		}
 		raw := data
-		if e.file == packDir+"/"+key[:2]+".pack" {
-			if e.off+e.length > int64(len(data)) {
+		if e.packed() {
+			var ok bool
+			if raw, ok = e.slice(data); !ok {
 				return nil, fmt.Errorf("store: record %s: %w: index entry out of bounds", key, ErrCorrupt)
 			}
-			raw = data[e.off : e.off+e.length]
 		}
 		rec, err := Decode(raw)
 		if err != nil {
@@ -490,18 +449,19 @@ type Stats struct {
 
 // Stats returns the store's current footprint.
 func (s *Store) Stats() (Stats, error) {
-	keys, err := s.Keys()
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
 		return Stats{}, err
 	}
-	var total int64
+	st := Stats{Records: len(s.entries)}
 	if s.fsys.IsDir(s.root) {
-		total, err = s.fsys.TotalSize(s.root)
-		if err != nil {
+		var err error
+		if st.Bytes, err = s.fsys.TotalSize(s.root); err != nil {
 			return Stats{}, fmt.Errorf("store: %w", err)
 		}
 	}
-	return Stats{Records: len(keys), Bytes: total}, nil
+	return st, nil
 }
 
 // Clean evicts the entire store — the "fex clean" story. Entries are

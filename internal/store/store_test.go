@@ -185,7 +185,10 @@ func TestStoreDetectsTampering(t *testing.T) {
 	}
 }
 
-func TestStoreDeleteKeysStatsClean(t *testing.T) {
+// TestStoreStatsCompactClean pins the footprint through the removal
+// paths: Stats counts every stored record, a compaction that drops one
+// counts one fewer, and Clean empties the store, which keeps working.
+func TestStoreStatsCompactClean(t *testing.T) {
 	s, fsys := newTestStore(t)
 	var fps []Fingerprint
 	for i := 0; i < 5; i++ {
@@ -196,15 +199,8 @@ func TestStoreDeleteKeysStatsClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 5 {
+	if keys := storedKeys(t, s); len(keys) != 5 {
 		t.Fatalf("%d keys, want 5", len(keys))
-	}
-	if !sortedStrings(keys) {
-		t.Error("Keys not sorted")
 	}
 	st, err := s.Stats()
 	if err != nil {
@@ -214,20 +210,20 @@ func TestStoreDeleteKeysStatsClean(t *testing.T) {
 		t.Errorf("stats %+v", st)
 	}
 
-	if err := s.Delete(fps[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(fps[0]); err != nil {
-		t.Fatal("double delete errored")
-	}
-	if keys, _ = s.Keys(); len(keys) != 4 {
-		t.Fatalf("%d keys after delete, want 4", len(keys))
+	drop := func(fp Fingerprint) bool { return !fp.Equal(fps[0]) }
+	for i := 0; i < 2; i++ {
+		if _, err := s.Compact(drop); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := s.Stats(); st.Records != 4 {
+			t.Fatalf("compaction %d: %d records, want 4", i, st.Records)
+		}
 	}
 
 	if err := s.Clean(); err != nil {
 		t.Fatal(err)
 	}
-	if keys, _ = s.Keys(); len(keys) != 0 {
+	if keys := storedKeys(t, s); len(keys) != 0 {
 		t.Errorf("%d keys after clean", len(keys))
 	}
 	if st, _ := s.Stats(); st.Records != 0 || st.Bytes != 0 {
@@ -268,11 +264,7 @@ func TestStoreNoStagingLeftovers(t *testing.T) {
 	if err := fsys.WriteFile("/fex/store/tmp/stranded", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := New(fsys, "/fex/store").Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 {
+	if keys := storedKeys(t, New(fsys, "/fex/store")); len(keys) != 1 {
 		t.Errorf("keys %v include a stray file", keys)
 	}
 }
@@ -301,11 +293,7 @@ func TestStoreConcurrentPuts(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	keys, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 17 {
+	if keys := storedKeys(t, s); len(keys) != 17 {
 		t.Errorf("%d keys, want 17", len(keys))
 	}
 	// The same-key winner is whole, and the index agrees with the file:
@@ -322,14 +310,31 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	}
 }
 
-func sortedStrings(xs []string) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
+// storedKeys lists the content addresses the store's index holds,
+// sorted.
+func storedKeys(t *testing.T, s *Store) []string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.ensureLoadedLocked(); err != nil {
+		t.Fatal(err)
 	}
-	return true
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
+
+// entryLine renders one index/journal line without its newline.
+func entryLine(key string, e indexEntry) string {
+	return strings.TrimSuffix(string(appendEntry(nil, key, e)), "\n")
+}
+
+// tombstoneLine is the journal line that deleted key in states written
+// when the store still had a per-key delete.
+func tombstoneLine(key string) string { return key + "|" + tombstone + "|0|0|" + tombstone }
 
 // TestDecodeRejectsNonCanonicalForms pins the strict decode/encode
 // identity: semantically equivalent but non-canonical renderings (padded

@@ -1,0 +1,297 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// errClass names the error classes a lookup reports: none, ErrCorrupt or
+// ErrMismatch.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrMismatch):
+		return "mismatch"
+	}
+	return "other: " + err.Error()
+}
+
+// decodeAndCompare is the reference verification: a full Decode, then
+// Equal against the fingerprint the record was looked up by.
+func decodeAndCompare(raw []byte, fp Fingerprint) ([]byte, error) {
+	rec, err := Decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !rec.Fingerprint.Equal(fp) {
+		return nil, fmt.Errorf("%w: reference", ErrMismatch)
+	}
+	return rec.Payload, nil
+}
+
+// randomString draws field values from the cases quoting must get right:
+// plain names, quotes and backslashes, separators, control bytes, non-ASCII
+// and invalid UTF-8.
+func randomString(rng *rand.Rand) string {
+	alphabet := []string{"a", "Z", "0", "_", "-", ".", " ", "|", "=", ",", "\n", "\t", `"`, `\`, "\x00", "\x7f", "é", "\xff", "DATA|", "F|"}
+	var sb strings.Builder
+	for n := rng.Intn(8); n > 0; n-- {
+		sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+	}
+	return sb.String()
+}
+
+func randomFingerprint(rng *rand.Rand) Fingerprint {
+	fp := Fingerprint{
+		Experiment: randomString(rng),
+		Suite:      randomString(rng),
+		Benchmark:  randomString(rng),
+		BuildType:  randomString(rng),
+		Reps:       randomString(rng),
+		Input:      randomString(rng),
+		Tool:       randomString(rng),
+		Dims:       randomString(rng),
+		ConfigHash: randomString(rng),
+	}
+	switch rng.Intn(3) {
+	case 0: // nil threads
+	case 1:
+		fp.Threads = []int{}
+	default:
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			fp.Threads = append(fp.Threads, rng.Intn(40)-4)
+		}
+	}
+	return fp
+}
+
+// recordMutations returns damaged variants of raw, c's record: each kind
+// the prefix comparison must turn away, named.
+func recordMutations(rng *rand.Rand, raw []byte, fp Fingerprint) map[string][]byte {
+	out := map[string][]byte{}
+	flip := append([]byte(nil), raw...)
+	flip[rng.Intn(len(flip))] ^= byte(1 << rng.Intn(8))
+	out["flipped byte"] = flip
+
+	lines := strings.SplitAfter(string(raw), "\n")
+	// lines[1..10] are the F lines; swap two distinct ones.
+	i, j := 1+rng.Intn(10), 1+rng.Intn(10)
+	if i == j {
+		j = 1 + (i % 10)
+	}
+	swapped := append([]string(nil), lines...)
+	swapped[i], swapped[j] = swapped[j], swapped[i]
+	out["swapped field"] = []byte(strings.Join(swapped, ""))
+
+	if len(fp.Threads) > 0 && fp.Threads[0] >= 0 {
+		old := "F|threads|" + strconv.Itoa(fp.Threads[0])
+		out["threads 01"] = []byte(strings.Replace(string(raw), old, "F|threads|0"+strconv.Itoa(fp.Threads[0]), 1))
+	}
+
+	at := bytes.Index(raw, []byte("\nDATA|")) + 1
+	end := at + bytes.IndexByte(raw[at:], '\n')
+	out["cut DATA line"] = raw[:at+rng.Intn(end-at)]
+	out["DATA line dropped"] = append(append([]byte(nil), raw[:at]...), raw[end+1:]...)
+	out["padded DATA length"] = []byte(strings.Replace(string(raw), "\nDATA|", "\nDATA|0", 1))
+	out["trailing byte"] = append(append([]byte(nil), raw...), 'x')
+	if at+len("DATA|")+1 < len(raw) {
+		out["payload cut"] = raw[:len(raw)-1]
+	}
+
+	foreign := fp
+	foreign.Benchmark += "x"
+	out["foreign fingerprint"] = Encode(Record{Fingerprint: foreign, Payload: raw[end+1:]})
+	return out
+}
+
+// TestVerifyRecordMatchesDecode pins the store-hit verification to its
+// reference: for random fingerprints and payloads, and for every kind of
+// damaged record, verifyRecord returns exactly what Decode followed by
+// Equal returns — the same payload bytes and the same error class. An
+// intact record must also pass on the byte comparison alone, so the test
+// cannot pass by always taking the fallback.
+func TestVerifyRecordMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		fp := randomFingerprint(rng)
+		payload := []byte(randomString(rng) + randomString(rng))
+		if rng.Intn(4) == 0 {
+			payload = nil
+		}
+		c := NewCell(fp)
+		if c.Key() != fp.Key() {
+			t.Fatalf("iter %d: cell key %s, fingerprint key %s", iter, c.Key(), fp.Key())
+		}
+		raw := Encode(Record{Fingerprint: fp, Payload: payload})
+		if got, ok := exactPayload(raw, c.header); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("iter %d: intact record failed the byte comparison: %q ok=%t\n%q", iter, got, ok, raw)
+		}
+		cases := recordMutations(rng, raw, fp)
+		cases["intact"] = raw
+		// A fingerprint that differs only in nil versus empty threads is
+		// the same fingerprint.
+		if len(fp.Threads) == 0 {
+			other := fp
+			if other.Threads == nil {
+				other.Threads = []int{}
+			} else {
+				other.Threads = nil
+			}
+			cases["nil/empty threads"] = Encode(Record{Fingerprint: other, Payload: payload})
+		}
+		for name, data := range cases {
+			got, err := verifyRecord(data, c)
+			want, werr := decodeAndCompare(data, fp)
+			if errClass(err) != errClass(werr) {
+				t.Fatalf("iter %d, %s: verifyRecord class %s, reference %s (%v)\n%q", iter, name, errClass(err), errClass(werr), werr, data)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("iter %d, %s: verifyRecord payload %q, reference %q", iter, name, got, want)
+			}
+		}
+	}
+}
+
+// TestFingerprintEqualMatchesCanonical pins Equal's field comparison to
+// the canonical strings' truth table, nil and empty thread lists
+// included.
+func TestFingerprintEqualMatchesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 2000; iter++ {
+		a := randomFingerprint(rng)
+		b := a
+		switch rng.Intn(4) {
+		case 0:
+			b = randomFingerprint(rng)
+		case 1:
+			b.Threads = append([]int(nil), a.Threads...) // nil stays nil
+			if len(b.Threads) > 0 {
+				b.Threads[rng.Intn(len(b.Threads))]++
+			}
+		case 2:
+			if len(a.Threads) == 0 {
+				b.Threads = []int{}
+				if a.Threads != nil {
+					b.Threads = nil
+				}
+			}
+		default:
+			b.Dims += randomString(rng)
+		}
+		if got, want := a.Equal(b), a.Canonical() == b.Canonical(); got != want {
+			t.Fatalf("iter %d: Equal %t, canonical comparison %t\n%s\nvs\n%s", iter, got, want, a.Canonical(), b.Canonical())
+		}
+	}
+}
+
+// TestParseEntryCanonicalLines pins which index and journal lines the
+// parser accepts, over a table of edge cases: offsets with leading zeros,
+// signs, and more digits than an int64 holds, and file names that belong
+// to another key, another shard or no store layout at all. Every accepted
+// line renders back to itself.
+func TestParseEntryCanonicalLines(t *testing.T) {
+	key := fpN(0).Key()
+	other := fpN(1).Key()
+	sum := sumHex([]byte("payload"))
+	loose, pack := key[:2]+"/"+key, packDir+"/"+key[:2]+".pack"
+	line := func(file, off, length, digest string) string {
+		return key + "|" + file + "|" + off + "|" + length + "|" + digest
+	}
+	cases := map[string]struct {
+		line   string
+		accept bool
+	}{
+		"loose":                {line(loose, "0", "7", sum), true},
+		"packed":               {line(pack, "1234", "56", sum), true},
+		"zero length":          {line(pack, "0", "0", sum), true},
+		"max int64":            {line(pack, "9223372036854775807", "9223372036854775807", sum), true},
+		"int64 overflow":       {line(pack, "9223372036854775808", "1", sum), false},
+		"twenty digits":        {line(pack, "12345678901234567890", "1", sum), false},
+		"overlong length":      {line(pack, "0", "99999999999999999999", sum), false},
+		"leading zero":         {line(pack, "007", "7", sum), false},
+		"leading zero length":  {line(pack, "0", "07", sum), false},
+		"double zero":          {line(pack, "00", "7", sum), false},
+		"19-digit zero pad":    {line(pack, "0000000000000000001", "7", sum), false},
+		"plus sign":            {line(pack, "+7", "7", sum), false},
+		"plus zero":            {line(pack, "+0", "7", sum), false},
+		"minus":                {line(pack, "-1", "7", sum), false},
+		"minus zero":           {line(pack, "-0", "7", sum), false},
+		"empty offset":         {line(pack, "", "7", sum), false},
+		"space in offset":      {line(pack, " 7", "7", sum), false},
+		"underscore":           {line(pack, "1_000", "7", sum), false},
+		"hex offset":           {line(pack, "0x10", "7", sum), false},
+		"tombstone":            {key + "|-|0|0|-", true},
+		"tombstone offset":     {key + "|-|1|0|-", false},
+		"tombstone length":     {key + "|-|0|00|-", false},
+		"tombstone digest":     {key + "|-|0|0|" + sum, false},
+		"foreign loose key":    {line(other[:2]+"/"+other, "0", "7", sum), false},
+		"foreign loose shard":  {line("zz/"+key, "0", "7", sum), false},
+		"loose without shard":  {line(key, "0", "7", sum), false},
+		"loose extra dir":      {line(key[:2]+"/x/"+key, "0", "7", sum), false},
+		"foreign pack shard":   {line(packDir+"/"+other[:2]+".pack", "0", "7", sum), false},
+		"pack wrong extension": {line(packDir+"/"+key[:2]+".pak", "0", "7", sum), false},
+		"pack wrong dir":       {line("packs/"+key[:2]+".pack", "0", "7", sum), false},
+		"pack nested":          {line(packDir+"/"+key[:2]+".pack/x", "0", "7", sum), false},
+		"pack long shard":      {line(packDir+"/"+key[:3]+".pack", "0", "7", sum), false},
+		"empty file":           {line("", "0", "7", sum), false},
+		"uppercase key":        {strings.ToUpper(key) + "|" + loose + "|0|7|" + sum, false},
+		"short key":            {key[:63] + "|" + key[:2] + "/" + key[:63] + "|0|7|" + sum, false},
+		"short digest":         {line(loose, "0", "7", sum[:63]), false},
+		"uppercase digest":     {line(loose, "0", "7", strings.ToUpper(sum)), false},
+		"four fields":          {key + "|" + loose + "|0|7", false},
+		"six fields":           {line(loose, "0", "7", sum) + "|", false},
+		"empty line":           {"", false},
+		"only separators":      {"||||", false},
+	}
+	for name, tc := range cases {
+		k, e, err := parseEntry(tc.line)
+		if (err == nil) != tc.accept {
+			t.Errorf("%s: parseEntry err=%v, want accept=%t", name, err, tc.accept)
+			continue
+		}
+		if err == nil && e.file != tombstone {
+			if got := string(appendEntry(nil, k, e)); got != tc.line+"\n" {
+				t.Errorf("%s: parsed line renders as %q", name, got)
+			}
+		}
+	}
+}
+
+// TestIndexEntryOutOfRangeHeals pins the bounds check on index entries:
+// offsets near the int64 limit, which a journal line may carry, must
+// neither panic nor serve bytes — the lookup falls back to the record
+// file and serves the true payload.
+func TestIndexEntryOutOfRangeHeals(t *testing.T) {
+	s, fsys := newTestStore(t)
+	fp := testFingerprint()
+	if err := s.Put(fp, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	key := fp.Key()
+	for _, e := range []indexEntry{
+		{file: key[:2] + "/" + key, off: 1<<63 - 1, length: 1},
+		{file: key[:2] + "/" + key, off: 1, length: 1<<63 - 1},
+		{file: packDir + "/" + key[:2] + ".pack", off: 1<<63 - 1, length: 1<<63 - 1},
+	} {
+		e.sum = sumHex([]byte("x"))
+		if _, err := fsys.Append("/fex/store/"+journalFile, appendEntry(nil, key, e)); err != nil {
+			t.Fatal(err)
+		}
+		cold := New(fsys, "/fex/store")
+		res, err := cold.BulkGet([]Fingerprint{fp})
+		if err != nil || !res[0].Present || res[0].Err != nil || string(res[0].Payload) != "payload" {
+			t.Fatalf("entry %+v: bulk %+v err=%v", e, res, err)
+		}
+		if payload, present, err := New(fsys, "/fex/store").Get(fp); err != nil || !present || string(payload) != "payload" {
+			t.Fatalf("entry %+v: get %q present=%t err=%v", e, payload, present, err)
+		}
+	}
+}

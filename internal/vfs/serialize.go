@@ -55,69 +55,69 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // magic, such as a state file written by an earlier repository version.
 var errNotSnapshot = errors.New("not a fex state snapshot")
 
-// snapEntry is one entry collected by Save. data aliases the node's
-// bytes, which are never mutated in place (see node), so it stays valid
-// after the lock is released.
-type snapEntry struct {
-	path string
-	dir  bool
-	mode fs.FileMode
+// snapFile is a file's bytes in a Save: they follow the entry headers
+// up to offset at. data aliases the node's bytes, which are never mutated
+// in place (see node), so it stays valid after the lock is released.
+type snapFile struct {
+	at   int
 	data []byte
 }
 
 // Save serializes the whole filesystem to w in the snapshot format
 // above. The entries are collected under one read lock without copying
-// file bytes; the encoding and the writes to w happen after the lock is
-// released, so writers are never blocked on w. A w that can reserve
-// room, such as a *bytes.Buffer, is first grown by the snapshot's exact
-// size, so it allocates once instead of doubling its way through tens of
-// megabytes, a cost that also swung from one Save to the next with the
-// heap's state. It counts as one filesystem operation.
+// file bytes: their headers, paths included, are rendered into one
+// buffer, and each file keeps a reference to its bytes. The writes to w
+// happen after the lock is released, so writers are never blocked on w.
+// A w that can reserve room, such as a *bytes.Buffer, is first grown by
+// the snapshot's exact size, so it allocates once instead of doubling its
+// way through tens of megabytes, a cost that also swung from one Save to
+// the next with the heap's state; the writer's own buffer is no larger
+// than the snapshot. It counts as one filesystem operation.
 func (f *FS) Save(w io.Writer) error {
-	var entries []snapEntry
+	// Room for a few hundred entries, a small state, up front; a larger
+	// one grows the two buffers by doubling.
+	heads := make([]byte, 0, 16<<10)
+	files := make([]snapFile, 0, 256)
 	size := len(magic) + 1 + 1 + 4 // header, end marker, trailer
-	err := f.walkTree("save", "/", func(p string, n *node) error {
+	err := f.walkTree("save", "/", func(p []byte, n *node) error {
 		if len(p) > maxPathLen {
 			// Load would reject it; fail now, while the previous state
 			// file is still intact.
 			return fmt.Errorf("path %.64q... is longer than %d bytes", p, maxPathLen)
 		}
-		entries = append(entries, snapEntry{path: p, dir: n.isDir, mode: n.mode, data: n.data})
-		size += 1 + uvarintLen(uint64(len(p))) + len(p)
+		if n.isDir {
+			heads = append(heads, entryDir)
+		} else {
+			heads = append(heads, entryFile)
+		}
+		heads = binary.AppendUvarint(heads, uint64(len(p)))
+		heads = append(heads, p...)
 		if !n.isDir {
-			size += uvarintLen(uint64(n.mode)) + uvarintLen(uint64(len(n.data))) + len(n.data)
+			heads = binary.AppendUvarint(heads, uint64(n.mode))
+			heads = binary.AppendUvarint(heads, uint64(len(n.data)))
+			files = append(files, snapFile{at: len(heads), data: n.data})
+			size += len(n.data)
 		}
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("vfs save: %w", err)
 	}
+	size += len(heads)
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(size)
 	}
-	sw := &snapWriter{w: bufio.NewWriterSize(w, ioBufSize)}
-	sw.write(append([]byte(magic), formatVersion))
-	var hdr []byte
-	for _, e := range entries {
-		hdr = hdr[:0]
-		if e.dir {
-			hdr = append(hdr, entryDir)
-		} else {
-			hdr = append(hdr, entryFile)
-		}
-		hdr = binary.AppendUvarint(hdr, uint64(len(e.path)))
-		hdr = append(hdr, e.path...)
-		if !e.dir {
-			hdr = binary.AppendUvarint(hdr, uint64(e.mode))
-			hdr = binary.AppendUvarint(hdr, uint64(len(e.data)))
-		}
-		sw.write(hdr)
-		if !e.dir {
-			sw.write(e.data)
-		}
+	sw := &snapWriter{w: bufio.NewWriterSize(w, min(size, ioBufSize))}
+	var buf [len(magic) + 1]byte
+	sw.write(append(append(buf[:0], magic...), formatVersion))
+	at := 0
+	for _, file := range files {
+		sw.write(heads[at:file.at])
+		sw.write(file.data)
+		at = file.at
 	}
-	sw.write([]byte{entryEnd})
-	sw.write(binary.BigEndian.AppendUint32(nil, sw.crc))
+	sw.write(append(heads[at:], entryEnd))
+	sw.write(binary.BigEndian.AppendUint32(buf[:0], sw.crc))
 	if sw.err == nil {
 		sw.err = sw.w.Flush()
 	}

@@ -103,12 +103,26 @@ func fileEntry(p string, mode uint64, data string) []byte {
 
 func concat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-// TestSaveLoadExact pins the round trip: paths, entry kinds, file bytes
-// and file modes survive, and saving the loaded tree reproduces the
-// snapshot byte for byte.
+// TestSaveLoadExact pins the format and the round trip: Save writes the
+// sample tree as the documented entry sequence, byte for byte; paths,
+// entry kinds, file bytes and file modes survive a load; and saving the
+// loaded tree reproduces the snapshot byte for byte.
 func TestSaveLoadExact(t *testing.T) {
 	src := sampleFS(t)
 	snap := snapshotOf(t, src)
+	long := "/c/" + strings.Repeat("long-name", 40)
+	want := encodeSnapshot(concat(
+		dirEntry("/a"), dirEntry("/a/b"), dirEntry("/a/b/c"),
+		fileEntry("/a/b/c/deep", 0o600, "deep file"), fileEntry("/a/b/file1", 0o644, "data1"),
+		fileEntry("/a/journal", 0o644, "rec1|rec2|"),
+		dirEntry("/c"), fileEntry("/c/empty", 0o644, ""), fileEntry("/c/file2", 0o755, "data2"),
+		fileEntry(long, 0o644, "x"),
+		dirEntry("/empty"), dirEntry("/empty/dir"),
+		fileEntry("/z", 0o444, strings.Repeat("z", 300)),
+	))
+	if !bytes.Equal(snap, want) {
+		t.Errorf("Save wrote\n%q\nwant\n%q", snap, want)
+	}
 	dst := New()
 	if err := dst.Load(bytes.NewReader(snap)); err != nil {
 		t.Fatalf("Load: %v", err)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -428,12 +429,13 @@ type WalkFunc func(st Stat) error
 
 // Walk visits every entry below root (excluding root itself).
 func (f *FS) Walk(root string, fn WalkFunc) error {
-	return f.walkTree("walk", root, func(p string, n *node) error { return fn(n.stat(p)) })
+	return f.walkTree("walk", root, func(p []byte, n *node) error { return fn(n.stat(string(p))) })
 }
 
 // walkTree calls fn for every node below root in Walk order, under one
-// read lock, counting one operation.
-func (f *FS) walkTree(op, root string, fn func(p string, n *node) error) error {
+// read lock, counting one operation. fn gets each node's absolute path in
+// a buffer that is valid only until fn returns.
+func (f *FS) walkTree(op, root string, fn func(p []byte, n *node) error) error {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -441,28 +443,50 @@ func (f *FS) walkTree(op, root string, fn func(p string, n *node) error) error {
 	if err != nil {
 		return &PathError{Op: op, Path: root, Err: err}
 	}
-	return visit(path.Clean("/"+root), n, fn)
+	w := walker{fn: fn}
+	if base := path.Clean("/" + root); base != "/" {
+		w.path = append(w.path, base...)
+	}
+	return w.visit(n)
 }
 
-func visit(base string, n *node, fn func(p string, n *node) error) error {
+// walker is one walk's state: the path of the entry being visited, built
+// in place, and a stack of sorted children, one run per open directory,
+// so the walk allocates per directory depth, not per entry.
+type walker struct {
+	path []byte
+	kids []child
+	fn   func(p []byte, n *node) error
+}
+
+// child is one entry of a directory.
+type child struct {
+	name string
+	n    *node
+}
+
+// visit calls w.fn for every node below n, whose path is w.path.
+func (w *walker) visit(n *node) error {
 	if !n.isDir {
 		return nil
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
+	base, start := len(w.path), len(w.kids)
+	for name, c := range n.children {
+		w.kids = append(w.kids, child{name, c})
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := n.children[name]
-		p := path.Join(base, name)
-		if err := fn(p, c); err != nil {
+	end := len(w.kids)
+	slices.SortFunc(w.kids[start:end], func(a, b child) int { return strings.Compare(a.name, b.name) })
+	for i := start; i < end; i++ {
+		c := w.kids[i]
+		w.path = append(append(w.path[:base], '/'), c.name...)
+		if err := w.fn(w.path, c.n); err != nil {
 			return err
 		}
-		if err := visit(p, c, fn); err != nil {
+		if err := w.visit(c.n); err != nil {
 			return err
 		}
 	}
+	w.path, w.kids = w.path[:base], w.kids[:start]
 	return nil
 }
 
@@ -541,7 +565,7 @@ func (f *FS) CopyTree(src, dst string) error {
 // trees with identical structure and bytes produce identical digests.
 func (f *FS) Digest(root string) (string, error) {
 	h := sha256.New()
-	err := f.walkTree("digest", root, func(p string, n *node) error {
+	err := f.walkTree("digest", root, func(p []byte, n *node) error {
 		fmt.Fprintf(h, "%s|%t|%d\n", p, n.isDir, len(n.data))
 		h.Write(n.data)
 		return nil

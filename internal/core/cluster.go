@@ -168,40 +168,29 @@ type hostImage struct {
 	reusable bool
 }
 
-// imageKey is everything a host image depends on. A worker's build
-// system reads exactly one thing from its cloned container: the install
-// manifest, through IsInstalled (compilers come from the registry, and
-// binaries are only written). Its makefiles are the shipped defaults,
-// the registry's and the coordinator's added or edited ones, shipped
-// with the image and keyed by their digest. The cost-model hash is added
-// so a mode flip (-d, --modeled-time, -no-memo) provisions fresh like
-// the coordinator's clean build; prepareBuild also drops every image
-// whenever it runs that clean build.
+// imageKey is everything a host image depends on: the run's build
+// identity, whose makefiles the image is built with, and the install
+// manifest, the one thing a worker's build system reads from its cloned
+// container (compilers come from the registry; binaries are only
+// written). prepareBuild also drops every image on a clean build.
 type imageKey struct {
-	config    string
-	manifest  string
-	makefiles string
+	build    buildIdentity
+	manifest string
 }
 
-// imageKey returns the key of the host images a run with cfg uses,
-// read from the coordinator's current state.
-func (fx *Fex) imageKey(cfg Config) (imageKey, error) {
+// names reports whether k and o name the same image.
+func (k imageKey) names(o imageKey) bool {
+	return k.build.config == o.build.config && k.build.digest == o.build.digest && k.manifest == o.manifest
+}
+
+// imageKey returns the key of the host images a run with build identity
+// id uses, reading the coordinator's install manifest.
+func (fx *Fex) imageKey(id buildIdentity) (imageKey, error) {
 	manifest, err := fx.inst.ManifestBytes()
 	if err != nil {
 		return imageKey{}, fmt.Errorf("cluster: read install manifest: %w", err)
 	}
-	return imageKey{
-		config:    fx.costModelHash(cfg),
-		manifest:  string(manifest),
-		makefiles: buildsys.Digest(fx.shippedMakefiles()),
-	}, nil
-}
-
-// shippedMakefiles returns the coordinator's makefiles that a host build
-// system does not assemble itself: those added or replaced since New,
-// such as a user's new build type.
-func (fx *Fex) shippedMakefiles() []*buildsys.Makefile {
-	return fx.build.ChangedSince(fx.baseMakefiles)
+	return imageKey{build: id, manifest: string(manifest)}, nil
 }
 
 // hostImage returns host's image for key, provisioning it on the first
@@ -210,7 +199,7 @@ func (fx *Fex) shippedMakefiles() []*buildsys.Makefile {
 func (fx *Fex) hostImage(host string, key imageKey) (*buildsys.System, error) {
 	fx.imageMu.Lock()
 	img := fx.images[host]
-	if img == nil || img.key != key {
+	if img == nil || !img.key.names(key) {
 		img = &hostImage{key: key}
 		fx.images[host] = img
 	}
@@ -230,11 +219,10 @@ func (fx *Fex) hostImage(host string, key imageKey) (*buildsys.System, error) {
 }
 
 // provision clones the coordinator container for host and assembles a
-// build system over the clone, with the coordinator's shipped makefiles.
-// It reports the image reusable only when the clone's installed set and
-// the shipped makefiles are the key's: an install or makefile edit that
-// landed between reading the key and provisioning yields an image good
-// for this run only.
+// build system over the clone, with the key's makefiles. It reports the
+// image reusable only when the clone's installed set is the key's: an
+// install that landed between reading the key and provisioning yields an
+// image good for this run only.
 func (fx *Fex) provision(host string, key imageKey) (*buildsys.System, bool, error) {
 	fail := func(err error) (*buildsys.System, bool, error) {
 		return nil, false, fmt.Errorf("cluster: provision %s: %w", host, err)
@@ -259,13 +247,12 @@ func (fx *Fex) provision(host string, key imageKey) (*buildsys.System, bool, err
 	if err != nil {
 		return fail(err)
 	}
-	shipped := fx.shippedMakefiles()
-	for _, mf := range shipped {
+	for _, mf := range key.build.makefiles {
 		if err := build.AddMakefile(mf); err != nil {
 			return fail(err)
 		}
 	}
-	return build, string(manifest) == key.manifest && buildsys.Digest(shipped) == key.makefiles, nil
+	return build, string(manifest) == key.manifest, nil
 }
 
 // dropHostImages forgets every host image; runs that already hold one
@@ -329,7 +316,7 @@ func (h *hostState) cost() time.Duration { return h.cellEWMA + h.rttEWMA }
 func (s *sched) startCluster() (stop func(), err error) {
 	rc := s.rc
 	s.route = strconv.FormatUint(runRoutes.Add(1), 10)
-	if s.image, err = rc.Fex.imageKey(rc.Config); err != nil {
+	if s.image, err = rc.Fex.imageKey(rc.identity); err != nil {
 		return func() {}, err
 	}
 	// Subscribe before resolving the initial workers so a host Ensure'd

@@ -202,7 +202,7 @@ func TestClusterImageShipsCoordinatorMakefiles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		key, err := fx.imageKey(cfg)
+		key, err := fx.imageKey(fx.newBuildIdentity(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestClusterImageShipsCoordinatorMakefiles(t *testing.T) {
 		}
 		csvs = append(csvs, csv)
 	}
-	if keys[0] == keys[1] {
+	if keys[0].names(keys[1]) {
 		t.Error("the makefile edit left the image key unchanged")
 	}
 	if csvs[0] == csvs[1] {

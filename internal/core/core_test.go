@@ -166,6 +166,33 @@ func TestRunRequiresInstalledCompiler(t *testing.T) {
 	}
 }
 
+// TestInstallPrerequisitesWhenInstalled pins the steady state of serve
+// and of an edit-and-rerun loop, which call InstallPrerequisites before
+// every run: with every prerequisite installed, a call reads the install
+// manifest and writes nothing.
+func TestInstallPrerequisitesWhenInstalled(t *testing.T) {
+	fx := newFex(t)
+	installAll(t, fx, "gcc-6.1", "clang-3.8.0")
+	fsys, err := fx.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := fsys.Digest("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := fsys.Ops()
+	if err := fx.InstallPrerequisites("gcc_native", "clang_native", "gcc_asan"); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.Ops() - ops; n > 2 {
+		t.Errorf("InstallPrerequisites with everything installed made %d vfs operations, want at most 2", n)
+	}
+	if after, err := fsys.Digest("/"); err != nil || after != before {
+		t.Errorf("InstallPrerequisites with everything installed changed the container (err %v)", err)
+	}
+}
+
 func TestRunPhoenixEndToEnd(t *testing.T) {
 	fx := newFex(t)
 	installAll(t, fx, "gcc-6.1")

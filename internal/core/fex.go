@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,18 +107,17 @@ type Fex struct {
 	// after LoadState brought in earlier runs.
 	runSeq atomic.Uint64
 	// buildMu serializes the pre-run build step; lastBuildHash is the
-	// cost-model hash of the config whose CleanBuild the coordinator's
-	// artifact cache currently reflects, with the digest of the makefiles
-	// added or edited since New. A run whose hash matches reuses
-	// the warm cache instead of rebuilding — one build per build
+	// marker of the build identity whose CleanBuild the coordinator's
+	// artifact cache currently reflects. A run whose marker matches
+	// reuses the warm cache instead of rebuilding — one build per build
 	// configuration serves every experiment of a multi-experiment
-	// invocation (artifacts are a pure function of the hashed modes).
+	// invocation (artifacts are a pure function of the identity).
 	buildMu       sync.Mutex
 	lastBuildHash string
 	// baseMakefiles is the build system's makefile registry as
 	// newBenchBuildSystem assembled it. Host build systems assemble the
 	// same set themselves; every makefile added or replaced since is
-	// shipped to them (shippedMakefiles).
+	// part of a run's build identity and shipped to them.
 	baseMakefiles map[string]*buildsys.Makefile
 	// images holds each cluster host's provisioned image by host name
 	// (see hostImage in cluster.go); provisions counts provisioning
@@ -292,17 +292,34 @@ func (fx *Fex) CompactStore() (store.CompactStats, error) {
 		return store.CompactStats{}, nil
 	}
 	valid := make(map[string]bool, 8)
-	for _, debug := range []bool{false, true} {
-		for _, modelTime := range []bool{false, true} {
-			for _, noMemo := range []bool{false, true} {
-				valid[fx.costModelHash(Config{Debug: debug, ModelTime: modelTime, NoMemo: noMemo})] = true
-			}
-		}
+	for mode := range 8 {
+		valid[fx.costModelHash(Config{Debug: mode&1 != 0, ModelTime: mode&2 != 0, NoMemo: mode&4 != 0})] = true
 	}
 	return fx.store.Compact(func(fp store.Fingerprint) bool {
 		return valid[fp.ConfigHash]
 	})
 }
+
+// buildIdentity is the build configuration of one run, computed once
+// when it starts. The cell fingerprints (config is their ConfigHash,
+// digest joins their Dims), the build marker and the host image key all
+// derive from it. config is the cost-model hash; makefiles are those
+// added or replaced since New, which host build systems do not assemble
+// themselves, and digest is their buildsys.Digest ("" when none).
+type buildIdentity struct {
+	config, digest string
+	makefiles      []*buildsys.Makefile
+}
+
+// newBuildIdentity returns the build identity of a run with cfg.
+func (fx *Fex) newBuildIdentity(cfg Config) buildIdentity {
+	shipped := fx.build.ChangedSince(fx.baseMakefiles)
+	return buildIdentity{config: fx.costModelHash(cfg), digest: buildsys.Digest(shipped), makefiles: shipped}
+}
+
+// marker is the identity as one string: the build marker prepareBuild
+// compares.
+func (id buildIdentity) marker() string { return id.config + id.digest }
 
 // costModelHash digests the measurement context that cell fingerprints
 // cannot express structurally: the full cost-model calibration (baseline,
@@ -311,8 +328,8 @@ func (fx *Fex) CompactStore() (store.CompactStats, error) {
 // repetition records. Any drift here must miss the store rather than
 // replay measurements taken under a different model. The calibration
 // rendering is constant for the process, so its digest is computed once;
-// the per-call work is hashing a short fixed-size string (once per run
-// plan, once per build and once per cluster image key).
+// the per-call work is hashing a short fixed-size string (once per run,
+// in newBuildIdentity, and once per mode combination in CompactStore).
 func (fx *Fex) costModelHash(cfg Config) string {
 	fx.calOnce.Do(func() {
 		sum := sha256.Sum256([]byte(toolchain.CalibrationCanonical()))
@@ -351,24 +368,20 @@ func (fx *Fex) Installed(name string) (bool, error) {
 
 // InstallPrerequisites installs everything the given build types need —
 // a convenience for examples and tests (users normally install each
-// artifact explicitly, as in §III-B).
+// artifact explicitly, as in §III-B). It installs only what the install
+// manifest lacks.
 func (fx *Fex) InstallPrerequisites(buildTypes ...string) error {
-	needed := map[string]bool{}
-	for _, bt := range buildTypes {
-		switch {
-		case strings.HasPrefix(bt, "gcc_"):
-			needed["gcc-6.1"] = true
-		case strings.HasPrefix(bt, "clang_"):
-			needed["clang-3.8.0"] = true
+	installed, err := fx.inst.Manifest()
+	if err != nil {
+		return err
+	}
+	// In artifact name order.
+	for _, pre := range [...]struct{ prefix, artifact string }{{"clang_", "clang-3.8.0"}, {"gcc_", "gcc-6.1"}} {
+		needed := slices.ContainsFunc(buildTypes, func(bt string) bool { return strings.HasPrefix(bt, pre.prefix) })
+		if !needed || slices.ContainsFunc(installed, func(it installer.Installed) bool { return it.Name == pre.artifact }) {
+			continue
 		}
-	}
-	names := make([]string, 0, len(needed))
-	for n := range needed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fx.Install(n); err != nil {
+		if _, err := fx.Install(pre.artifact); err != nil {
 			return err
 		}
 	}
@@ -642,11 +655,12 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 	if err != nil {
 		return nil, err
 	}
+	identity := fx.newBuildIdentity(cfg)
 
 	// The build step runs before each experiment; skipping it is only for
 	// quick preliminary runs.
 	if !cfg.NoBuild {
-		if err := fx.prepareBuild(cfg); err != nil {
+		if err := fx.prepareBuild(identity); err != nil {
 			return nil, err
 		}
 	}
@@ -699,6 +713,7 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 		Verbose:  fx.verbose,
 		ctx:      ctx,
 		progress: hooks.Progress,
+		identity: identity,
 	}
 	runner, err := exp.NewRunner(fx)
 	if err != nil {
@@ -753,21 +768,20 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 }
 
 // prepareBuild is the pre-run build step with cross-experiment artifact
-// sharing: the first run of a build configuration does the classic
-// CleanBuild (wipe caches, rebuild from pristine sources); subsequent
-// runs whose cost-model hash matches reuse the warm coordinator cache —
-// artifacts are a deterministic function of (workload, build type) under
-// the hashed modes (debug, modeled-time, no-memo, calibration) and the
-// makefiles, so a shared artifact measures identically to a fresh one. A
-// hash change (e.g. -d after a release run, or an edited build type)
+// sharing: the first run of a build identity does the classic CleanBuild
+// (wipe caches, rebuild from pristine sources); subsequent runs whose
+// identity marker matches reuse the warm coordinator cache — artifacts
+// are a deterministic function of (workload, build type) under the
+// identity's modes (debug, modeled-time, no-memo, calibration) and
+// makefiles, so a shared artifact measures identically to a fresh one.
+// A marker change (e.g. -d after a release run, or an edited build type)
 // rebuilds clean, and drops every cluster host image with the
-// coordinator's cache. -no-build runs never touch
-// the marker: they reuse whatever is cached, as before.
-func (fx *Fex) prepareBuild(cfg Config) error {
+// coordinator's cache. -no-build runs never touch the marker: they reuse
+// whatever is cached, as before.
+func (fx *Fex) prepareBuild(id buildIdentity) error {
 	fx.buildMu.Lock()
 	defer fx.buildMu.Unlock()
-	// Makefiles added or edited since New change what a build produces.
-	hash := fx.costModelHash(cfg) + buildsys.Digest(fx.shippedMakefiles())
+	hash := id.marker()
 	if hash == fx.lastBuildHash {
 		fmt.Fprintf(fx.verbose, "== build: artifacts warm (shared across experiments); skipping clean build\n")
 		return nil

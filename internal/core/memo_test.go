@@ -204,20 +204,6 @@ func TestMemoDeterminismAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestCostModelHashSeparatesNoMemo pins the store-identity rule: a
-// -no-memo run's wall_ns samples are real kernel timings while a
-// memoized run's are cached-evaluation timings, so the two modes must
-// hash to different fingerprints — a -no-memo -resume run may never
-// silently replay memoized cells.
-func TestCostModelHashSeparatesNoMemo(t *testing.T) {
-	fx := newFex(t)
-	memo := fx.costModelHash(Config{})
-	noMemo := fx.costModelHash(Config{NoMemo: true})
-	if memo == noMemo {
-		t.Error("memoized and -no-memo configs alias in the result store")
-	}
-}
-
 // TestAdaptiveLiveTimeBypassesMemo pins the -r auto interaction: when
 // the stop rule watches live wall time, repetitions execute physically
 // (the memo is neither consulted nor populated) so the controller

@@ -26,7 +26,6 @@ package core
 import (
 	"fmt"
 
-	"fex/internal/buildsys"
 	"fex/internal/runlog"
 	"fex/internal/store"
 	"fex/internal/workload"
@@ -79,10 +78,9 @@ func planRun(rc *RunContext, cells []cell) *runPlan {
 		canon:     make([]int, len(cells)),
 		coldTypes: make(map[string]bool, len(rc.Config.BuildTypes)),
 	}
-	run := runFingerprint(rc.Fex, rc.Config)
-	makefiles := buildsys.Digest(rc.Fex.shippedMakefiles())
+	run := runFingerprint(rc.identity, rc.Config)
 	for i, c := range cells {
-		p.fps[i] = store.NewCell(cellFingerprint(run, c, makefiles))
+		p.fps[i] = store.NewCell(cellFingerprint(run, c, rc.identity))
 		p.canon[i] = i
 	}
 	p.shards = planReplays(rc, cells, p.fps)

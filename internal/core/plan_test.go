@@ -141,11 +141,12 @@ func TestRunCellsPropagatesBuildOverride(t *testing.T) {
 	}
 	var buf strings.Builder
 	rc := &RunContext{
-		Fex:    fx,
-		Config: cfg,
-		Env:    fx.environmentFor(cfg.BuildTypes),
-		Log:    runlog.NewWriter(&buf),
-		build:  sentinel,
+		Fex:      fx,
+		Config:   cfg,
+		Env:      fx.environmentFor(cfg.BuildTypes),
+		Log:      runlog.NewWriter(&buf),
+		build:    sentinel,
+		identity: fx.newBuildIdentity(cfg),
 	}
 	r := &BenchRunner{Suite: "splash"}
 	if err := r.Run(rc); err != nil {

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"fex/internal/buildsys"
 	"fex/internal/measure"
+	"fex/internal/store"
 	"fex/internal/workload"
 )
 
@@ -546,6 +548,115 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 	const wantKey = "8a439bfc583bedf469072be6b89bbae4fb62187ae51869cc11d3b80f5ee5830a"
 	if len(keys) != 1 || keys[0] != wantKey {
 		t.Errorf("default cell keys %v, want [%s]", keys, wantKey)
+	}
+	// Nor did the keys of cells built from an edited makefile.
+	setMakefile(plain, texts[1])
+	runOn(t, plain, Config{Experiment: "splash", BuildTypes: []string{"gcc_hardened"},
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true})
+	const wantEditedKey = "24887b150f14b5488bab76fbd9e7df583aeed0ab48ec7487ba12fc4289807201"
+	if keys := storeKeys(t, plain); len(keys) != 2 || !slices.Contains(keys, wantEditedKey) {
+		t.Errorf("cell keys after a makefile edit %v, want %s next to the default key", keys, wantEditedKey)
+	}
+}
+
+// TestBuildIdentityConsumers changes one build identity input per row, on
+// top of the rows before it, and checks that exactly the consumers it
+// should follow it: a mode flag moves the fingerprint's ConfigHash, the
+// cell key, the build marker and the host image key; an install moves
+// only the image key; adding or editing a makefile moves the cell key,
+// the marker and the image key, but not ConfigHash. Every row runs, and
+// compaction keeps the records of every row.
+func TestBuildIdentityConsumers(t *testing.T) {
+	type consumers struct {
+		configHash, cellKey, marker string
+		image                       imageKey
+	}
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	w, err := fx.Registry().Lookup("splash", "fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest}
+	observe := func(input string) consumers {
+		t.Helper()
+		runOn(t, fx, cfg)
+		resolved, _, err := fx.ResolveConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := fx.newBuildIdentity(resolved)
+		image, err := fx.imageKey(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := runFingerprint(id, resolved)
+		c := consumers{
+			configHash: run.ConfigHash,
+			cellKey:    store.NewCell(cellFingerprint(run, cell{buildType: "gcc_native", workload: w}, id)).Key(),
+			marker:     fx.lastBuildHash,
+			image:      image,
+		}
+		if !slices.Contains(storeKeys(t, fx), c.cellKey) {
+			t.Errorf("%s: the run stored no cell under key %s", input, c.cellKey)
+		}
+		return c
+	}
+	setMakefile := func(text string) func() {
+		return func() {
+			if err := fx.BuildSystem().AddMakefileText("gcc_hardened.mk", buildsys.LayerExperiment, text); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rows := []struct {
+		input                              string
+		apply                              func()
+		configHash, cellKey, marker, image bool
+	}{
+		{"-d", func() { cfg.Debug = true }, true, true, true, true},
+		{"--modeled-time", func() { cfg.ModelTime = true }, true, true, true, true},
+		// A -no-memo run's wall_ns samples are real kernel timings, a
+		// memoized run's cached-evaluation timings: the two must never
+		// replay each other's cells.
+		{"-no-memo", func() { cfg.NoMemo = true }, true, true, true, true},
+		{"install clang", func() { installAll(t, fx, "clang-3.8.0") }, false, false, false, true},
+		{"add gcc_hardened.mk", setMakefile("include gcc_native.mk\nCFLAGS += -fstack-protector\n"), false, true, true, true},
+		{"edit gcc_hardened.mk", setMakefile("include gcc_native.mk\nCFLAGS += -fsanitize=address\n"), false, true, true, true},
+	}
+	prev := observe("defaults")
+	keys := map[string]bool{prev.cellKey: true}
+	for _, r := range rows {
+		r.apply()
+		got := observe(r.input)
+		for _, c := range []struct {
+			consumer      string
+			want, changed bool
+		}{
+			{"ConfigHash", r.configHash, got.configHash != prev.configHash},
+			{"cell key", r.cellKey, got.cellKey != prev.cellKey},
+			{"build marker", r.marker, got.marker != prev.marker},
+			{"image key", r.image, !got.image.names(prev.image)},
+		} {
+			if c.changed != c.want {
+				t.Errorf("%s: %s changed = %t, want %t", r.input, c.consumer, c.changed, c.want)
+			}
+		}
+		keys[got.cellKey] = true
+		prev = got
+	}
+	if _, err := fx.CompactStore(); err != nil {
+		t.Fatal(err)
+	}
+	kept := storeKeys(t, fx)
+	for key := range keys {
+		if !slices.Contains(kept, key) {
+			t.Errorf("compaction dropped cell %s", key)
+		}
+	}
+	if len(kept) != len(keys) {
+		t.Errorf("compaction kept %d cells, want the %d the rows stored", len(kept), len(keys))
 	}
 }
 

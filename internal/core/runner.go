@@ -42,6 +42,8 @@ type RunContext struct {
 	// worker's private container instead of the coordinator's; nil uses
 	// the framework's own build system.
 	build *buildsys.System
+	// identity is the run's build identity (see buildIdentity).
+	identity buildIdentity
 }
 
 // Context returns the run's cancellation context (context.Background()
@@ -63,22 +65,14 @@ func (rc *RunContext) cancelled() error {
 	return rc.ctx.Err()
 }
 
-// child derives a cell-scoped context from rc: same framework handle,
-// config, environment, cancellation context, progress hook, and build
-// override, but logging into the given writer and verbose sink. Every
-// execution tier builds its per-cell contexts through this one helper so
-// a new cross-cutting field cannot be silently dropped on one tier.
+// child derives a cell-scoped context from rc: a copy of rc that logs
+// into the given writer and verbose sink. Every execution tier builds its
+// per-cell contexts through this one helper, and it copies every field,
+// so a new cross-cutting field cannot be silently dropped on one tier.
 func (rc *RunContext) child(lw *runlog.Writer, verbose io.Writer) *RunContext {
-	return &RunContext{
-		Fex:      rc.Fex,
-		Config:   rc.Config,
-		Env:      rc.Env,
-		Log:      lw,
-		Verbose:  verbose,
-		ctx:      rc.ctx,
-		progress: rc.progress,
-		build:    rc.build,
-	}
+	c := *rc
+	c.Log, c.Verbose = lw, verbose
+	return &c
 }
 
 // reportProgress delivers one progress event to the run's observer, if

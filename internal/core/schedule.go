@@ -67,33 +67,33 @@ func makeCells(buildTypes []string, benches []workload.Workload, dims string) []
 }
 
 // runFingerprint is the part of a cell's fingerprint that every cell of a
-// run shares: the run's configuration surface, plus the framework's
+// run shares: the run's configuration surface, plus its build identity's
 // cost-model hash so recalibrating the model (or flipping
 // debug/modeled-time mode) invalidates stored cells wholesale.
-func runFingerprint(fx *Fex, cfg Config) store.Fingerprint {
+func runFingerprint(id buildIdentity, cfg Config) store.Fingerprint {
 	return store.Fingerprint{
 		Experiment: cfg.Experiment,
 		Threads:    cfg.Threads,
 		Reps:       repsSpec(cfg),
 		Input:      cfg.Input.String(),
 		Tool:       cfg.Tool,
-		ConfigHash: fx.costModelHash(cfg),
+		ConfigHash: id.config,
 	}
 }
 
 // cellFingerprint is the content address of one cell's measurements: the
 // run's shared fingerprint (runFingerprint) completed with the cell's
-// workload, build type and dimensions. makefiles is the digest of the
-// makefiles added or edited since New (empty when there are none): it
-// joins Dims, which compaction's keep predicate does not read, so an
-// edited makefile misses the store without the default keys moving.
-func cellFingerprint(run store.Fingerprint, c cell, makefiles string) store.Fingerprint {
+// workload, build type and dimensions. The build identity's makefile
+// digest (empty when no makefile was added or edited since New) joins
+// Dims, which compaction's keep predicate does not read, so an edited
+// makefile misses the store without the default keys moving.
+func cellFingerprint(run store.Fingerprint, c cell, id buildIdentity) store.Fingerprint {
 	dims := c.dims
-	if makefiles != "" {
+	if id.digest != "" {
 		if dims != "" {
 			dims += ";"
 		}
-		dims += "makefiles=" + makefiles
+		dims += "makefiles=" + id.digest
 	}
 	fp := run
 	fp.Suite = c.workload.Suite()

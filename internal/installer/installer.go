@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -348,8 +349,8 @@ func (ins *Installer) Manifest() ([]Installed, error) {
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("installer: malformed manifest line %q", line)
 		}
-		var k int
-		if _, err := fmt.Sscanf(parts[2], "%d", &k); err != nil {
+		k, err := strconv.Atoi(parts[2])
+		if err != nil {
 			return nil, fmt.Errorf("installer: malformed manifest kind %q", parts[2])
 		}
 		out = append(out, Installed{

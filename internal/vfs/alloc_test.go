@@ -49,3 +49,22 @@ func TestSaveAllocsPerDirectory(t *testing.T) {
 		t.Errorf("Save of %d directories allocates %.0f times, want at most %.0f", dirs, many, limit)
 	}
 }
+
+// TestReadFileAllocs pins path resolution at zero allocations: a ReadFile
+// of a clean path walks its components in place, so the only allocation
+// is the copy it returns.
+func TestReadFileAllocs(t *testing.T) {
+	f := New()
+	const p = "/fex/store/ab/record"
+	if err := f.WriteFile(p, []byte(p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ReadFile of a clean path allocates %.0f times, want 1 (the returned copy)", allocs)
+	}
+}

@@ -155,28 +155,29 @@ func (f *FS) Clone() *FS {
 	return &FS{root: f.root.clone(), now: f.now}
 }
 
-func splitPath(p string) ([]string, error) {
-	p = path.Clean("/" + strings.TrimSpace(p))
-	if p == "/" {
-		return nil, nil
+// cleanPath returns p trimmed, rooted and cleaned: "/" or "/a/b". A path
+// already in that form comes back as is, without allocating.
+func cleanPath(p string) string {
+	p = strings.TrimSpace(p)
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
 	}
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	for _, part := range parts {
-		if part == "" {
-			return nil, fmt.Errorf("invalid path element in %q", p)
-		}
-	}
-	return parts, nil
+	return path.Clean(p)
 }
 
-// walk returns the node at path p, or an error.
-func (f *FS) walk(p string) (*node, error) {
-	parts, err := splitPath(p)
-	if err != nil {
-		return nil, err
-	}
-	cur := f.root
-	for _, part := range parts {
+// splitParent splits a clean path into its parent directory, relative to
+// the root ("" for the root itself), and its final element ("" for "/").
+func splitParent(clean string) (dir, name string) {
+	i := strings.LastIndexByte(clean, '/')
+	return strings.TrimPrefix(clean[:i], "/"), clean[i+1:]
+}
+
+// lookup returns the node at rel, a clean path relative to n ("" is n).
+func (n *node) lookup(rel string) (*node, error) {
+	cur := n
+	for rel != "" {
+		var part string
+		part, rel, _ = strings.Cut(rel, "/")
 		if !cur.isDir {
 			return nil, ErrNotDir
 		}
@@ -189,41 +190,34 @@ func (f *FS) walk(p string) (*node, error) {
 	return cur, nil
 }
 
+// walk returns the node at the clean path p, or an error.
+func (f *FS) walk(clean string) (*node, error) {
+	return f.root.lookup(clean[1:])
+}
+
 // walkParent returns the parent directory node of p and the final element.
 func (f *FS) walkParent(p string) (*node, string, error) {
-	parts, err := splitPath(p)
+	dir, name := splitParent(cleanPath(p))
+	if name == "" {
+		return nil, "", errors.New("root has no parent")
+	}
+	parent, err := f.root.lookup(dir)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
-		return nil, "", fmt.Errorf("root has no parent")
+	if !parent.isDir {
+		return nil, "", ErrNotDir
 	}
-	cur := f.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := cur.children[part]
-		if !ok {
-			return nil, "", ErrNotExist
-		}
-		if !next.isDir {
-			return nil, "", ErrNotDir
-		}
-		cur = next
-	}
-	return cur, parts[len(parts)-1], nil
+	return parent, name, nil
 }
 
-// MkdirAll creates a directory named p, along with any necessary parents.
-// Existing directories are left untouched.
-func (f *FS) MkdirAll(p string) error {
-	f.ops.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	parts, err := splitPath(p)
-	if err != nil {
-		return &PathError{Op: "mkdir", Path: p, Err: err}
-	}
+// mkdirs returns the directory at rel, a clean path relative to the root,
+// creating it and any missing parents.
+func (f *FS) mkdirs(rel string) (*node, error) {
 	cur := f.root
-	for _, part := range parts {
+	for rel != "" {
+		var part string
+		part, rel, _ = strings.Cut(rel, "/")
 		next, ok := cur.children[part]
 		if !ok {
 			next = &node{
@@ -235,24 +229,43 @@ func (f *FS) MkdirAll(p string) error {
 			}
 			cur.children[part] = next
 		} else if !next.isDir {
-			return &PathError{Op: "mkdir", Path: p, Err: ErrNotDir}
+			return nil, ErrNotDir
 		}
 		cur = next
 	}
+	return cur, nil
+}
+
+// MkdirAll creates a directory named p, along with any necessary parents.
+// Existing directories are left untouched.
+func (f *FS) MkdirAll(p string) error {
+	f.ops.Add(1)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, err := f.mkdirs(cleanPath(p)[1:]); err != nil {
+		return &PathError{Op: "mkdir", Path: p, Err: err}
+	}
 	return nil
+}
+
+// createParent returns the parent directory of p, creating it and any
+// missing parents, and p's final element.
+func (f *FS) createParent(p string) (*node, string, error) {
+	dir, name := splitParent(cleanPath(p))
+	if name == "" {
+		return nil, "", errors.New("root has no parent")
+	}
+	parent, err := f.mkdirs(dir)
+	return parent, name, err
 }
 
 // WriteFile writes data to the named file, creating parent directories as
 // needed and truncating any existing file.
 func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
-	dir := path.Dir(path.Clean("/" + p))
-	if err := f.MkdirAll(dir); err != nil {
-		return err
-	}
 	f.ops.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(p)
+	parent, name, err := f.createParent(p)
 	if err != nil {
 		return &PathError{Op: "write", Path: p, Err: err}
 	}
@@ -277,14 +290,10 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 // record and each learns its own record's offset — the primitive behind
 // the result store's journal.
 func (f *FS) Append(p string, data []byte) (int64, error) {
-	dir := path.Dir(path.Clean("/" + p))
-	if err := f.MkdirAll(dir); err != nil {
-		return 0, err
-	}
 	f.ops.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent, name, err := f.walkParent(p)
+	parent, name, err := f.createParent(p)
 	if err != nil {
 		return 0, &PathError{Op: "append", Path: p, Err: err}
 	}
@@ -307,7 +316,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	n, err := f.walk(p)
+	n, err := f.walk(cleanPath(p))
 	if err != nil {
 		return nil, &PathError{Op: "read", Path: p, Err: err}
 	}
@@ -334,11 +343,12 @@ func (f *FS) Stat(p string) (Stat, error) {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	n, err := f.walk(p)
+	clean := cleanPath(p)
+	n, err := f.walk(clean)
 	if err != nil {
 		return Stat{}, &PathError{Op: "stat", Path: p, Err: err}
 	}
-	return n.stat(path.Clean("/" + p)), nil
+	return n.stat(clean), nil
 }
 
 // Exists reports whether the named path exists.
@@ -358,7 +368,8 @@ func (f *FS) ReadDir(p string) ([]Stat, error) {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	n, err := f.walk(p)
+	base := cleanPath(p)
+	n, err := f.walk(base)
 	if err != nil {
 		return nil, &PathError{Op: "readdir", Path: p, Err: err}
 	}
@@ -370,7 +381,6 @@ func (f *FS) ReadDir(p string) ([]Stat, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	base := path.Clean("/" + p)
 	out := make([]Stat, 0, len(names))
 	for _, name := range names {
 		out = append(out, n.children[name].stat(path.Join(base, name)))
@@ -404,11 +414,7 @@ func (f *FS) RemoveAll(p string) error {
 	f.ops.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parts, err := splitPath(p)
-	if err != nil {
-		return &PathError{Op: "removeall", Path: p, Err: err}
-	}
-	if len(parts) == 0 {
+	if cleanPath(p) == "/" {
 		f.root.children = make(map[string]*node)
 		return nil
 	}
@@ -439,12 +445,13 @@ func (f *FS) walkTree(op, root string, fn func(p []byte, n *node) error) error {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	n, err := f.walk(root)
+	base := cleanPath(root)
+	n, err := f.walk(base)
 	if err != nil {
 		return &PathError{Op: op, Path: root, Err: err}
 	}
 	w := walker{fn: fn}
-	if base := path.Clean("/" + root); base != "/" {
+	if base != "/" {
 		w.path = append(w.path, base...)
 	}
 	return w.visit(n)
@@ -528,35 +535,17 @@ func (f *FS) CopyTree(src, dst string) error {
 	f.ops.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	srcNode, err := f.walk(src)
+	srcNode, err := f.walk(cleanPath(src))
 	if err != nil {
 		return &PathError{Op: "copytree", Path: src, Err: err}
 	}
 	cloned := srcNode.clone()
-	parts, err := splitPath(dst)
-	if err != nil || len(parts) == 0 {
-		return &PathError{Op: "copytree", Path: dst, Err: errors.Join(err, errors.New("bad destination"))}
+	parent, name, err := f.createParent(dst)
+	if err != nil {
+		return &PathError{Op: "copytree", Path: dst, Err: err}
 	}
-	cur := f.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := cur.children[part]
-		if !ok {
-			next = &node{
-				name:     part,
-				isDir:    true,
-				mode:     fs.ModeDir | 0o755,
-				modTime:  f.now(),
-				children: make(map[string]*node),
-			}
-			cur.children[part] = next
-		}
-		if !next.isDir {
-			return &PathError{Op: "copytree", Path: dst, Err: ErrNotDir}
-		}
-		cur = next
-	}
-	cloned.name = parts[len(parts)-1]
-	cur.children[cloned.name] = cloned
+	cloned.name = name
+	parent.children[name] = cloned
 	return nil
 }
 

@@ -14,9 +14,9 @@ race:
 
 # chaos runs the cluster tier under randomized seeded fault schedules
 # (outages, latency, load skew, hangs on the non-pristine hosts) plus
-# the fixed fault-schedule determinism matrix (flap, hang, eviction,
-# load-skew, steal-heavy, ablation schedules) and asserts the merged log
-# and CSV stay byte-identical to serial every round. The seed is printed
+# the fixed fault-schedule determinism matrix (flap, slow host with and
+# without speculation, hang, load skew, slow majority) and asserts the
+# merged log and CSV stay byte-identical to serial every round. The seed is printed
 # on failure; reproduce with `make chaos FEX_CHAOS_SEED=<seed>`.
 FEX_CHAOS_SEED ?=
 FEX_CHAOS_ROUNDS ?= 5

@@ -58,18 +58,20 @@ func TestParseArgsRunFlags(t *testing.T) {
 
 func TestParseArgsErrors(t *testing.T) {
 	cases := [][]string{
-		{},                       // no action
-		{"run", "-n"},            // -n without value
-		{"run", "-t"},            // -t without values
-		{"run", "-r", "notanum"}, // bad -r
-		{"run", "-m", "x"},       // bad -m
-		{"run", "-jobs"},         // -jobs without value
-		{"run", "-jobs", "zero"}, // bad -jobs
-		{"run", "-jobs", "0"},    // -jobs below 1
-		{"run", "--bogus"},       // unknown flag
-		{"run", "-o"},            // -o without value
-		{"run", "-cpuprofile"},   // -cpuprofile without path
-		{"run", "-memprofile"},   // -memprofile without path
+		{},                         // no action
+		{"run", "-n"},              // -n without value
+		{"run", "-t"},              // -t without values
+		{"run", "-r", "notanum"},   // bad -r
+		{"run", "-m", "x"},         // bad -m
+		{"run", "-jobs"},           // -jobs without value
+		{"run", "-jobs", "zero"},   // bad -jobs
+		{"run", "-jobs", "0"},      // -jobs below 1
+		{"run", "--bogus"},         // unknown flag
+		{"run", "-no-steal"},       // removed cluster switch
+		{"run", "--no-load-aware"}, // removed cluster switch
+		{"run", "-o"},              // -o without value
+		{"run", "-cpuprofile"},     // -cpuprofile without path
+		{"run", "-memprofile"},     // -memprofile without path
 	}
 	for _, argv := range cases {
 		if _, err := parseArgs(argv); err == nil {
@@ -462,21 +464,6 @@ func TestParseArgsFaultToleranceFlags(t *testing.T) {
 	if args.cfg.Degrade != "local" {
 		t.Errorf("degrade %q, want local", args.cfg.Degrade)
 	}
-	if args.cfg.NoSteal || args.cfg.NoLoadAware {
-		t.Error("-no-steal/-no-load-aware defaulted on")
-	}
-
-	args, err = parseArgs([]string{"run", "-n", "splash", "-no-steal", "--no-load-aware"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !args.cfg.NoSteal {
-		t.Error("-no-steal not parsed")
-	}
-	if !args.cfg.NoLoadAware {
-		t.Error("--no-load-aware not parsed")
-	}
-
 	// -speculate restores the default after -no-speculate (last wins).
 	args, err = parseArgs([]string{"run", "-n", "splash", "-no-speculate", "-speculate"})
 	if err != nil {

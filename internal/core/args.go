@@ -110,8 +110,6 @@ var runFlags = []runFlag{
 	// -speculate restores the default after an earlier -no-speculate.
 	{names: []string{"-speculate"},
 		parse: func(c *Config, _ []string) error { c.NoSpeculate = false; return nil }},
-	switchFlag(func(c *Config) *bool { return &c.NoSteal }, "-no-steal", "--no-steal"),
-	switchFlag(func(c *Config) *bool { return &c.NoLoadAware }, "-no-load-aware", "--no-load-aware"),
 	stringFlag("-degrade", "a mode (local)", func(c *Config) *string { return &c.Degrade }),
 	switchFlag(func(c *Config) *bool { return &c.NoMemo }, "-no-memo", "--no-memo"),
 	switchFlag(func(c *Config) *bool { return &c.NoDedup }, "-no-dedup", "--no-dedup"),

@@ -31,7 +31,7 @@ var cliArgvCases = [][]string{
 	{"-hosts"}, {"-hosts", "w1,,w2"},
 	{"-n", "splash", "-t", "gcc_native", "-hosts", "w1,w2", "-hosts-file", "hosts.txt",
 		"-host-timeout", "30s", "-no-speculate", "-degrade", "local"},
-	{"-n", "splash", "-no-steal", "--no-load-aware"},
+	{"-no-steal"}, {"--no-load-aware"},
 	{"-n", "splash", "-no-speculate", "-speculate"},
 	{"-host-timeout"}, {"-host-timeout", "banana"}, {"-host-timeout", "-5s"}, {"-hosts-file"}, {"-degrade"},
 	{"/tmp/base", "/tmp/cand", "-metric", "cycles", "-alpha", "0.01", "-o", "/tmp/out"},
@@ -107,8 +107,6 @@ func TestParseArgsRoundTripProperty(t *testing.T) {
 			Hosts:        pick(r, 3),
 			HostTimeout:  time.Duration(r.Intn(3)) * time.Duration(r.Int63n(int64(time.Hour))),
 			NoSpeculate:  r.Intn(2) == 0,
-			NoSteal:      r.Intn(2) == 0,
-			NoLoadAware:  r.Intn(2) == 0,
 			NoMemo:       r.Intn(2) == 0,
 			ModelTime:    r.Intn(2) == 0,
 			NoDedup:      r.Intn(2) == 0,
@@ -143,8 +141,16 @@ func TestParseArgsRoundTripProperty(t *testing.T) {
 }
 
 // TestParseArgsRest pins what the table leaves to its caller: unknown
-// flags and every bare token no flag consumed, in order.
+// flags and every bare token no flag consumed, in order. The rows are
+// flags the table does not know, among them the removed cluster
+// placement switches.
 func TestParseArgsRest(t *testing.T) {
+	for _, flag := range []string{"--bogus", "-no-steal", "--no-steal", "-no-load-aware", "--no-load-aware"} {
+		cfg, rest, err := ParseArgs([]string{"-n", "splash", flag, "-v"})
+		if err != nil || !slices.Equal(rest, []string{flag}) || cfg.Experiment != "splash" || !cfg.Verbose {
+			t.Errorf("ParseArgs(%s) = rest %q, err %v, config %+v; want %s left over", flag, rest, err, cfg, flag)
+		}
+	}
 	cfg, rest, err := ParseArgs([]string{"stray", "-n", "micro", "gcc_native", "-o", "out", "-t", "a", "b", "--state", "f", "-d"})
 	if err != nil {
 		t.Fatal(err)

@@ -13,58 +13,49 @@ package core
 // the image to each host" step, with a build system over it), which the
 // framework keeps across runs with the same image key, and the host's
 // "run-cell" command standing in for the SSH session that executes one
-// experiment cell remotely, routed to this run. The scheduler places (build
-// type, benchmark) cells onto remote workers, fetches each cell's shard
-// log from the Host.Run output, and commits the shards into the main log
-// in canonical loop order — so a cluster run's stored log and CSV are
-// byte-identical to a serial local run's. Store replays are resolved on
-// the coordinator before placement, in one batched plan-ahead pass
-// (planReplays in schedule.go): replayed cells are never dispatched, and
-// the hosts never touch the result store.
+// experiment cell remotely, routed to this run. Remote workers take
+// (build type, benchmark) cells from the scheduler's one shared queue as
+// local workers do: an idle healthy host pops the first queued cell it
+// has not been attempted on, so a slow host simply comes back for work
+// less often. The scheduler fetches each cell's shard log from the
+// Host.Run output and commits the shards into the main log in canonical
+// loop order — so a cluster run's stored log and CSV are byte-identical
+// to a serial local run's, whatever order the hosts took cells in. Store
+// replays are resolved on the coordinator before any cell is queued, in
+// one batched plan-ahead pass (planReplays in schedule.go): replayed
+// cells are never dispatched, and the hosts never touch the result store.
 //
 // Self-healing: each remote worker carries a host state machine (healthy
 // → probation → evicted). A host fault — remote.ErrUnreachable, a
 // per-cell deadline expiry (-host-timeout), or a provisioning failure —
-// fails the stranded cell over to another host and moves the faulty host
-// to probation, where an exponential-backoff reprobe schedule (on the
-// injected clock, so tests advance it deterministically) re-admits it
-// once it answers again; only maxProbeFails consecutive failed probes
-// evict it for the run (provisioning failures evict immediately: they
-// are deterministic, a probe proves nothing). Hosts Ensure'd into the
-// cluster mid-run — a new name in -hosts-file, or the serve hosts API —
-// join the pool and absorb queued cells. When spare idle workers exist,
-// a cell that has run far longer than the run's median cell duration is
-// speculatively duplicated on another host, first result wins, loser
-// cancelled (-no-speculate is the ablation); losing shards are discarded
-// before the merge and never persisted, so byte-identity is unaffected.
-// With -degrade local one extra local worker executes the cells no
-// remote worker can serve while every host is down or probing, instead
-// of failing the run.
-//
-// Load-aware placement: healing is reactive; placement is proactive.
-// Each host's state keeps EWMAs of its recent cell durations and probe
-// round-trips, read live by the loop, and each cell is routed to the
-// healthy untried host with the lowest expected finish — EWMA × (backlog
-// + 1) — so a chronically slow host (loaded, distant, underpowered, but
-// never faulting) absorbs proportionally fewer cells instead of full
-// rate until a deadline trips. Cells queue per host; an idle worker
-// first drains its own backlog, then steals the deepest
-// queued-behind-busy cell from the most backlogged host (-no-steal is
-// the ablation; -no-load-aware falls back to round-robin placement).
-// Placement order changes under load; merge order never does — shards
-// still merge in canonical loop order, so the byte-identity contract
-// holds under any load skew.
+// returns the stranded cell to the front of the shared queue for another
+// host and moves the faulty host to probation, where an
+// exponential-backoff reprobe schedule (on the injected clock, so tests
+// advance it deterministically) re-admits it once it answers again; only
+// maxProbeFails consecutive failed probes evict it for the run
+// (provisioning failures evict immediately: they are deterministic, a
+// probe proves nothing). Hosts Ensure'd into the cluster mid-run — a new
+// name in -hosts-file, or the serve hosts API — join the idle pool and
+// take queued cells. When spare idle workers exist, a cell that has run
+// far longer than the run's median cell duration is speculatively
+// duplicated on another host, first result wins, loser cancelled
+// (-no-speculate is the ablation); losing shards are discarded before the
+// merge and never persisted, so byte-identity is unaffected. With
+// -degrade local one extra local worker executes the cells no remote
+// worker can serve while every host is down or probing, instead of
+// failing the run.
 //
 // Only when a cell has no untried non-evicted host left does the run
 // fail, with an error that names the cell and every host tried. None of
 // the fault handling ever writes to the run log — health transitions,
-// failovers, speculation, steals, and the end-of-run per-host summary go
-// to the -v stream only, and per-host counters ride on progress events.
+// failovers, speculation, and the end-of-run per-host summary go to the
+// -v stream only, and per-host counters ride on progress events.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,12 +94,6 @@ const (
 	// specMinSamples is the minimum number of completed cells before the
 	// median is considered meaningful.
 	specMinSamples = 3
-	// ewmaNum/ewmaDen set the load EWMAs' smoothing factor (alpha =
-	// 3/10): new observations move the average by 30%, so a recovering
-	// host sheds its slow history within a few cells while one outlier
-	// cannot erase it.
-	ewmaNum = 3
-	ewmaDen = 10
 )
 
 // errHostProvision marks a worker-provisioning failure surfacing through
@@ -265,47 +250,13 @@ func (fx *Fex) dropHostImages() {
 
 // hostState is the scheduler's view of one worker's host: its
 // state-machine phase, consecutive probe failures since entering
-// probation, the counters surfaced through progress events and the -v
-// summary, and the load signals placement scores by.
+// probation, and the counters surfaced through progress events and the
+// -v summary.
 type hostState struct {
 	phase      int
 	probeFails int
 	stats      HostStatus
-	// cellEWMA and rttEWMA are moving averages of the host's recent cell
-	// durations and probe round-trips; zero until the first observation.
-	// samples counts the cell durations folded into cellEWMA.
-	cellEWMA time.Duration
-	rttEWMA  time.Duration
-	samples  int
 }
-
-// observeCell folds one completed cell's duration into the host's EWMA.
-func (h *hostState) observeCell(d time.Duration) {
-	if d >= 0 {
-		h.cellEWMA = ewma(h.cellEWMA, h.samples > 0, d)
-		h.samples++
-	}
-}
-
-// observeRTT folds one probe round-trip into the host's RTT EWMA.
-func (h *hostState) observeRTT(d time.Duration) {
-	if d >= 0 {
-		h.rttEWMA = ewma(h.rttEWMA, h.rttEWMA != 0, d)
-	}
-}
-
-// ewma moves avg toward observation d by alpha; the first observation
-// (seeded false) seeds the average directly.
-func ewma(avg time.Duration, seeded bool, d time.Duration) time.Duration {
-	if !seeded {
-		return d
-	}
-	return avg + (d-avg)*ewmaNum/ewmaDen
-}
-
-// cost is the host's per-cell cost estimate: cell duration plus probe
-// round-trip EWMAs; zero without history.
-func (h *hostState) cost() time.Duration { return h.cellEWMA + h.rttEWMA }
 
 // startCluster resolves the configured hosts, ensuring they exist in the
 // framework cluster, and admits one remote worker per host. The returned
@@ -527,18 +478,13 @@ func (s *sched) hostFault(wi int, cause error) {
 	if errors.Is(cause, errHostProvision) {
 		w.phase = hostEvicted
 		s.vrc.logf("cluster: host %s evicted: %v", name, cause)
-		s.drainQueue(wi)
-		s.replaceOverflow() // the eviction may exhaust a waiting cell
+		s.requeue() // the eviction may exhaust a waiting cell
 		return
 	}
 	w.phase = hostProbation
 	w.probeFails = 0
 	s.vrc.logf("cluster: host %s entering probation", name)
 	s.scheduleProbe(wi, 0)
-	// Cells queued behind the faulted host never launched there: re-place
-	// them silently (no failover line — that is reserved for the one
-	// placement the fault actually stranded).
-	s.drainQueue(wi)
 }
 
 // scheduleProbe arms one reprobe of a probation host after delay on the
@@ -558,24 +504,20 @@ func (s *sched) scheduleProbe(wi int, delay time.Duration) {
 		pctx, cancel := context.WithCancel(s.ctx)
 		pdone := make(chan struct{})
 		s.after(timeout, pdone, cancel)
-		pstart := s.clk.Now()
 		err := h.Ping(pctx)
-		rtt := s.clk.Now().Sub(pstart)
 		close(pdone)
 		cancel()
 		select {
-		case s.events <- func() { s.handleProbe(wi, rtt, err) }:
+		case s.events <- func() { s.handleProbe(wi, err) }:
 		case <-s.ctx.Done():
 		}
 	})
 }
 
 // handleProbe advances a probation host's state machine with one
-// reprobe's outcome: a successful probe re-admits it to the placement
-// pool, and its round-trip on the scheduler clock feeds the host's RTT
-// average; a failed one backs off exponentially until maxProbeFails
-// evicts it.
-func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
+// reprobe's outcome: a successful probe returns it to the idle pool; a
+// failed one backs off exponentially until maxProbeFails evicts it.
+func (s *sched) handleProbe(wi int, err error) {
 	w := s.workers[wi]
 	if s.stop || w.phase != hostProbation {
 		return
@@ -585,7 +527,6 @@ func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
 	if err == nil {
 		w.phase = hostHealthy
 		w.probeFails = 0
-		w.observeRTT(rtt)
 		s.vrc.logf("cluster: host %s recovered; re-admitted after %d probes", name, w.stats.Probes)
 		// A recovered host is a fresh candidate: clear it from unsettled
 		// cells' attempted sets, so a cell that faulted on it before the
@@ -597,7 +538,6 @@ func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
 			}
 		}
 		s.idle = append(s.idle, wi)
-		s.replaceOverflow()
 		s.emitHosts()
 		return
 	}
@@ -605,7 +545,7 @@ func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
 	if w.probeFails >= maxProbeFails {
 		w.phase = hostEvicted
 		s.vrc.logf("cluster: host %s evicted after %d failed probes", name, w.probeFails)
-		s.replaceOverflow() // waiting cells settle their fate now
+		s.requeue() // waiting cells settle their fate now
 		s.emitHosts()
 		return
 	}
@@ -613,8 +553,8 @@ func (s *sched) handleProbe(wi int, rtt time.Duration, err error) {
 }
 
 // handleJoin admits a host Ensure'd into the cluster mid-run (a new
-// -hosts-file name, or the serve hosts API); it immediately absorbs
-// queued cells. Known names are ignored.
+// -hosts-file name, or the serve hosts API) into the idle pool, where it
+// takes queued cells at the next dispatch. Known names are ignored.
 func (s *sched) handleJoin(h *remote.Host) {
 	if s.stop {
 		return
@@ -629,7 +569,6 @@ func (s *sched) handleJoin(h *remote.Host) {
 		return
 	}
 	s.vrc.logf("cluster: host %s joined mid-run", h.Name())
-	s.replaceOverflow()
 	s.emitHosts()
 }
 
@@ -667,27 +606,15 @@ func (s *sched) remoteEligible(ci int) bool {
 	return false
 }
 
-// place routes one released cell. In a local run every cell joins the
-// shared queue. In a cluster run a cell goes onto the queue of the host
-// with the lowest expected finish when a healthy untried host exists,
-// into the shared queue when every untried host is in probation (a probe
-// outcome will resolve it) or the cell waits for the -degrade local
-// worker, and into failRun — with the exhaustion error naming every host
-// tried — when no untried non-evicted host remains and local degradation
-// is off.
-func (s *sched) place(ci int) {
+// enqueue adds one released cell to the shared queue, at the back, or at
+// the front for a cell failing over. A cluster cell that has no untried
+// non-evicted host left, and no -degrade local worker to wait for, fails
+// the run instead, with the exhaustion error naming every host tried.
+func (s *sched) enqueue(ci int, front bool) {
 	if s.stop {
 		return
 	}
-	if !s.cluster {
-		s.queue = append(s.queue, ci)
-		return
-	}
-	if !s.remoteEligible(ci) {
-		if s.rc.Config.Degrade == "local" {
-			s.queue = append(s.queue, ci)
-			return
-		}
+	if s.cluster && !s.remoteEligible(ci) && s.rc.Config.Degrade != "local" {
 		c := s.p.cells[ci]
 		err := fmt.Errorf("cluster: cell %s/%s [%s]: no reachable host left of %s (tried %s): %w",
 			c.workload.Suite(), c.workload.Name(), c.buildType,
@@ -695,12 +622,11 @@ func (s *sched) place(ci int) {
 		s.failRun(ci, err)
 		return
 	}
-	wi := s.pickHost(ci)
-	if wi < 0 {
-		s.queue = append(s.queue, ci)
+	if front {
+		s.queue = slices.Insert(s.queue, 0, ci)
 		return
 	}
-	s.workers[wi].queue = append(s.workers[wi].queue, ci)
+	s.queue = append(s.queue, ci)
 }
 
 // placeable reports whether worker wi is a healthy remote worker cell ci
@@ -710,136 +636,17 @@ func (s *sched) placeable(wi, ci int) bool {
 	return w.remote != nil && w.phase == hostHealthy && !s.attempted[ci][w.remote.host.Name()]
 }
 
-// pickHost chooses the healthy untried host with the lowest expected
-// finish time for a cell: per-cell cost (duration EWMA + probe RTT EWMA,
-// falling back to the fleet mean and then a neutral constant when a host
-// has no history) times the host's backlog depth. Strict less-than keeps
-// the lowest worker index on ties, so a fresh fleet places round-robin-
-// like and deterministically. With -no-load-aware it degrades to plain
-// round-robin over healthy untried hosts. Returns -1 when no healthy
-// untried host exists.
-func (s *sched) pickHost(ci int) int {
-	if s.rc.Config.NoLoadAware {
-		n := len(s.workers)
-		for k := 0; k < n; k++ {
-			wi := (s.rrNext + k) % n
-			if s.placeable(wi, ci) {
-				s.rrNext = (wi + 1) % n
-				return wi
-			}
-		}
-		return -1
-	}
-	fallback := s.ewmaFallback()
-	best := -1
-	var bestScore time.Duration
-	for wi := range s.workers {
-		if !s.placeable(wi, ci) {
-			continue
-		}
-		sc := s.hostScore(wi, fallback)
-		if best < 0 || sc < bestScore {
-			best, bestScore = wi, sc
-		}
-	}
-	return best
-}
-
-// hostScore is a host's expected finish time for one more cell: its
-// per-cell cost EWMA times the number of cells ahead of the new one
-// (queued + in flight + itself).
-func (s *sched) hostScore(wi int, fallback time.Duration) time.Duration {
-	w := s.workers[wi]
-	per := w.cost()
-	if per <= 0 {
-		per = fallback
-	}
-	depth := len(w.queue) + 1
-	if w.pl != nil {
-		depth++
-	}
-	return per * time.Duration(depth)
-}
-
-// ewmaFallback scores hosts with no history yet: the fleet-mean per-cell
-// cost, or a neutral constant when nothing has completed anywhere (which
-// reduces scoring to least-loaded placement).
-func (s *sched) ewmaFallback() time.Duration {
-	var sum time.Duration
-	n := 0
-	for _, w := range s.workers {
-		if per := w.cost(); w.remote != nil && per > 0 {
-			sum += per
-			n++
-		}
-	}
-	if n == 0 {
-		return time.Millisecond
-	}
-	return sum / time.Duration(n)
-}
-
-// steal picks the cell an idle remote worker should take from another
-// host's backlog: the tail of the deepest queue holding a cell the thief
-// has not attempted (the tail is the cell that would otherwise wait
-// longest). Ascending victim scan with strict depth comparison keeps the
-// choice deterministic. Reports ok=false when nothing is stealable.
-func (s *sched) steal(wi int) (ci, victim int, ok bool) {
-	if s.workers[wi].remote == nil {
-		return 0, 0, false
-	}
-	name := s.workers[wi].remote.host.Name()
-	bestV, bestDepth, bestIdx := -1, 0, -1
-	for v, vw := range s.workers {
-		if v == wi || len(vw.queue) <= bestDepth {
-			continue
-		}
-		for k := len(vw.queue) - 1; k >= 0; k-- {
-			if !s.attempted[vw.queue[k]][name] {
-				bestV, bestDepth, bestIdx = v, len(vw.queue), k
-				break
-			}
-		}
-	}
-	if bestV < 0 {
-		return 0, 0, false
-	}
-	q := s.workers[bestV].queue
-	ci = q[bestIdx]
-	s.workers[bestV].queue = append(q[:bestIdx], q[bestIdx+1:]...)
-	return ci, bestV, true
-}
-
-// drainQueue empties a faulted host's queue, re-placing each cell. The
-// drained cells never launched on the host, so nothing is logged for
-// them and their attempted sets are untouched.
-func (s *sched) drainQueue(wi int) {
-	q := s.workers[wi].queue
-	s.workers[wi].queue = nil
-	s.replace(q)
-}
-
-// replaceOverflow re-routes every shared-queue cell after a topology
-// change (probe recovery, eviction, mid-run join): each either lands on
-// a host queue, fails the run on exhaustion, or returns to the shared
-// queue to keep waiting.
-func (s *sched) replaceOverflow() {
+// requeue re-checks every queued cell after an eviction, in queue order:
+// each stays queued or, with its last untried host gone, fails the run.
+func (s *sched) requeue() {
 	q := s.queue
 	s.queue = nil
-	s.replace(q)
-}
-
-// replace re-places cells until a failure stops the run.
-func (s *sched) replace(cells []int) {
-	for _, ci := range cells {
-		if s.stop {
-			return
-		}
-		s.place(ci)
+	for _, ci := range q {
+		s.enqueue(ci, false)
 	}
 }
 
-// maybeSpeculate runs the straggler detector: with the queues drained,
+// maybeSpeculate runs the straggler detector: with the queue drained,
 // spare idle workers, and enough completed remote cells for a meaningful
 // median, a cell whose only placement has run longer than
 // max(specFactor×median, specMinElapsed) on a remote worker is
@@ -849,7 +656,7 @@ func (s *sched) replace(cells []int) {
 // at the earliest future threshold crossing.
 func (s *sched) maybeSpeculate() {
 	s.stopSpecTimer()
-	if s.stop || s.rc.Config.NoSpeculate || s.queuedTotal() > 0 ||
+	if s.stop || s.rc.Config.NoSpeculate || len(s.queue) > 0 ||
 		len(s.durations) < specMinSamples {
 		return
 	}
@@ -929,8 +736,6 @@ func (s *sched) hostSnapshot() []HostStatus {
 	for _, w := range s.workers {
 		hs := w.stats
 		hs.State = phaseNames[w.phase]
-		hs.Queued = len(w.queue)
-		hs.LoadEWMAMillis = float64(w.cost()) / float64(time.Millisecond)
 		out = append(out, hs)
 	}
 	return out
@@ -958,7 +763,7 @@ func (s *sched) logSummary() {
 		}
 	}
 	for _, hs := range s.hostSnapshot() {
-		s.vrc.logf("== cluster: host %s: %s, %d cells, %d failovers, %d probes, %d spec wins, %d spec losses, %d steals",
-			hs.Host, hs.State, hs.Cells, hs.Failovers, hs.Probes, hs.SpecWins, hs.SpecLosses, hs.Steals)
+		s.vrc.logf("== cluster: host %s: %s, %d cells, %d failovers, %d probes, %d spec wins, %d spec losses",
+			hs.Host, hs.State, hs.Cells, hs.Failovers, hs.Probes, hs.SpecWins, hs.SpecLosses)
 	}
 }

@@ -165,9 +165,9 @@ var faultSchedules = []struct {
 	},
 	{
 		// Host-wide transport latency skew: w1 is chronically slow on
-		// every operation. Load-aware placement routes most cells away
-		// from it and work-stealing drains whatever queued behind it —
-		// placement changes, bytes must not.
+		// every operation, so it comes back to the shared queue less
+		// often and the other hosts take most cells — placement changes,
+		// bytes must not.
 		name: "load_skew",
 		set:  func(c *Config) {},
 		inject: func(t *testing.T, cluster *remote.Cluster) {
@@ -179,11 +179,11 @@ var faultSchedules = []struct {
 		},
 	},
 	{
-		// Steal-heavy: two of three hosts are slow on cell execution, so
-		// the fast host repeatedly empties its own queue and steals the
-		// deepest backlogs. -no-speculate isolates stealing from the
-		// straggler detector.
-		name: "steal_heavy",
+		// Slow majority: two of three hosts are slow on cell execution,
+		// so the fast host takes cell after cell from the shared queue
+		// while they run. -no-speculate keeps the straggler detector out
+		// of it.
+		name: "slow_majority",
 		set:  func(c *Config) { c.NoSpeculate = true },
 		inject: func(t *testing.T, cluster *remote.Cluster) {
 			for _, name := range []string{"w1", "w2"} {
@@ -193,20 +193,6 @@ var faultSchedules = []struct {
 				}
 				h.SetCommandLatency(cmdRunCell, 10*time.Millisecond)
 			}
-		},
-	},
-	{
-		// The same skew under both ablations: round-robin placement, no
-		// stealing. The slow host absorbs its full share; byte identity
-		// must survive the worst placement too.
-		name: "load_skew_ablation",
-		set:  func(c *Config) { c.NoLoadAware = true; c.NoSteal = true },
-		inject: func(t *testing.T, cluster *remote.Cluster) {
-			h, err := cluster.Host("w1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.SetLatency(3 * time.Millisecond)
 		},
 	},
 }
@@ -702,8 +688,6 @@ func TestClusterChaosSeededFaults(t *testing.T) {
 		registerSchedExperiment(t, fx, "cluster_chaos", deterministicHooks(0))
 		rcfg := cfg
 		rcfg.NoSpeculate = rng.Intn(2) == 0
-		rcfg.NoSteal = rng.Intn(2) == 0
-		rcfg.NoLoadAware = rng.Intn(2) == 0
 		// Hung hosts need the deadline to fail over; keep it generous so a
 		// loaded machine never times out a legitimately-running cell.
 		rcfg.HostTimeout = 500 * time.Millisecond
@@ -731,8 +715,8 @@ func TestClusterChaosSeededFaults(t *testing.T) {
 				plan = append(plan, name+":hang")
 			case 4:
 				// Host-wide load skew: every operation is slow, but well
-				// under the deadline, so the host never faults — the
-				// load-aware placer and stealer shoulder the imbalance.
+				// under the deadline, so the host never faults — it just
+				// takes fewer cells from the shared queue.
 				d := time.Duration(1+rng.Intn(5)) * time.Millisecond
 				h.SetLatency(d)
 				plan = append(plan, fmt.Sprintf("%s:load_skew(%v)", name, d))

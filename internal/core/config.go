@@ -65,7 +65,8 @@ type Config struct {
 	// Hosts names the cluster worker hosts (-hosts h1,h2,...) the
 	// experiment cells are dispatched to. Empty runs everything locally;
 	// non-empty selects the cluster backend (see cluster.go): one worker —
-	// container, build system, cell shards — per host, with failover onto
+	// container, build system, cell shards — per host, each taking cells
+	// from the run's shared queue whenever it is idle, with failover onto
 	// the remaining healthy hosts when one becomes unreachable.
 	Hosts []string
 	// HostTimeout bounds each remote cell placement (-host-timeout): a
@@ -81,17 +82,6 @@ type Config struct {
 	// wins, loser cancelled; losing shards are discarded before the
 	// merge, so byte-identity is unaffected either way.
 	NoSpeculate bool
-	// NoSteal disables cluster work-stealing (-no-steal), the ablation
-	// baseline. By default an idle worker with an empty queue takes the
-	// deepest queued-behind-busy cell from the most backlogged host;
-	// stealing changes placement only, never merge order, so stored logs
-	// stay byte-identical.
-	NoSteal bool
-	// NoLoadAware disables latency-weighted cluster placement
-	// (-no-load-aware), the ablation baseline: cells are placed
-	// round-robin over healthy untried hosts instead of by expected
-	// finish time (per-cell duration EWMA × backlog depth).
-	NoLoadAware bool
 	// Degrade selects the coordinator's behaviour when every cluster
 	// host is down or probing (-degrade): "" fails the run (classic
 	// semantics), "local" executes queued cells on the coordinator

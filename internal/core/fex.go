@@ -489,11 +489,6 @@ func runCSVPath(runID, experiment string) string {
 	return filepath.Join(runDir(runID), experiment+".csv")
 }
 
-// runPlotPath returns the run-scoped container path of a rendered plot.
-func runPlotPath(runID, experiment, kind string) string {
-	return filepath.Join(runDir(runID), experiment+"_"+kind+".svg")
-}
-
 // RunExists reports whether runID already has an artifact directory under
 // RunsDir — written by an earlier run of this framework or carried in by
 // LoadState. Run ID assignment skips such IDs, so a run never overwrites
@@ -574,15 +569,10 @@ type HostStatus struct {
 	// that finished first elsewhere.
 	SpecWins   int `json:"spec_wins"`
 	SpecLosses int `json:"spec_losses"`
-	// Steals counts cells this host took from another host's backlog.
+	// Steals is always 0: hosts take cells from one shared queue, so no
+	// host takes a cell from another. The field stays for the readers of
+	// earlier status JSON.
 	Steals int `json:"steals"`
-	// Queued is the host's current backlog depth (cells routed to it but
-	// not yet launched).
-	Queued int `json:"queued"`
-	// LoadEWMAMillis is the host's per-cell cost estimate — the moving
-	// average of its recent cell durations plus probe round-trips — in
-	// milliseconds; 0 until the host completes its first cell.
-	LoadEWMAMillis float64 `json:"load_ewma_ms"`
 }
 
 // RunHooks bundles the cross-cutting, per-invocation concerns of one Run:
@@ -866,40 +856,6 @@ func (fx *Fex) Plot(experiment, kind string) (string, error) {
 		return "", fmt.Errorf("plot %s (%s): %w", experiment, kind, err)
 	}
 	if err := fsys.WriteFile(plotPath(experiment, kind), []byte(svg), 0o644); err != nil {
-		return "", fmt.Errorf("store plot: %w", err)
-	}
-	return svg, nil
-}
-
-// PlotRun renders one of an experiment's plots from a specific run's
-// collected CSV (the run-scoped artifact under RunsDir) and stores the SVG
-// next to it — the collision-free counterpart of Plot, which always reads
-// the "latest run" view.
-func (fx *Fex) PlotRun(runID, experiment, kind string) (string, error) {
-	exp, err := fx.Experiment(experiment)
-	if err != nil {
-		return "", err
-	}
-	fsys, err := fx.ctr.FS()
-	if err != nil {
-		return "", err
-	}
-	data, err := fsys.ReadFile(runCSVPath(runID, experiment))
-	if err != nil {
-		return "", fmt.Errorf("plot run %s: no collected results for %s: %w", runID, experiment, err)
-	}
-	tbl, err := table.ReadCSV(strings.NewReader(string(data)), exp.CSVKinds)
-	if err != nil {
-		return "", fmt.Errorf("plot run %s: %w", runID, err)
-	}
-	if exp.Plot == nil {
-		return "", fmt.Errorf("plot %s: experiment defines no plots", experiment)
-	}
-	svg, err := exp.Plot(tbl, kind)
-	if err != nil {
-		return "", fmt.Errorf("plot run %s (%s): %w", runID, kind, err)
-	}
-	if err := fsys.WriteFile(runPlotPath(runID, experiment, kind), []byte(svg), 0o644); err != nil {
 		return "", fmt.Errorf("store plot: %w", err)
 	}
 	return svg, nil

@@ -28,8 +28,9 @@ import (
 // workers run cells in-process against the coordinator's build system:
 // -jobs N is N local workers, and the default serial run is one. Remote
 // workers ship cells to cluster hosts (cluster.go), where the remote-only
-// policies — placement scoring, stealing, probation, deadlines and
-// speculation — apply. Builds run off the loop, one cold build type at a
+// policies — probation, deadlines and speculation — apply. Every worker
+// takes cells from one shared queue in release order; a remote worker
+// skips the cells already attempted on its host. Builds run off the loop, one cold build type at a
 // time in -t order, and post their completion back as an event. With one
 // local worker and no hosts a type builds only after the previous type's
 // cells settled (the paper's serial order); otherwise builds pipeline
@@ -164,18 +165,15 @@ func persistCell(rc *RunContext, c cell, fp store.Cell, shard *runlog.Shard) {
 }
 
 // worker is one execution slot of the scheduler; each runs one cell at a
-// time. A local worker (remote == nil) runs cells in-process on the
-// coordinator and takes them from the shared queue; a remote worker ships
-// them to its cluster host and drains its own placement queue.
+// time, taken from the shared queue. A local worker (remote == nil) runs
+// cells in-process on the coordinator; a remote worker ships them to its
+// cluster host.
 type worker struct {
 	remote *clusterWorker
 	// degrade marks the -degrade local worker: a local worker that takes
 	// only cells no remote worker can serve (every host down or probing,
 	// or the cell exhausted its untried hosts).
 	degrade bool
-	// queue holds the cells placement routed to this remote worker,
-	// launched head-first.
-	queue []int
 	// pl is the placement in flight on the worker; nil while idle.
 	pl *placement
 	hostState
@@ -203,7 +201,7 @@ type placement struct {
 	cancel context.CancelFunc
 }
 
-// sched is the scheduler: single-goroutine state (queues, workers,
+// sched is the scheduler: single-goroutine state (queue, workers,
 // placements, build progress) driven by one stream of loop events —
 // build completions, placement results, probe outcomes — plus mid-run
 // host joins and speculation timer wakeups.
@@ -223,18 +221,16 @@ type sched struct {
 	ctx context.Context
 
 	workers []*worker
-	// cluster is set when the run has hosts: cells route through
-	// placement, and progress events carry host snapshots.
+	// cluster is set when the run has hosts: cells can exhaust their
+	// hosts, and progress events carry host snapshots.
 	cluster bool
 	// serial is set for one local worker and no hosts: a type's build
 	// waits until every released cell settled.
 	serial bool
-	// queue holds released cells not routed to a remote worker: every
-	// cell of a local run, and in a cluster run the cells waiting for a
-	// probe outcome, a join, or the -degrade local worker.
-	queue  []int
-	idle   []int
-	rrNext int // round-robin cursor for -no-load-aware placement
+	// queue holds released cells waiting for a worker, in release order
+	// with failed-over cells at the front.
+	queue []int
+	idle  []int
 	// attempted[ci] is the set of host names cell ci was launched on.
 	attempted []map[string]bool
 	inFlight  int
@@ -330,7 +326,7 @@ func (s *sched) run() error {
 	cancelled := s.rc.Context().Done()
 	s.maybeBuild()
 	for s.building || s.inFlight > 0 ||
-		(!s.stop && (s.queuedTotal() > 0 || s.nextType < len(s.rc.Config.BuildTypes))) {
+		(!s.stop && (len(s.queue) > 0 || s.nextType < len(s.rc.Config.BuildTypes))) {
 		select {
 		case ev := <-s.events:
 			ev()
@@ -365,7 +361,7 @@ func (s *sched) run() error {
 // one at a time in -t order, and not after a failure; a serial run also
 // waits until every released cell settled.
 func (s *sched) maybeBuild() {
-	if s.building || s.stop || (s.serial && s.inFlight+s.queuedTotal() > 0) {
+	if s.building || s.stop || (s.serial && s.inFlight+len(s.queue) > 0) {
 		return
 	}
 	types := s.rc.Config.BuildTypes
@@ -392,7 +388,7 @@ func (s *sched) maybeBuild() {
 	}
 }
 
-// handleBuild releases a built type's cells to placement. A failed build
+// handleBuild releases a built type's cells to the queue. A failed build
 // stops further builds but lets released cells finish.
 func (s *sched) handleBuild(bt string, err error) {
 	s.building = false
@@ -406,7 +402,7 @@ func (s *sched) handleBuild(bt string, err error) {
 	first := s.committable
 	for ci, end := first, s.release(bt); ci < end; ci++ {
 		if s.p.executes(ci) {
-			s.place(ci)
+			s.enqueue(ci, false)
 		}
 	}
 }
@@ -489,12 +485,6 @@ func (s *sched) handleResult(pl *placement, shard *runlog.Shard, err error) {
 	w.pl = nil
 	pl.cancel()
 	ci := pl.cell
-	if err == nil {
-		// Every successful execution — winner or superseded duplicate —
-		// is a real observation of the host's speed.
-		w.observeCell(s.clk.Now().Sub(pl.start))
-	}
-
 	switch {
 	case pl.superseded:
 		// This placement lost a speculation race; the cell is already
@@ -543,7 +533,7 @@ func (s *sched) handleResult(pl *placement, shard *runlog.Shard, err error) {
 			c := s.p.cells[ci]
 			s.vrc.logf("cluster: host %s %s; failing over %s/%s [%s]",
 				w.remote.host.Name(), faultKind(pl, err), c.workload.Suite(), c.workload.Name(), c.buildType)
-			s.place(ci)
+			s.enqueue(ci, true)
 		}
 	default:
 		// Genuine cell failure: keep the serial loop's first-error abort.
@@ -589,19 +579,7 @@ func (s *sched) halt(err error) {
 		s.err = err
 	}
 	s.stop = true
-	for _, w := range s.workers {
-		w.queue = nil
-	}
 	s.queue = nil
-}
-
-// queuedTotal counts released cells waiting for a worker.
-func (s *sched) queuedTotal() int {
-	n := len(s.queue)
-	for _, w := range s.workers {
-		n += len(w.queue)
-	}
-	return n
 }
 
 // placementsOf counts the placements of cell ci in flight.
@@ -615,77 +593,41 @@ func (s *sched) placementsOf(ci int) int {
 	return n
 }
 
-// dispatch is the work-conserving engine: it loops until no idle worker
-// can start anything. Each pass lets idle healthy workers take their next
-// cell, then lets idle remote workers steal from the most backlogged
-// host.
+// dispatch is the work-conserving engine: every idle healthy worker
+// takes its next cell, in idle-pool order. Launched workers leave the
+// idle pool, and unhealthy ones are swept out of it as they are
+// encountered. One pass suffices: a launch only removes a cell from the
+// queue, which makes no other cell takeable.
 func (s *sched) dispatch() {
-	for !s.stop {
-		// Own queues first: a worker with a backlog never steals.
-		progress := s.eachIdle(func(wi int) bool {
-			ci, ok := s.take(wi)
-			if ok {
-				s.launch(wi, ci, false)
-			}
-			return ok
-		})
-		// Steal pass: every queued cell left is behind a busy host.
-		if !s.rc.Config.NoSteal && s.eachIdle(func(wi int) bool {
-			ci, victim, ok := s.steal(wi)
-			if ok {
-				s.workers[wi].stats.Steals++
-				c := s.p.cells[ci]
-				s.vrc.logf("cluster: host %s stole %s/%s [%s] from %s",
-					s.workers[wi].remote.host.Name(), c.workload.Suite(), c.workload.Name(),
-					c.buildType, s.workers[victim].remote.host.Name())
-				s.launch(wi, ci, false)
-			}
-			return ok
-		}) {
-			progress = true
-		}
-		if !progress {
-			return
-		}
-	}
-}
-
-// eachIdle offers every idle worker to start, which reports whether it
-// launched a cell there; launched workers leave the idle pool, and
-// unhealthy ones are swept out of it as they are encountered. It reports
-// whether anything launched.
-func (s *sched) eachIdle(start func(wi int) bool) bool {
-	launched := false
-	for ii := 0; ii < len(s.idle); {
+	for ii := 0; ii < len(s.idle) && !s.stop; {
 		wi := s.idle[ii]
-		healthy := s.workers[wi].phase == hostHealthy
-		if healthy && !start(wi) {
-			ii++
-			continue
+		if s.workers[wi].phase == hostHealthy {
+			ci, ok := s.take(wi)
+			if !ok {
+				ii++
+				continue
+			}
+			s.launch(wi, ci, false)
 		}
-		launched = launched || healthy
 		s.idle = append(s.idle[:ii], s.idle[ii+1:]...)
 	}
-	return launched
 }
 
-// take pops the next cell an idle worker runs: a remote worker's own
-// queue head, a local worker's shared-queue head, or — for the -degrade
-// local worker — the first shared cell no remote worker can serve.
+// take pops the next cell an idle worker runs from the shared queue: the
+// head for a local worker, the first cell not yet attempted on its host
+// for a remote worker, and for the -degrade local worker the first cell
+// no remote worker can serve.
 func (s *sched) take(wi int) (int, bool) {
 	w := s.workers[wi]
-	q := &w.queue
-	if w.remote == nil {
-		q = &s.queue
-	}
-	for k, ci := range *q {
-		if w.degrade && s.anyHealthy() && s.remoteEligible(ci) {
+	for k, ci := range s.queue {
+		if w.remote != nil && !s.placeable(wi, ci) ||
+			w.degrade && s.anyHealthy() && s.remoteEligible(ci) {
 			continue
 		}
 		if k == 0 {
-			*q = (*q)[1:]
+			s.queue = s.queue[1:]
 		} else {
-			*q = append((*q)[:k], (*q)[k+1:]...)
+			s.queue = append(s.queue[:k], s.queue[k+1:]...)
 		}
 		return ci, true
 	}

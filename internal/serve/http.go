@@ -36,11 +36,6 @@ type RunSpec struct {
 	HostTimeoutMS int `json:"host_timeout_ms,omitempty"`
 	// NoSpeculate disables speculative straggler re-execution.
 	NoSpeculate bool `json:"no_speculate,omitempty"`
-	// NoSteal disables work-stealing by idle cluster workers.
-	NoSteal bool `json:"no_steal,omitempty"`
-	// NoLoadAware disables latency-weighted placement (falls back to
-	// round-robin).
-	NoLoadAware bool `json:"no_load_aware,omitempty"`
 	// Degrade selects the no-healthy-host policy: "" fails the run,
 	// "local" executes queued cells on the coordinator.
 	Degrade   string `json:"degrade,omitempty"`
@@ -97,8 +92,6 @@ func (spec RunSpec) fieldConfig() (core.Config, error) {
 		Hosts:       spec.Hosts,
 		HostTimeout: time.Duration(spec.HostTimeoutMS) * time.Millisecond,
 		NoSpeculate: spec.NoSpeculate,
-		NoSteal:     spec.NoSteal,
-		NoLoadAware: spec.NoLoadAware,
 		Degrade:     spec.Degrade,
 		Debug:       spec.Debug,
 		Verbose:     spec.Verbose,

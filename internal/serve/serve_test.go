@@ -452,7 +452,8 @@ func TestServeListPagination(t *testing.T) {
 }
 
 // TestServeRejectsBadRequests pins the API's error surface: malformed
-// JSON, unknown fields, unknown experiments, and unknown run IDs.
+// JSON, unknown fields (the removed cluster placement switches among
+// them), unknown experiments, and unknown run IDs.
 func TestServeRejectsBadRequests(t *testing.T) {
 	fx := newServeFex(t)
 	s := New(fx, Options{})
@@ -463,6 +464,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	for name, body := range map[string]string{
 		"malformed json":     "{",
 		"unknown field":      `{"experiment": "splash", "nope": 1}`,
+		"removed no_steal":   `{"experiment": "splash", "hosts": ["w1"], "no_steal": true}`,
+		"removed load_aware": `{"experiment": "splash", "hosts": ["w1"], "no_load_aware": true}`,
+		"removed as args":    `{"args": ["-n", "splash", "-no-steal"]}`,
 		"missing experiment": `{}`,
 		"unknown experiment": `{"experiment": "no_such_thing"}`,
 	} {
@@ -555,10 +559,8 @@ func TestServeClusterRunReportsHostCounters(t *testing.T) {
 	spec.Hosts = []string{"w1", "w2"}
 	spec.HostTimeoutMS = 60000
 	spec.NoSpeculate = true
-	spec.NoSteal = true
-	spec.NoLoadAware = true
 	st := postRun(t, ts, spec)
-	for _, want := range []string{"-hosts w1,w2", "-host-timeout 1m0s", "-no-speculate", "-no-steal", "-no-load-aware"} {
+	for _, want := range []string{"-hosts w1,w2", "-host-timeout 1m0s", "-no-speculate"} {
 		if !strings.Contains(st.Config, want) {
 			t.Errorf("config %q does not render %q", st.Config, want)
 		}
@@ -585,17 +587,16 @@ func TestServeClusterRunReportsHostCounters(t *testing.T) {
 		t.Errorf("hosts completed %d cells in total, want 2", cells)
 	}
 
-	// The load-scheduling counters are part of the JSON surface: every
-	// host snapshot carries steals, backlog depth, and the cost EWMA.
+	// Hosts take cells from one shared queue: the steals counter stays
+	// in the JSON for earlier readers, always 0, and the removed backlog
+	// and cost fields are gone.
 	body := string(getBody(t, ts, "/api/v1/runs/"+st.ID, http.StatusOK))
-	for _, key := range []string{`"steals"`, `"queued"`, `"load_ewma_ms"`} {
-		if !strings.Contains(body, key) {
-			t.Errorf("run status JSON missing host field %s:\n%s", key, body)
-		}
+	if !strings.Contains(body, `"steals": 0`) {
+		t.Errorf("run status JSON lacks a zero steals counter:\n%s", body)
 	}
-	for _, h := range final.Hosts {
-		if h.Queued != 0 {
-			t.Errorf("host %s finished the run with %d queued cells", h.Host, h.Queued)
+	for _, key := range []string{`"queued":`, `"load_ewma_ms":`} {
+		if strings.Contains(body, key) {
+			t.Errorf("run status JSON carries removed host field %s:\n%s", key, body)
 		}
 	}
 }

@@ -472,33 +472,10 @@ func BenchmarkAblation_MemoizedReps(b *testing.B) {
 	b.ReportMetric(speedup, "memo-speedup")
 }
 
-// BenchmarkAblation_StoreBulkResolve quantifies the plan-ahead store path
-// behind -resume: resolving a 1000-cell warm resume through one BulkGet
-// versus 1000 per-cell Get probes, measured in vfs operations — the unit
-// a real filesystem bills for. The store is compacted first, as a
-// long-lived store would be, so the bulk path syncs the index once and
-// reads one pack file per shard instead of probing per cell; batching
-// must use strictly fewer operations.
-func BenchmarkAblation_StoreBulkResolve(b *testing.B) {
-	fsys, fps := bulkResolveStore(b)
-	var perCellOps, bulkOps float64
-	for i := 0; i < b.N; i++ {
-		perCell, bulk := bulkResolveOps(b, fsys, fps)
-		perCellOps, bulkOps = float64(perCell), float64(bulk)
-	}
-	if bulkOps >= perCellOps {
-		b.Fatalf("bulk resolve used %.0f vfs ops, per-cell probing %.0f — batching must win", bulkOps, perCellOps)
-	}
-	printTable("Result-store plan-ahead (1000-cell warm resume)",
-		fmt.Sprintf("per-cell=%.0f vfs ops  bulk=%.0f vfs ops  ratio=%.1fx\n", perCellOps, bulkOps, perCellOps/bulkOps))
-	b.ReportMetric(perCellOps, "percell-vfsops")
-	b.ReportMetric(bulkOps, "bulk-vfsops")
-	b.ReportMetric(perCellOps/bulkOps, "vfsop-ratio")
-}
-
-// bulkResolveStore builds the StoreBulkResolve fixture: a compacted
-// 1000-cell store and the cells' fingerprints.
-func bulkResolveStore(tb testing.TB) (*vfs.FS, []store.Fingerprint) {
+// warmResolveOps resolves a 1000-cell warm resume through one BulkGet
+// on a cold store and returns the vfs operations it took: one read per
+// cell.
+func warmResolveOps(tb testing.TB) uint64 {
 	const cells = 1000
 	fsys := vfs.New()
 	s := store.New(fsys, "/fex/store")
@@ -516,38 +493,19 @@ func bulkResolveStore(tb testing.TB) (*vfs.FS, []store.Fingerprint) {
 			tb.Fatal(err)
 		}
 	}
-	if _, err := s.Compact(nil); err != nil {
-		tb.Fatal(err)
-	}
-	return fsys, fps
-}
-
-// bulkResolveOps resolves every fixture cell through a cold store twice,
-// once per-cell and once in one BulkGet, and returns the vfs operations
-// each way took.
-func bulkResolveOps(tb testing.TB, fsys *vfs.FS, fps []store.Fingerprint) (perCell, bulk uint64) {
 	cold := store.New(fsys, "/fex/store")
 	before := fsys.Ops()
-	for _, fp := range fps {
-		if _, present, err := cold.Get(fp); err != nil || !present {
-			tb.Fatalf("per-cell probe for %s: present=%t err=%v", fp.Benchmark, present, err)
-		}
-	}
-	perCell = fsys.Ops() - before
-
-	cold = store.New(fsys, "/fex/store")
-	before = fsys.Ops()
 	results, err := cold.BulkGet(fps)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bulk = fsys.Ops() - before
+	ops := fsys.Ops() - before
 	for j, r := range results {
 		if !r.Present || r.Err != nil {
 			tb.Fatalf("bulk result %d: present=%t err=%v", j, r.Present, r.Err)
 		}
 	}
-	return perCell, bulk
+	return ops
 }
 
 // BenchmarkAblation_ParallelScaling demonstrates the -jobs experiment
@@ -863,9 +821,8 @@ func planWarmResumeBuilds(tb testing.TB) int {
 // planner's dedup or build skipping, or the repetition estimator shows
 // up in the ordinary test run rather than only in a benchmark's output.
 func TestAblationCounters(t *testing.T) {
-	fsys, fps := bulkResolveStore(t)
-	if perCell, bulk := bulkResolveOps(t, fsys, fps); perCell != 1002 || bulk != 253 {
-		t.Errorf("1000-cell warm resolve: per-cell %d, bulk %d vfs ops; want 1002 and 253", perCell, bulk)
+	if ops := warmResolveOps(t); ops != 1000 {
+		t.Errorf("1000-cell warm resolve: %d vfs ops, want 1000", ops)
 	}
 	dedup, raw, dedupCSV, rawCSV := planDedupExecs(t)
 	if dedup != 32 || raw != 80 {

@@ -13,7 +13,7 @@
 //	gate     -baseline <dir> [candidate]   CI gate: exit nonzero on a significant regression
 //	export   -o <dir>                      write the result store as a committable run-set directory
 //	clean                                  evict the persistent result store
-//	compact                                garbage-collect and repack the result store
+//	compact                                garbage-collect stale cells from the result store
 //	serve    [-addr host:port]             run the experiment service (HTTP/JSON API)
 //	list                                   print the supported-experiments inventory (Table I)
 //
@@ -448,15 +448,13 @@ func run(argv []string) error {
 	case "compact":
 		// fex compact [--state file]: drop stored cells no current run could
 		// replay (their ConfigHash matches no mode combination under the
-		// current cost-model calibration and metrics schema) and repack the
-		// survivors into per-shard pack files, which is also what makes
-		// -resume's batched plan-ahead lookup cheap.
+		// current cost-model calibration and metrics schema).
 		stats, err := fx.CompactStore()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("store compacted: kept %d cells, dropped %d stale, %d packs, %d bytes reclaimed\n",
-			stats.Kept, stats.Dropped, stats.Packs, stats.Bytes)
+		fmt.Printf("store compacted: kept %d cells, dropped %d stale, %d bytes reclaimed\n",
+			stats.Kept, stats.Dropped, stats.Bytes)
 		return saveState()
 
 	case "serve":

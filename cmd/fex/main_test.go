@@ -221,9 +221,9 @@ func TestCLIResumeRoundtripWithState(t *testing.T) {
 }
 
 // TestCLICompactRoundtripWithState drives `fex compact` through the CLI:
-// a compacted store (records repacked into per-shard pack files, written
-// back into the --state file) must replay exactly like the loose store —
-// a -resume run after compaction exports byte-identical results.
+// a compacted store, written back into the --state file, must replay
+// exactly like the store before it — a -resume run after compaction
+// exports byte-identical results.
 func TestCLICompactRoundtripWithState(t *testing.T) {
 	dir := t.TempDir()
 	state := filepath.Join(dir, "fex.state")

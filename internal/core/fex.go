@@ -279,14 +279,12 @@ func (fx *Fex) CleanStore() error {
 	return fx.store.Clean()
 }
 
-// CompactStore garbage-collects and repacks the result store — the "fex
-// compact" action. Records whose ConfigHash no current run could produce
-// are dropped: a cell's hash must match one of the mode combinations
+// CompactStore garbage-collects the result store — the "fex compact"
+// action. Records whose ConfigHash no current run could produce are
+// dropped: a cell's hash must match one of the mode combinations
 // (debug × modeled-time × no-memo) under the *current* calibration and
 // metrics schema, so cells stranded by a calibration or schema change —
-// unreachable by any -resume lookup — stop occupying the store. The
-// survivors are packed one file per shard, which is also what makes the
-// plan-ahead BulkGet cheap (one read per pack instead of one per cell).
+// unreachable by any -resume lookup — stop occupying the store.
 func (fx *Fex) CompactStore() (store.CompactStats, error) {
 	if fx.store == nil {
 		return store.CompactStats{}, nil
@@ -876,9 +874,9 @@ func (fx *Fex) SaveState(w io.Writer) error {
 	return fsys.Save(w)
 }
 
-// LoadState restores container state saved by SaveState. The loaded files
-// replace the result store's wholesale, so its index is dropped and the
-// next store operation reloads it from them.
+// LoadState restores container state saved by SaveState. A state saved
+// by an earlier build may hold the result store in its earlier layout,
+// which the store upgrades in place (store.Store.Upgrade).
 func (fx *Fex) LoadState(r io.Reader) error {
 	fsys, err := fx.ctr.FS()
 	if err != nil {
@@ -887,8 +885,7 @@ func (fx *Fex) LoadState(r io.Reader) error {
 	if err := fsys.Load(r); err != nil {
 		return err
 	}
-	fx.store.Reload()
-	return nil
+	return fx.store.Upgrade()
 }
 
 // ReadResult returns a stored artifact (log, CSV, or plot) from the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"os"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -707,9 +708,9 @@ func TestRunIDsSkipLoadedRuns(t *testing.T) {
 }
 
 // TestLoadStateResetsStoreIndex loads a state into a framework whose
-// store already loaded its own index: the loaded files replace the
-// store's, so a -resume run of the saved campaign must replay every cell
-// and execute none.
+// store was already used: the loaded files replace the store's, so a
+// -resume run of the saved campaign must replay every cell and execute
+// none.
 func TestLoadStateResetsStoreIndex(t *testing.T) {
 	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native", "clang_native"},
 		Benchmarks: []string{"fft", "lu"}, Reps: 1, Input: workload.SizeTest, ModelTime: true}
@@ -725,7 +726,7 @@ func TestLoadStateResetsStoreIndex(t *testing.T) {
 	installAll(t, fx, "gcc-6.1")
 	other := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"radix"}, Reps: 1, Input: workload.SizeTest, ModelTime: true, Resume: true}
-	runOn(t, fx, other) // loads the store's index and adds a cell to it
+	runOn(t, fx, other) // adds a cell to the store
 	if err := fx.LoadState(&state); err != nil {
 		t.Fatal(err)
 	}
@@ -741,6 +742,75 @@ func TestLoadStateResetsStoreIndex(t *testing.T) {
 	}
 	if string(csv) != wantCSV {
 		t.Errorf("replayed CSV differs from the saved run's:\n--- saved ---\n%s\n--- replayed ---\n%s", wantCSV, csv)
+	}
+}
+
+// TestLoadStateUpgradesLegacyStore loads a state written by the CLI when
+// the result store still kept an index, a journal and packs
+// (testdata/legacy-store.fexstate). It was made by `fex run -n splash -t
+// gcc_native clang_native -b fft lu -i test -r 1 --modeled-time`, then
+// `fex compact`, which packed those four cells, then the same run with
+// `-t gcc_native -b radix`, which added one loose record and one journal
+// line. Loading it must upgrade the store: a -resume run of either
+// configuration replays every cell, executes none and collects the CSV
+// the original run stored; Records returns all five cells; and after a
+// save and a reload the store root holds only shard directories.
+func TestLoadStateUpgradesLegacyStore(t *testing.T) {
+	state, err := os.ReadFile("testdata/legacy-store.fexstate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newSchedFex(t)
+	if err := fx.LoadState(bytes.NewReader(state)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		types, benches []string
+		run            string
+	}{
+		{[]string{"gcc_native", "clang_native"}, []string{"fft", "lu"}, "run-0001"},
+		{[]string{"gcc_native"}, []string{"radix"}, "run-0002"},
+	} {
+		cfg := Config{Experiment: "splash", BuildTypes: tc.types, Benchmarks: tc.benches,
+			Reps: 1, Input: workload.SizeTest, ModelTime: true, Resume: true}
+		plan, report := planOf(t, fx, cfg)
+		if plan.Total == 0 || plan.Replayed != plan.Total {
+			t.Errorf("%s: replayed %d of %d cells, want all", cfg.String(), plan.Replayed, plan.Total)
+		}
+		want, err := fx.ReadResult("/fex/runs/" + tc.run + "/splash.csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fx.ReadResult(report.CSVPath); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: replayed CSV differs from %s's (err %v):\n--- stored ---\n%s\n--- replayed ---\n%s", cfg.String(), tc.run, err, want, got)
+		}
+	}
+	if keys := storeKeys(t, fx); len(keys) != 5 {
+		t.Errorf("Records returned %d cells, want 5", len(keys))
+	}
+	var saved bytes.Buffer
+	if err := fx.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	back := newSchedFex(t)
+	if err := back.LoadState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := back.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := fsys.ReadDir(StoreDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir || len(e.Name) != 2 {
+			t.Errorf("store root holds %s after a save and a reload", e.Name)
+		}
+	}
+	if keys := storeKeys(t, back); len(keys) != 5 {
+		t.Errorf("reloaded store has %d cells, want 5", len(keys))
 	}
 }
 

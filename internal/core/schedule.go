@@ -104,25 +104,19 @@ func cellFingerprint(run store.Fingerprint, c cell, id buildIdentity) store.Fing
 	return fp
 }
 
-// planReplays resolves every cell's store lookup in one batched pass
-// before the run starts executing: one BulkGetCells over all cells
-// (rendered once by the planner) loads the index at most once and reads
-// each backing file once, instead of a per-cell store probe. The returned
-// slice is positionally aligned with cells; a nil shard means "execute
-// the cell". Corrupt or mismatched records are reported to the -v stream
-// and treated as misses, so a damaged store self-heals by re-measuring.
+// planReplays resolves every cell's store lookup before the run starts
+// executing: one BulkGetCells over all cells, rendered once by the
+// planner, reads each cell's record file once. The returned slice is
+// positionally aligned with cells; a nil shard means "execute the cell".
+// A failed lookup, and a corrupt or mismatched record, is reported to the
+// -v stream and treated as a miss, so a damaged store self-heals by
+// re-measuring.
 func planReplays(rc *RunContext, cells []cell, fps []store.Cell) []*runlog.Shard {
 	shards := make([]*runlog.Shard, len(cells))
 	if !rc.Config.Resume || rc.Fex.store == nil {
 		return shards
 	}
-	results, err := rc.Fex.store.BulkGetCells(fps)
-	if err != nil {
-		// A failed plan never fails the run: every cell just measures cold.
-		rc.logf("  store: plan lookup failed: %v; re-measuring", err)
-		return shards
-	}
-	for i, r := range results {
+	for i, r := range rc.Fex.store.BulkGetCells(fps) {
 		c := cells[i]
 		if r.Err != nil {
 			rc.logf("  store: %s/%s [%s]: %v; re-measuring", c.workload.Suite(), c.workload.Name(), c.buildType, r.Err)

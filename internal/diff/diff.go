@@ -77,10 +77,8 @@ func (rs *RunSet) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FromStore loads every record of a live result store as a run set. It
-// rides Records' batched read path: each backing file is read once — one
-// read per pack shard on a compacted store — rather than one probe per
-// cell.
+// FromStore loads every record of a live result store as a run set,
+// through Records: one walk of the store, then one read per record.
 func FromStore(st *store.Store, source string) (*RunSet, error) {
 	records, err := st.Records()
 	if err != nil {

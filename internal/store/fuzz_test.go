@@ -110,61 +110,51 @@ func FuzzStoreCodec(f *testing.F) {
 	})
 }
 
-// FuzzIndexCodec hardens the index snapshot codec and, transitively, the
-// replay path behind it: decodeIndex must never panic, anything it accepts
-// must re-encode to the exact input bytes (the same strict-identity
-// property the record codec holds), and — the load-bearing guarantee — a
-// store whose index file holds arbitrary fuzzer bytes must either serve
-// the correct payloads (after a self-heal rescan) or miss, never replay a
-// wrong record.
+// FuzzIndexCodec hardens the upgrade of a legacy store, the one reader
+// left of the earlier layout's index, journal and packs: the fuzzed bytes
+// are planted as one of them — the index, the journal, or the pack of
+// the shard holding the first record — beside two record files, and the
+// upgrade must not panic or fail, must leave only shard directories, and
+// every lookup afterwards must return its record's true payload or miss.
+// A record in a planted pack never replaces a record file of its key.
 func FuzzIndexCodec(f *testing.F) {
-	seedEntries := map[string]indexEntry{}
-	for _, fp := range []Fingerprint{
-		{Experiment: "e", Threads: []int{1}},
-		{Experiment: "e2", Suite: "s", Benchmark: "b", Threads: []int{1, 2}},
-	} {
-		key := fp.Key()
-		data := Encode(Record{Fingerprint: fp, Payload: []byte("p")})
-		seedEntries[key] = looseEntry(key, data)
-	}
-	f.Add(encodeIndex(0, nil))
-	f.Add(encodeIndex(3, seedEntries))
-	f.Add([]byte("FEXINDEX|1|gen=0|n=0\n"))
-	f.Add([]byte("FEXINDEX|1|gen=0|n=0\nSUM|0000000000000000000000000000000000000000000000000000000000000000\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		gen, entries, err := decodeIndex(data)
-		if err == nil {
-			re := encodeIndex(gen, entries)
-			if !bytes.Equal(re, data) {
-				t.Fatalf("accepted index does not re-encode to its input bytes:\n in: %q\nout: %q", data, re)
-			}
-		}
-
-		// Integration: plant the fuzzed bytes as a live store's index file.
-		// Whatever they decode to, lookups must return the true payloads or
-		// miss — never a wrong replay.
+	fpA, fpB := testFingerprint(), testFingerprint()
+	fpB.Benchmark = "other"
+	other := fpA
+	other.Experiment = "third"
+	forged := Encode(Record{Fingerprint: fpA, Payload: []byte("forged")})
+	f.Add(uint8(0), []byte("FEXINDEX|1|gen=3|n=1\n"+fpA.Key()+"|pack/"+fpA.Key()[:2]+".pack|0|9|"+strings.Repeat("0", 64)+"\nSUM|"+strings.Repeat("0", 64)+"\n"))
+	f.Add(uint8(1), []byte(fpA.Key()+"|"+fpA.Key()[:2]+"/"+fpA.Key()+"|9223372036854775807|1|"+strings.Repeat("a", 64)+"\n"+fpB.Key()+"|-|0|0|-\n"))
+	f.Add(uint8(2), append(forged, Encode(Record{Fingerprint: other, Payload: []byte("p")})...))
+	f.Add(uint8(2), forged[:len(forged)-3])
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		fsys := vfs.New()
 		s := New(fsys, "/fex/store")
-		fpA, fpB := testFingerprint(), testFingerprint()
-		fpB.Benchmark = "other"
 		if err := s.Put(fpA, []byte("payload-a")); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Put(fpB, []byte("payload-b")); err != nil {
 			t.Fatal(err)
 		}
-		if err := fsys.WriteFile("/fex/store/"+indexFile, data, 0o644); err != nil {
+		planted := [...]string{"index", "journal", "pack/" + fpA.Key()[:2] + ".pack"}[which%3]
+		if err := fsys.WriteFile("/fex/store/"+planted, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cold := New(fsys, "/fex/store")
-		results, err := cold.BulkGet([]Fingerprint{fpA, fpB})
+		if err := s.Upgrade(); err != nil {
+			t.Fatalf("upgrade over a fuzzed %s: %v", planted, err)
+		}
+		for _, name := range legacyEntries {
+			if fsys.Exists("/fex/store/" + name) {
+				t.Fatalf("%s survived the upgrade", name)
+			}
+		}
+		results, err := s.BulkGet([]Fingerprint{fpA, fpB})
 		if err != nil {
-			t.Fatalf("bulkget over fuzzed index: %v", err)
+			t.Fatal(err)
 		}
 		for i, want := range []string{"payload-a", "payload-b"} {
-			r := results[i]
-			if r.Present && r.Err == nil && string(r.Payload) != want {
-				t.Fatalf("fuzzed index caused wrong replay: record %d returned %q, want %q", i, r.Payload, want)
+			if r := results[i]; r.Err != nil || (r.Present && string(r.Payload) != want) {
+				t.Fatalf("fuzzed %s: record %d returned %q, %v; want %q or a miss", planted, i, r.Payload, r.Err, want)
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,9 +74,10 @@ func Decode(data []byte) (Record, error) {
 }
 
 // decodeNext parses one record from the head of data and returns how many
-// bytes it consumed — the streaming form of Decode that lets pack files
-// hold records back to back. It shares Decode's strictness for everything
-// inside the record; only trailing bytes are the caller's business.
+// bytes it consumed — the streaming form of Decode that splits a legacy
+// pack's records, held back to back (see Upgrade). It shares Decode's
+// strictness for everything inside the record; only trailing bytes are
+// the caller's business.
 func decodeNext(data []byte) (Record, int, error) {
 	var r Record
 	rest := data
@@ -207,21 +207,22 @@ func exactPayload(raw, header []byte) ([]byte, bool) {
 // SaveState/LoadState persistence (the CLI's --state file) carries the
 // store across invocations for free.
 //
-// A Store is the single owner of its root: one mutex guards both its
-// in-memory index and every write to the files under root, and no other
-// writer touches them. Goroutines share one Store, never two Stores over
-// one root. A --state file is loaded and saved whole, so two processes
-// never share a root either: whichever saves last wins. After the files
-// are replaced wholesale (Fex.LoadState), Reload drops the index so the
-// next operation rebuilds it from them (see index.go).
+// The layout is one encoded record per file at root/ab/<key>, sharded by
+// the key's first byte pair so directory listings stay shallow, with
+// nothing else beside the records: the layout `fex export` writes. Every
+// lookup reads its key's file and verifies it, so what the files say is
+// all there is to trust.
+//
+// A Store is the single owner of its root: its mutex orders every write
+// under root (Put, Compact, Clean, Upgrade), and no other writer touches
+// them. Each vfs call is atomic, so a lookup takes no lock: it sees a
+// record whole or not at all. Goroutines share one Store, never two
+// Stores over one root. A --state file is loaded and saved whole, so two
+// processes never share a root either: whichever saves last wins.
 type Store struct {
 	fsys *vfs.FS
 	root string
-
-	mu      sync.Mutex
-	loaded  bool                  // entries reflect snapshot+journal
-	gen     int64                 // snapshot generation counter
-	entries map[string]indexEntry // key → record location
+	mu   sync.Mutex // orders writes under root
 }
 
 // New returns a store rooted at root inside fsys.
@@ -229,48 +230,41 @@ func New(fsys *vfs.FS, root string) *Store {
 	return &Store{fsys: fsys, root: root}
 }
 
-// Reload drops the in-memory index, so the next operation rebuilds it from
-// the snapshot and journal under root — the call to make after those files
-// were replaced behind the store's back.
-func (s *Store) Reload() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loaded = false
-	s.entries = nil
-}
-
 // path returns the record file for a key, sharded by its first byte pair.
 func (s *Store) path(key string) string {
 	return s.root + "/" + key[:2] + "/" + key
 }
 
+// isKey reports whether name has the form of a content address: 64 lower
+// case hex digits.
+func isKey(name string) bool {
+	if len(name) != 64 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Put persists one cell under its fingerprint's content address: one
-// whole-file write of the record, then one journal append announcing it.
-// Both run under the store's lock, and vfs.WriteFile replaces the file
-// whole under the filesystem's lock, so no reader and no saved state sees
-// a torn record. Re-putting an existing fingerprint overwrites it (same
-// key, same context — the newer measurement batch wins). A record whose
-// write fails is not journaled.
+// whole-file write of the record. vfs.WriteFile replaces the file whole
+// under the filesystem's lock, so no reader and no saved state sees a
+// torn record. Re-putting an existing fingerprint overwrites it (same
+// key, same context — the newer measurement batch wins).
 func (s *Store) Put(fp Fingerprint, payload []byte) error {
 	return s.PutCell(NewCell(fp), payload)
 }
 
 // PutCell is Put for a fingerprint already rendered as a Cell.
 func (s *Store) PutCell(c Cell, payload []byte) error {
-	key := c.key
 	data := encode(c.header, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.fsys.WriteFile(s.path(key), data, 0o644); err != nil {
-		return fmt.Errorf("store: put %s: %w", key, err)
-	}
-	e := looseEntry(key, data)
-	var line [entryLen]byte
-	if _, err := s.fsys.Append(s.journalPath(), appendEntry(line[:0], key, e)); err != nil {
-		return fmt.Errorf("store: journal %s: %w", key, err)
-	}
-	if s.loaded {
-		s.entries[key] = e
+	if err := s.fsys.WriteFile(s.path(c.key), data, 0o644); err != nil {
+		return fmt.Errorf("store: put %s: %w", c.key, err)
 	}
 	return nil
 }
@@ -280,163 +274,76 @@ func (s *Store) PutCell(c Cell, payload []byte) error {
 // record whose embedded fingerprint does not match fp (a content-address
 // collision or tampering) returns ErrMismatch; a file that does not decode
 // returns ErrCorrupt. Callers treat both as "re-measure".
-//
-// The index fast path only serves records that live inside pack files; a
-// loose record is read from its own file exactly as before the index
-// existed, so tampering semantics are unchanged. An index entry that
-// promises a record Get cannot read triggers one self-heal rescan before
-// the miss is final.
 func (s *Store) Get(fp Fingerprint) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
-		return nil, false, err
-	}
-	return s.getLocked(NewCell(fp), true)
+	return s.get(NewCell(fp))
 }
 
-// getLocked is Get with the index loaded. Callers hold s.mu.
-func (s *Store) getLocked(c Cell, retry bool) ([]byte, bool, error) {
-	key := c.key
-	e, indexed := s.entries[key]
-	if indexed && e.packed() {
-		if payload, perr := s.readPacked(c, e); perr == nil {
-			return payload, true, nil
-		}
-		// The pack disagrees with the index; fall through to the loose
-		// probe and, failing that, the rescan below.
+// get reads c's record file and verifies it against c.
+func (s *Store) get(c Cell) ([]byte, bool, error) {
+	data, err := s.fsys.ReadFile(s.path(c.key))
+	if errors.Is(err, vfs.ErrNotExist) {
+		return nil, false, nil
 	}
-	data, rerr := s.fsys.ReadFile(s.path(key))
-	if rerr == nil {
-		payload, verr := verifyRecord(data, c)
-		if verr != nil {
-			return nil, true, verr
-		}
-		return payload, true, nil
-	}
-	if !errors.Is(rerr, vfs.ErrNotExist) {
-		return nil, false, fmt.Errorf("store: %w", rerr)
-	}
-	if indexed && retry {
-		// The index promised a record nothing holds: self-heal and retry.
-		if err := s.rescanLocked(); err != nil {
-			return nil, false, err
-		}
-		return s.getLocked(c, false)
-	}
-	return nil, false, nil
-}
-
-// readPacked reads one record out of a pack file via its index entry,
-// verifying the byte range's digest and the embedded fingerprint before
-// trusting it.
-func (s *Store) readPacked(c Cell, e indexEntry) ([]byte, error) {
-	data, err := s.fsys.ReadFile(s.root + "/" + e.file)
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	return verifySlice(data, e, c)
+	payload, err := verifyRecord(data, c)
+	return payload, true, err
 }
 
-// verifySlice extracts and verifies one record from a file's bytes using
-// its index entry: bounds, digest, and the record itself must all agree
-// before the payload is released for replay.
-func verifySlice(data []byte, e indexEntry, c Cell) ([]byte, error) {
-	raw, ok := e.slice(data)
-	if !ok {
-		return nil, fmt.Errorf("%w: index entry for %s out of bounds", ErrCorrupt, c.key)
-	}
-	if sumHex(raw) != e.sum {
-		return nil, fmt.Errorf("%w: index digest mismatch for %s", ErrCorrupt, c.key)
-	}
-	return verifyRecord(raw, c)
-}
-
-// ensureLoadedLocked loads the index on first use. Callers hold s.mu.
-func (s *Store) ensureLoadedLocked() error {
-	if s.loaded {
+// recordFiles lists the record files under root in key order: the files
+// named by a key inside that key's shard directory. Nothing else under
+// root is a record.
+func (s *Store) recordFiles() ([]vfs.Stat, error) {
+	var files []vfs.Stat
+	err := s.fsys.Walk(s.root, func(st vfs.Stat) error {
+		if !st.IsDir && isKey(st.Name) && st.Path == s.path(st.Name) {
+			files = append(files, st)
+		}
 		return nil
+	})
+	if err != nil && !errors.Is(err, vfs.ErrNotExist) {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return s.loadLocked()
+	return files, nil
 }
 
-// removeLoose deletes a loose record file and prunes its shard directory
-// if that left it empty.
-func (s *Store) removeLoose(key string) error {
-	if err := s.fsys.Remove(s.path(key)); err != nil && !errors.Is(err, vfs.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.pruneShardDir(key[:2])
-	return nil
-}
-
-// pruneShardDir removes the shard directory when it is empty.
-func (s *Store) pruneShardDir(shard string) {
-	dir := s.root + "/" + shard
-	if entries, err := s.fsys.ReadDir(dir); err == nil && len(entries) == 0 {
-		_ = s.fsys.Remove(dir)
-	}
-}
-
-// Records decodes every stored cell, in sorted key order, reading each
-// backing file once (one read per pack, not per record). Each record's
+// Records decodes every stored cell, in sorted key order. Each record's
 // embedded fingerprint is verified against the content address it was
 // filed under, so a tampered or corrupt entry surfaces as an error (with
 // ErrCorrupt / ErrMismatch in its chain) rather than leaking into a
 // cross-run analysis.
 func (s *Store) Records() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
+	files, err := s.recordFiles()
+	if err != nil {
 		return nil, err
 	}
-	return s.recordsLocked(true)
-}
-
-// recordsLocked is Records with the index loaded. Callers hold s.mu.
-func (s *Store) recordsLocked(retry bool) ([]Record, error) {
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Record, 0, len(keys))
-	cache := map[string][]byte{}
-	for _, key := range keys {
-		e := s.entries[key]
-		data, cached := cache[e.file]
-		if !cached {
-			d, rerr := s.fsys.ReadFile(s.root + "/" + e.file)
-			if rerr != nil {
-				if errors.Is(rerr, vfs.ErrNotExist) && retry {
-					// A file the index promised is gone: self-heal once.
-					if herr := s.rescanLocked(); herr != nil {
-						return nil, herr
-					}
-					return s.recordsLocked(false)
-				}
-				return nil, fmt.Errorf("store: %w", rerr)
-			}
-			data = d
-			cache[e.file] = d
-		}
-		raw := data
-		if e.packed() {
-			var ok bool
-			if raw, ok = e.slice(data); !ok {
-				return nil, fmt.Errorf("store: record %s: %w: index entry out of bounds", key, ErrCorrupt)
-			}
-		}
-		rec, err := Decode(raw)
+	out := make([]Record, 0, len(files))
+	for _, f := range files {
+		rec, err := s.readRecord(f)
 		if err != nil {
-			return nil, fmt.Errorf("store: record %s: %w", key, err)
-		}
-		if rec.Fingerprint.Key() != key {
-			return nil, fmt.Errorf("%w: record filed under %s has key %s", ErrMismatch, key, rec.Fingerprint.Key())
+			return nil, err
 		}
 		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// readRecord reads and decodes the record file f (see recordFiles) and
+// checks that the record is filed under its own key.
+func (s *Store) readRecord(f vfs.Stat) (Record, error) {
+	data, err := s.fsys.ReadFile(f.Path)
+	if err != nil {
+		return Record{}, fmt.Errorf("store: %w", err)
+	}
+	rec, err := Decode(data)
+	if err != nil {
+		return Record{}, fmt.Errorf("store: record %s: %w", f.Name, err)
+	}
+	if key := rec.Fingerprint.Key(); key != f.Name {
+		return Record{}, fmt.Errorf("%w: record filed under %s has key %s", ErrMismatch, f.Name, key)
+	}
+	return rec, nil
 }
 
 // Stats summarizes the store's footprint.
@@ -447,19 +354,16 @@ type Stats struct {
 	Bytes int64
 }
 
-// Stats returns the store's current footprint.
+// Stats returns the store's current footprint: its record files and
+// their total size.
 func (s *Store) Stats() (Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
+	files, err := s.recordFiles()
+	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{Records: len(s.entries)}
-	if s.fsys.IsDir(s.root) {
-		var err error
-		if st.Bytes, err = s.fsys.TotalSize(s.root); err != nil {
-			return Stats{}, fmt.Errorf("store: %w", err)
-		}
+	st := Stats{Records: len(files)}
+	for _, f := range files {
+		st.Bytes += f.Size
 	}
 	return st, nil
 }
@@ -474,8 +378,5 @@ func (s *Store) Clean() error {
 	if err := s.fsys.RemoveAll(s.root); err != nil {
 		return fmt.Errorf("store: clean: %w", err)
 	}
-	s.entries = map[string]indexEntry{}
-	s.gen = 0
-	s.loaded = true
 	return nil
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -238,14 +237,18 @@ func TestStoreStatsCompactClean(t *testing.T) {
 	}
 }
 
-// TestStoreNoStagingLeftovers asserts Put writes nothing but the record
-// file and the journal line, and that a stray file under the root never
-// shows up as a key.
+// TestStoreNoStagingLeftovers asserts Put is exactly one vfs operation
+// and writes nothing but the record file, and that a stray file under the
+// root never shows up as a key.
 func TestStoreNoStagingLeftovers(t *testing.T) {
 	s, fsys := newTestStore(t)
 	fp := testFingerprint()
+	before := fsys.Ops()
 	if err := s.Put(fp, []byte("p")); err != nil {
 		t.Fatal(err)
+	}
+	if ops := fsys.Ops() - before; ops != 1 {
+		t.Errorf("put took %d vfs ops, want 1", ops)
 	}
 	var paths []string
 	if err := fsys.Walk("/fex/store", func(st vfs.Stat) error {
@@ -256,8 +259,7 @@ func TestStoreNoStagingLeftovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"/fex/store/" + fp.Key()[:2] + "/" + fp.Key(), "/fex/store/" + journalFile}
-	sort.Strings(want)
+	want := []string{"/fex/store/" + fp.Key()[:2] + "/" + fp.Key()}
 	if fmt.Sprint(paths) != fmt.Sprint(want) {
 		t.Errorf("files after put: %v, want %v", paths, want)
 	}
@@ -269,12 +271,29 @@ func TestStoreNoStagingLeftovers(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentPuts races Puts on one store under -race: distinct
-// keys all land, and concurrent Puts of the same key resolve to one
-// complete record, never a torn one.
+// TestStoreConcurrentPuts races Puts on one store under -race, next to
+// lookups and compactions, which take no lock or the writers' lock:
+// distinct keys all land, concurrent Puts of the same key resolve to one
+// complete record, never a torn one, and every lookup meanwhile sees a
+// miss or a whole record.
 func TestStoreConcurrentPuts(t *testing.T) {
 	s, fsys := newTestStore(t)
 	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Compact(nil); err != nil {
+				t.Errorf("compact: %v", err)
+			}
+			for j := 0; j < 8; j++ {
+				res, _ := s.BulkGet([]Fingerprint{testFingerprint()})
+				if r := res[0]; r.Err != nil || (r.Present && (!strings.HasPrefix(string(r.Payload), "same") || len(r.Payload) != len("same00"))) {
+					t.Errorf("lookup during puts: %+v", r)
+				}
+			}
+		}()
+	}
 	for i := 0; i < 16; i++ {
 		wg.Add(2)
 		go func(i int) {
@@ -296,8 +315,8 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	if keys := storedKeys(t, s); len(keys) != 17 {
 		t.Errorf("%d keys, want 17", len(keys))
 	}
-	// The same-key winner is whole, and the index agrees with the file:
-	// both this store and a reopened one return it.
+	// The same-key winner is whole: both this store and a reopened one
+	// return it.
 	for _, st := range []*Store{s, New(fsys, "/fex/store")} {
 		payload, present, err := st.Get(testFingerprint())
 		if err != nil || !present || !strings.HasPrefix(string(payload), "same") || len(payload) != len("same00") {
@@ -310,31 +329,28 @@ func TestStoreConcurrentPuts(t *testing.T) {
 	}
 }
 
-// storedKeys lists the content addresses the store's index holds,
+// storedKeys lists the content addresses of the store's record files,
 // sorted.
 func storedKeys(t *testing.T, s *Store) []string {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensureLoadedLocked(); err != nil {
+	files, err := s.recordFiles()
+	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
+	keys := make([]string, len(files))
+	for i, f := range files {
+		keys[i] = f.Name
 	}
-	sort.Strings(keys)
 	return keys
 }
 
-// entryLine renders one index/journal line without its newline.
-func entryLine(key string, e indexEntry) string {
-	return strings.TrimSuffix(string(appendEntry(nil, key, e)), "\n")
+// fpN returns a distinct fingerprint per index, for tests that need many
+// cells.
+func fpN(i int) Fingerprint {
+	fp := testFingerprint()
+	fp.Benchmark = fmt.Sprintf("bench%03d", i)
+	return fp
 }
-
-// tombstoneLine is the journal line that deleted key in states written
-// when the store still had a per-key delete.
-func tombstoneLine(key string) string { return key + "|" + tombstone + "|0|0|" + tombstone }
 
 // TestDecodeRejectsNonCanonicalForms pins the strict decode/encode
 // identity: semantically equivalent but non-canonical renderings (padded
@@ -412,5 +428,102 @@ func TestStoreRecords(t *testing.T) {
 	}
 	if _, err := s.Records(); !errors.Is(err, ErrMismatch) {
 		t.Errorf("misfiled record: %v", err)
+	}
+}
+
+// TestPutCleansStagingOnCommitFailure is the failed-write fault-injection
+// test: when the record file cannot be written, the Put fails and no key
+// appears — in this store or in one reopened over the same files.
+func TestPutCleansStagingOnCommitFailure(t *testing.T) {
+	fp := testFingerprint()
+	key := fp.Key()
+	for _, tc := range []struct {
+		name  string
+		squat func(fsys *vfs.FS) error
+	}{
+		// A directory squats on the record's final path.
+		{"dir on record", func(fsys *vfs.FS) error { return fsys.MkdirAll("/fex/store/" + key[:2] + "/" + key) }},
+		// A file squats on the shard directory's path.
+		{"file on shard", func(fsys *vfs.FS) error {
+			return fsys.WriteFile("/fex/store/"+key[:2], []byte("squatter"), 0o644)
+		}},
+	} {
+		s, fsys := newTestStore(t)
+		if err := tc.squat(fsys); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(fp, []byte("p")); err == nil {
+			t.Fatalf("%s: put succeeded", tc.name)
+		}
+		for _, st := range []*Store{s, New(fsys, "/fex/store")} {
+			if keys := storedKeys(t, st); len(keys) != 0 {
+				t.Errorf("%s: keys after failed put: %v", tc.name, keys)
+			}
+		}
+	}
+}
+
+// TestBulkGetMirrorsGetSemantics pins the corrupt/mismatch fallback: a
+// tampered record surfaces through BulkGet exactly as through Get.
+func TestBulkGetMirrorsGetSemantics(t *testing.T) {
+	s, fsys := newTestStore(t)
+	good, bad := fpN(0), fpN(1)
+	if err := s.Put(good, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(bad, []byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.WriteFile(s.path(bad.Key()), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := fpN(2)
+	results, err := s.BulkGet([]Fingerprint{good, bad, missing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !results[0].Present || results[0].Err != nil || string(results[0].Payload) != "ok" {
+		t.Errorf("good record: %+v", results[0])
+	}
+	if !results[1].Present || !errors.Is(results[1].Err, ErrCorrupt) {
+		t.Errorf("tampered record: present=%t err=%v, want ErrCorrupt", results[1].Present, results[1].Err)
+	}
+	if results[2].Present || results[2].Err != nil {
+		t.Errorf("missing record: %+v", results[2])
+	}
+}
+
+// TestStatsFreshAndCleaned pins Stats across the store lifecycle: an
+// unwritten root reports zero, a filled store reports its records, and
+// Clean resets both (and the store keeps working afterwards).
+func TestStatsFreshAndCleaned(t *testing.T) {
+	fsys := vfs.New()
+	s := New(fsys, "/fex/store")
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.Bytes != 0 {
+		t.Fatalf("fresh store stats %+v, want zeros", st)
+	}
+	if err := s.Put(fpN(1), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	st, err = s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 1 || st.Bytes == 0 {
+		t.Fatalf("filled store stats %+v, want 1 record and nonzero bytes", st)
+	}
+	if err := s.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.Bytes != 0 {
+		t.Fatalf("cleaned store stats %+v, want zeros", st)
 	}
 }

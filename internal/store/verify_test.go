@@ -191,107 +191,3 @@ func TestFingerprintEqualMatchesCanonical(t *testing.T) {
 		}
 	}
 }
-
-// TestParseEntryCanonicalLines pins which index and journal lines the
-// parser accepts, over a table of edge cases: offsets with leading zeros,
-// signs, and more digits than an int64 holds, and file names that belong
-// to another key, another shard or no store layout at all. Every accepted
-// line renders back to itself.
-func TestParseEntryCanonicalLines(t *testing.T) {
-	key := fpN(0).Key()
-	other := fpN(1).Key()
-	sum := sumHex([]byte("payload"))
-	loose, pack := key[:2]+"/"+key, packDir+"/"+key[:2]+".pack"
-	line := func(file, off, length, digest string) string {
-		return key + "|" + file + "|" + off + "|" + length + "|" + digest
-	}
-	cases := map[string]struct {
-		line   string
-		accept bool
-	}{
-		"loose":                {line(loose, "0", "7", sum), true},
-		"packed":               {line(pack, "1234", "56", sum), true},
-		"zero length":          {line(pack, "0", "0", sum), true},
-		"max int64":            {line(pack, "9223372036854775807", "9223372036854775807", sum), true},
-		"int64 overflow":       {line(pack, "9223372036854775808", "1", sum), false},
-		"twenty digits":        {line(pack, "12345678901234567890", "1", sum), false},
-		"overlong length":      {line(pack, "0", "99999999999999999999", sum), false},
-		"leading zero":         {line(pack, "007", "7", sum), false},
-		"leading zero length":  {line(pack, "0", "07", sum), false},
-		"double zero":          {line(pack, "00", "7", sum), false},
-		"19-digit zero pad":    {line(pack, "0000000000000000001", "7", sum), false},
-		"plus sign":            {line(pack, "+7", "7", sum), false},
-		"plus zero":            {line(pack, "+0", "7", sum), false},
-		"minus":                {line(pack, "-1", "7", sum), false},
-		"minus zero":           {line(pack, "-0", "7", sum), false},
-		"empty offset":         {line(pack, "", "7", sum), false},
-		"space in offset":      {line(pack, " 7", "7", sum), false},
-		"underscore":           {line(pack, "1_000", "7", sum), false},
-		"hex offset":           {line(pack, "0x10", "7", sum), false},
-		"tombstone":            {key + "|-|0|0|-", true},
-		"tombstone offset":     {key + "|-|1|0|-", false},
-		"tombstone length":     {key + "|-|0|00|-", false},
-		"tombstone digest":     {key + "|-|0|0|" + sum, false},
-		"foreign loose key":    {line(other[:2]+"/"+other, "0", "7", sum), false},
-		"foreign loose shard":  {line("zz/"+key, "0", "7", sum), false},
-		"loose without shard":  {line(key, "0", "7", sum), false},
-		"loose extra dir":      {line(key[:2]+"/x/"+key, "0", "7", sum), false},
-		"foreign pack shard":   {line(packDir+"/"+other[:2]+".pack", "0", "7", sum), false},
-		"pack wrong extension": {line(packDir+"/"+key[:2]+".pak", "0", "7", sum), false},
-		"pack wrong dir":       {line("packs/"+key[:2]+".pack", "0", "7", sum), false},
-		"pack nested":          {line(packDir+"/"+key[:2]+".pack/x", "0", "7", sum), false},
-		"pack long shard":      {line(packDir+"/"+key[:3]+".pack", "0", "7", sum), false},
-		"empty file":           {line("", "0", "7", sum), false},
-		"uppercase key":        {strings.ToUpper(key) + "|" + loose + "|0|7|" + sum, false},
-		"short key":            {key[:63] + "|" + key[:2] + "/" + key[:63] + "|0|7|" + sum, false},
-		"short digest":         {line(loose, "0", "7", sum[:63]), false},
-		"uppercase digest":     {line(loose, "0", "7", strings.ToUpper(sum)), false},
-		"four fields":          {key + "|" + loose + "|0|7", false},
-		"six fields":           {line(loose, "0", "7", sum) + "|", false},
-		"empty line":           {"", false},
-		"only separators":      {"||||", false},
-	}
-	for name, tc := range cases {
-		k, e, err := parseEntry(tc.line)
-		if (err == nil) != tc.accept {
-			t.Errorf("%s: parseEntry err=%v, want accept=%t", name, err, tc.accept)
-			continue
-		}
-		if err == nil && e.file != tombstone {
-			if got := string(appendEntry(nil, k, e)); got != tc.line+"\n" {
-				t.Errorf("%s: parsed line renders as %q", name, got)
-			}
-		}
-	}
-}
-
-// TestIndexEntryOutOfRangeHeals pins the bounds check on index entries:
-// offsets near the int64 limit, which a journal line may carry, must
-// neither panic nor serve bytes — the lookup falls back to the record
-// file and serves the true payload.
-func TestIndexEntryOutOfRangeHeals(t *testing.T) {
-	s, fsys := newTestStore(t)
-	fp := testFingerprint()
-	if err := s.Put(fp, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	key := fp.Key()
-	for _, e := range []indexEntry{
-		{file: key[:2] + "/" + key, off: 1<<63 - 1, length: 1},
-		{file: key[:2] + "/" + key, off: 1, length: 1<<63 - 1},
-		{file: packDir + "/" + key[:2] + ".pack", off: 1<<63 - 1, length: 1<<63 - 1},
-	} {
-		e.sum = sumHex([]byte("x"))
-		if _, err := fsys.Append("/fex/store/"+journalFile, appendEntry(nil, key, e)); err != nil {
-			t.Fatal(err)
-		}
-		cold := New(fsys, "/fex/store")
-		res, err := cold.BulkGet([]Fingerprint{fp})
-		if err != nil || !res[0].Present || res[0].Err != nil || string(res[0].Payload) != "payload" {
-			t.Fatalf("entry %+v: bulk %+v err=%v", e, res, err)
-		}
-		if payload, present, err := New(fsys, "/fex/store").Get(fp); err != nil || !present || string(payload) != "payload" {
-			t.Fatalf("entry %+v: get %q present=%t err=%v", e, payload, present, err)
-		}
-	}
-}

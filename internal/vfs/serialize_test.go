@@ -17,7 +17,7 @@ import (
 )
 
 // sampleFS is a small tree with nested and empty directories, files of
-// several modes, an empty file, a long path and a file grown by Append.
+// several modes, an empty file and a long path.
 func sampleFS(t testing.TB) *FS {
 	t.Helper()
 	f := New()
@@ -32,6 +32,7 @@ func sampleFS(t testing.TB) *FS {
 		{"/c/empty", "", 0o644},
 		{"/z", strings.Repeat("z", 300), 0o444},
 		{"/c/" + strings.Repeat("long-name", 40), "x", 0o644},
+		{"/a/journal", "rec1|rec2|", 0o644},
 	} {
 		if err := f.WriteFile(w.p, []byte(w.data), w.mode); err != nil {
 			t.Fatal(err)
@@ -39,11 +40,6 @@ func sampleFS(t testing.TB) *FS {
 	}
 	if err := f.MkdirAll("/empty/dir"); err != nil {
 		t.Fatal(err)
-	}
-	for _, s := range []string{"rec1|", "rec2|"} {
-		if _, err := f.Append("/a/journal", []byte(s)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return f
 }
@@ -341,10 +337,9 @@ func TestSaveLoadCountOneOp(t *testing.T) {
 	}
 }
 
-// TestSaveConcurrentWriters saves repeatedly while writers replace files
-// and appenders extend one: Save must take the read lock only once (a
-// writer queued between two read locks would deadlock it), and every
-// snapshot must load back with the appended file intact.
+// TestSaveConcurrentWriters saves repeatedly while writers replace files:
+// Save must take the read lock only once (a writer queued between two
+// read locks would deadlock it), and every snapshot must load back.
 func TestSaveConcurrentWriters(t *testing.T) {
 	f := New()
 	for i := 0; i < 2000; i++ {
@@ -355,7 +350,7 @@ func TestSaveConcurrentWriters(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wg.Add(2)
+		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
@@ -367,17 +362,6 @@ func TestSaveConcurrentWriters(t *testing.T) {
 				_ = f.WriteFile(fmt.Sprintf("/d%02d/f%04d", i%20, (i*7+w)%2000), []byte(fmt.Sprint("rewrite ", i)), 0o644)
 			}
 		}(w)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, _ = f.Append("/journal", []byte("ab"))
-			}
-		}()
 	}
 	saved := make(chan error, 1)
 	go func() {
@@ -390,10 +374,6 @@ func TestSaveConcurrentWriters(t *testing.T) {
 			back := New()
 			if err := back.Load(&buf); err != nil {
 				saved <- fmt.Errorf("snapshot %d: %w", i, err)
-				return
-			}
-			if j, err := back.ReadFile("/journal"); err == nil && string(j) != strings.Repeat("ab", len(j)/2) {
-				saved <- fmt.Errorf("snapshot %d: torn journal %q", i, j)
 				return
 			}
 		}
@@ -409,44 +389,6 @@ func TestSaveConcurrentWriters(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		close(stop)
 		t.Fatal("Save did not finish within 10s next to concurrent writers (deadlock?)")
-	}
-}
-
-// TestCloneAppendIndependent pins Clone's byte sharing: the clone's file
-// shares the original's backing array, yet appends on either side, even
-// into the original's spare capacity, stay invisible to the other.
-func TestCloneAppendIndependent(t *testing.T) {
-	f := New()
-	for _, s := range []string{"aaaaa", "b"} {
-		if _, err := f.Append("/f", []byte(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	orig := f.root.children["f"].data
-	if cap(orig) == len(orig) {
-		t.Fatalf("setup: file has no spare capacity (len %d)", len(orig))
-	}
-	clone := f.Clone()
-	if shared := clone.root.children["f"].data; &shared[0] != &orig[0] {
-		t.Error("clone copied the file's bytes instead of sharing them")
-	}
-	if _, err := f.Append("/f", []byte("O")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clone.Append("/f", []byte("C")); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		fs   *FS
-		want string
-	}{{f, "aaaaabO"}, {clone, "aaaaabC"}} {
-		got, err := c.fs.ReadFile("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != c.want {
-			t.Errorf("got %q, want %q", got, c.want)
-		}
 	}
 }
 

@@ -55,13 +55,10 @@ func (e *PathError) Unwrap() error { return e.Err }
 
 // node is one filesystem entry.
 //
-// Invariant: a file's bytes data[0:len(data)] are never mutated in
-// place. WriteFile replaces the node and Append only extends the slice,
-// so a data slice taken under the lock stays valid, unchanging, after the
-// lock is released. Save streams such slices without copying them, and
-// Clone and CopyTree share them between nodes: the copy gets
-// data[:len:len], whose capped capacity makes an Append on either side
-// reallocate instead of writing into the other's spare capacity.
+// Invariant: a file's bytes are never mutated in place. WriteFile
+// replaces the node whole, so a data slice taken under the lock stays
+// valid, unchanging, after the lock is released. Save streams such slices
+// without copying them, and Clone and CopyTree share them between nodes.
 type node struct {
 	name     string
 	isDir    bool
@@ -85,11 +82,9 @@ func (n *node) clone() *node {
 	c := &node{
 		name:    n.name,
 		isDir:   n.isDir,
+		data:    n.data,
 		mode:    n.mode,
 		modTime: n.modTime,
-	}
-	if n.data != nil {
-		c.data = n.data[:len(n.data):len(n.data)]
 	}
 	if n.children != nil {
 		c.children = make(map[string]*node, len(n.children))
@@ -117,9 +112,9 @@ type FS struct {
 	mu   sync.RWMutex
 	root *node
 	now  func() time.Time
-	// ops counts public filesystem operations. Subsystems that batch their
-	// access patterns (the result store's bulk lookups) use it to quantify
-	// how many filesystem round trips a code path costs.
+	// ops counts public filesystem operations, so tests and benchmarks
+	// can count the filesystem round trips a code path costs (a result
+	// store Put is one, a lookup one per key).
 	ops atomic.Uint64
 }
 
@@ -281,34 +276,6 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 		modTime: f.now(),
 	}
 	return nil
-}
-
-// Append appends data to the named file, creating it (and parent
-// directories) if absent, and returns the offset at which the data landed
-// (the file's previous length). The read-modify-write happens under one
-// lock acquisition, so concurrent appenders never interleave within a
-// record and each learns its own record's offset — the primitive behind
-// the result store's journal.
-func (f *FS) Append(p string, data []byte) (int64, error) {
-	f.ops.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	parent, name, err := f.createParent(p)
-	if err != nil {
-		return 0, &PathError{Op: "append", Path: p, Err: err}
-	}
-	n, ok := parent.children[name]
-	if !ok {
-		n = &node{name: name, mode: 0o644, modTime: f.now()}
-		parent.children[name] = n
-	}
-	if n.isDir {
-		return 0, &PathError{Op: "append", Path: p, Err: ErrIsDir}
-	}
-	off := int64(len(n.data))
-	n.data = append(n.data, data...)
-	n.modTime = f.now()
-	return off, nil
 }
 
 // ReadFile returns the contents of the named file.

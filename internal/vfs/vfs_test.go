@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -414,66 +413,8 @@ func TestQuickDigestStableUnderClone(t *testing.T) {
 	}
 }
 
-// TestAppend pins the journal primitive: appends accumulate in order, each
-// returning the offset its bytes landed at, the file springs into existence
-// (parents included) on first append, and appending to a directory fails.
-func TestAppend(t *testing.T) {
-	fs := New()
-	off, err := fs.Append("/j/log", []byte("one\n"))
-	if err != nil || off != 0 {
-		t.Fatalf("first append: off=%d err=%v", off, err)
-	}
-	off, err = fs.Append("/j/log", []byte("two\n"))
-	if err != nil || off != 4 {
-		t.Fatalf("second append: off=%d err=%v", off, err)
-	}
-	if got, err := fs.ReadFile("/j/log"); err != nil || string(got) != "one\ntwo\n" {
-		t.Fatalf("appended content: %q, %v", got, err)
-	}
-	if err := fs.MkdirAll("/d"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Append("/d", []byte("x")); !errors.Is(err, ErrIsDir) {
-		t.Errorf("append to directory: %v", err)
-	}
-}
-
-// TestAppendConcurrent proves appends are atomic: N goroutines each append
-// a distinct line; every line must appear exactly once, unsplit, and the
-// returned offsets must address each goroutine's own line.
-func TestAppendConcurrent(t *testing.T) {
-	fs := New()
-	const n = 32
-	var wg sync.WaitGroup
-	offs := make([]int64, n)
-	lines := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lines[i] = fmt.Sprintf("line-%02d\n", i)
-			off, err := fs.Append("/log", []byte(lines[i]))
-			if err != nil {
-				t.Errorf("append %d: %v", i, err)
-			}
-			offs[i] = off
-		}(i)
-	}
-	wg.Wait()
-	data, err := fs.ReadFile("/log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		end := offs[i] + int64(len(lines[i]))
-		if end > int64(len(data)) || string(data[offs[i]:end]) != lines[i] {
-			t.Errorf("offset %d does not address line %d", offs[i], i)
-		}
-	}
-}
-
-// TestOpsCounter pins the operation accounting the store ablation depends
-// on: public calls increment the counter, and a Clone starts from zero.
+// TestOpsCounter pins the operation accounting the store's vfs-op pins
+// depend on: public calls increment the counter, and a Clone starts from zero.
 func TestOpsCounter(t *testing.T) {
 	fs := New()
 	base := fs.Ops()

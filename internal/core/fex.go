@@ -102,10 +102,15 @@ type Fex struct {
 	now         func() time.Time
 	clock       fexclock.Clock
 	// runSeq numbers the framework-assigned run IDs ("run-0001", …); it
-	// only advances and skips IDs whose directory exists (RunExists), so
-	// every Run gets a distinct artifact directory under RunsDir, also
-	// after LoadState brought in earlier runs.
+	// only advances, LoadState raises it to the highest loaded "run-"
+	// number, and nextRunID skips IDs whose directory exists (RunExists),
+	// so every Run gets a distinct artifact directory under RunsDir and
+	// never the ID of a run LoadState removed.
 	runSeq atomic.Uint64
+	// loadedHigh is the highest number of each run ID family the last
+	// LoadState carried in (see LoadedRunHigh); historyMu guards it.
+	historyMu  sync.Mutex
+	loadedHigh map[string]uint64
 	// buildMu serializes the pre-run build step; lastBuildHash is the
 	// marker of the build identity whose CleanBuild the coordinator's
 	// artifact cache currently reflects. A run whose marker matches
@@ -497,7 +502,7 @@ func (fx *Fex) RunExists(runID string) bool {
 }
 
 // nextRunID assigns the next framework run ID ("run-0001", …) that no
-// existing run directory holds.
+// existing run directory holds, after every loaded one.
 func (fx *Fex) nextRunID() string {
 	for {
 		if id := fmt.Sprintf("run-%04d", fx.runSeq.Add(1)); !fx.RunExists(id) {
@@ -876,7 +881,10 @@ func (fx *Fex) SaveState(w io.Writer) error {
 
 // LoadState restores container state saved by SaveState. A state saved
 // by an earlier build may hold the result store in its earlier layout,
-// which the store upgrades in place (store.Store.Upgrade).
+// which the store upgrades in place (store.Store.Upgrade). Of the loaded
+// run directories, only the newest keepRuns of each run ID family stay
+// (see trimRunHistory), and run IDs continue after the highest loaded
+// one (LoadedRunHigh).
 func (fx *Fex) LoadState(r io.Reader) error {
 	fsys, err := fx.ctr.FS()
 	if err != nil {
@@ -885,7 +893,22 @@ func (fx *Fex) LoadState(r io.Reader) error {
 	if err := fsys.Load(r); err != nil {
 		return err
 	}
-	return fx.store.Upgrade()
+	if err := fx.store.Upgrade(); err != nil {
+		return err
+	}
+	high, err := trimRunHistory(fsys)
+	if err != nil {
+		return fmt.Errorf("core: trim run history: %w", err)
+	}
+	fx.historyMu.Lock()
+	fx.loadedHigh = high
+	fx.historyMu.Unlock()
+	for n := fx.LoadedRunHigh("run-"); ; {
+		cur := fx.runSeq.Load()
+		if cur >= n || fx.runSeq.CompareAndSwap(cur, n) {
+			return nil
+		}
+	}
 }
 
 // ReadResult returns a stored artifact (log, CSV, or plot) from the

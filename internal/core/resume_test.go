@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -704,6 +705,103 @@ func TestRunIDsSkipLoadedRuns(t *testing.T) {
 	}
 	if !bytes.Equal(got, firstLog) {
 		t.Errorf("loaded run-0001 log was overwritten:\n--- saved ---\n%s\n--- now ---\n%s", firstLog, got)
+	}
+}
+
+// TestRunHistoryBounded runs 40 CLI-shaped invocations on one state
+// file — New, LoadState, a -resume Run, SaveState — past the bound. Run
+// IDs continue after the highest loaded one, so they strictly increase
+// and never repeat a removed run's; after every save the "run-"
+// directories are exactly the newest 33; every run's log and CSV
+// equal a fresh framework's run of the same config; and directories
+// outside the numbered families survive every load.
+func TestRunHistoryBounded(t *testing.T) {
+	configs := []Config{
+		{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+			Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true},
+		{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+			Benchmarks: []string{"lu"}, Reps: 1, Input: workload.SizeTest, ModelTime: true},
+	}
+	type artifacts struct{ log, csv string }
+	want := make([]artifacts, len(configs))
+	for i, cfg := range configs {
+		want[i].log, want[i].csv = runOnce(t, cfg, []string{"gcc-6.1"})
+	}
+
+	planted := []string{"baseline", "run-", "run-12a", "run-99999999999999999999"}
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	fsys, err := fx.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range planted {
+		if err := fsys.WriteFile(runDir(name)+"/note", []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var state bytes.Buffer
+	if err := fx.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range 40 {
+		fx := newSchedFex(t)
+		if err := fx.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		cfg := configs[i%len(configs)]
+		cfg.Resume = true
+		report, err := fx.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if id := fmt.Sprintf("run-%04d", i+1); report.RunID != id {
+			t.Fatalf("cycle %d got run ID %s, want %s", i, report.RunID, id)
+		}
+		lg, err := fx.ReadResult(report.RunLogPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csv, err := fx.ReadResult(report.RunCSVPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want[i%len(configs)]; string(lg) != w.log || string(csv) != w.csv {
+			t.Errorf("cycle %d: artifacts differ from a fresh run:\n--- fresh log ---\n%s\n--- log ---\n%s\n--- fresh csv ---\n%s\n--- csv ---\n%s",
+				i, w.log, lg, w.csv, csv)
+		}
+		state.Reset()
+		if err := fx.SaveState(&state); err != nil {
+			t.Fatal(err)
+		}
+
+		fsys, err := fx.Container().FS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := fsys.ReadDir(RunsDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, wantRuns []string
+		for _, e := range entries {
+			if fam, _, ok := runNumber(e.Name); ok && fam == "run-" {
+				got = append(got, e.Name)
+			}
+		}
+		// The newest 32 loaded runs, as the README states, and this one.
+		for n := max(1, i+1-32); n <= i+1; n++ {
+			wantRuns = append(wantRuns, fmt.Sprintf("run-%04d", n))
+		}
+		if !slices.Equal(got, wantRuns) {
+			t.Errorf("cycle %d saved run directories %v, want %v", i, got, wantRuns)
+		}
+		for _, name := range planted {
+			if !fsys.Exists(runDir(name) + "/note") {
+				t.Errorf("cycle %d: planted run directory %q was removed", i, name)
+			}
+		}
 	}
 }
 

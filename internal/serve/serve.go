@@ -74,7 +74,7 @@ type Server struct {
 	mu     sync.Mutex
 	runs   map[string]*run
 	order  []string // insertion order, for stable cursor pagination
-	seq    int
+	seq    uint64
 	sealed bool // no further submissions (Close started)
 
 	queue chan *run
@@ -156,7 +156,9 @@ func (s *Server) Submit(spec RunSpec) (*RunStatus, error) {
 	if s.sealed {
 		return nil, ErrClosed
 	}
-	// Skip IDs whose run directory a loaded state already holds.
+	// Continue after the highest ID a loaded state held (its older runs'
+	// directories may be gone), and skip IDs whose run directory exists.
+	s.seq = max(s.seq, s.fx.LoadedRunHigh("r-"))
 	for s.fx.RunExists(fmt.Sprintf("r-%06d", s.seq+1)) {
 		s.seq++
 	}

@@ -37,22 +37,33 @@ func installAll(t *testing.T, fx *core.Fex, names ...string) {
 }
 
 // blockingRunner parks until the run's context is cancelled — the
-// deterministic cancellation target: it never finishes on its own.
-type blockingRunner struct{}
+// deterministic cancellation target: it never finishes on its own. A
+// non-nil entered receives a value once the run reaches the runner;
+// after it, the executor makes no filesystem operations until the
+// cancellation.
+type blockingRunner struct{ entered chan<- struct{} }
 
-func (blockingRunner) Run(rc *core.RunContext) error {
+func (b blockingRunner) Run(rc *core.RunContext) error {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+	}
 	<-rc.Context().Done()
 	return rc.Context().Err()
 }
 
 func registerBlocking(t *testing.T, fx *core.Fex, name string) {
 	t.Helper()
+	registerRunner(t, fx, name, blockingRunner{})
+}
+
+func registerRunner(t *testing.T, fx *core.Fex, name string, r core.Runner) {
+	t.Helper()
 	if err := fx.RegisterExperiment(&core.Experiment{
 		Name:         name,
 		Kind:         core.KindPerformance,
 		DefaultTypes: []string{"gcc_native"},
 		NewRunner: func(*core.Fex) (core.Runner, error) {
-			return blockingRunner{}, nil
+			return r, nil
 		},
 		Collect: core.GenericCollect,
 	}); err != nil {
@@ -646,5 +657,90 @@ func TestServeSkipsRunIDsOfLoadedState(t *testing.T) {
 	}
 	if !bytes.Equal(got, firstLog) {
 		t.Errorf("loaded run %s log was overwritten", first.ID)
+	}
+}
+
+// submitOps is the number of filesystem operations of one Submit of a
+// splash run: one RunExists probe of the next ID. It does not depend on
+// how many runs a loaded state holds.
+const submitOps = 1
+
+// measureSubmitOps parks a first run in the executor, then returns the
+// IDs of both submissions and the filesystem operations of the second.
+func measureSubmitOps(t *testing.T, fx *core.Fex) (parkedID, id string, ops uint64) {
+	t.Helper()
+	entered := make(chan struct{}, 1)
+	registerRunner(t, fx, "park", blockingRunner{entered: entered})
+	fsys, err := fx.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(fx, Options{})
+	defer s.Close()
+	parked, err := s.Submit(RunSpec{Experiment: "park"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	before := fsys.Ops()
+	st, err := s.Submit(splashSpec("fft"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parked.ID, st.ID, fsys.Ops() - before
+}
+
+// TestServeRunIDsContinueAfterLoadedHistory loads a state holding
+// r-000001 … r-000040 into a fresh service: LoadState keeps the newest 32
+// of them, the first submission continues at r-000041 instead of reusing
+// a removed run's ID, and a Submit costs the same filesystem operations
+// as on a service without a loaded state.
+func TestServeRunIDsContinueAfterLoadedHistory(t *testing.T) {
+	_, _, freshOps := measureSubmitOps(t, newServeFex(t))
+	if freshOps != submitOps {
+		t.Errorf("Submit on a fresh service made %d filesystem operations, want %d", freshOps, submitOps)
+	}
+
+	src := newServeFex(t)
+	srcFS, err := src.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 40; n++ {
+		if err := srcFS.WriteFile(fmt.Sprintf("%s/r-%06d/note", core.RunsDir, n), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var state bytes.Buffer
+	if err := src.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	fx := newServeFex(t)
+	if err := fx.LoadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := fx.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := fsys.ReadDir(core.RunsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, e := range entries {
+		kept = append(kept, e.Name)
+	}
+	if len(kept) != 32 || kept[0] != "r-000009" || kept[31] != "r-000040" {
+		t.Errorf("loaded run directories %v, want r-000009 … r-000040", kept)
+	}
+
+	parked, id, ops := measureSubmitOps(t, fx)
+	if parked != "r-000041" || id != "r-000042" {
+		t.Errorf("submissions after the loaded history got IDs %s and %s, want r-000041 and r-000042", parked, id)
+	}
+	if ops != submitOps {
+		t.Errorf("Submit after loading 40 runs made %d filesystem operations, want %d", ops, submitOps)
 	}
 }

@@ -3,7 +3,7 @@ package store
 // Result is one BulkGet resolution, mirroring Get's three return values:
 // the payload when present and valid, Present reporting whether a record
 // existed for the fingerprint, and Err carrying ErrCorrupt/ErrMismatch for
-// present-but-unreplayable records.
+// present-but-unreplayable records. Payload is read-only, as Get's is.
 type Result struct {
 	Payload []byte
 	Present bool

@@ -273,14 +273,17 @@ func (s *Store) PutCell(c Cell, payload []byte) error {
 // second return value reports whether the cell was present. A present
 // record whose embedded fingerprint does not match fp (a content-address
 // collision or tampering) returns ErrMismatch; a file that does not decode
-// returns ErrCorrupt. Callers treat both as "re-measure".
+// returns ErrCorrupt. Callers treat both as "re-measure". The payload may
+// share the stored file's bytes: callers must not modify it.
 func (s *Store) Get(fp Fingerprint) ([]byte, bool, error) {
 	return s.get(NewCell(fp))
 }
 
-// get reads c's record file and verifies it against c.
+// get reads c's record file and verifies it against c. The record is
+// read without a copy (vfs.FS.ReadFileShared), so the payload may share
+// the file's bytes and is read-only.
 func (s *Store) get(c Cell) ([]byte, bool, error) {
-	data, err := s.fsys.ReadFile(s.path(c.key))
+	data, err := s.fsys.ReadFileShared(s.path(c.key))
 	if errors.Is(err, vfs.ErrNotExist) {
 		return nil, false, nil
 	}

@@ -67,4 +67,12 @@ func TestReadFileAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("ReadFile of a clean path allocates %.0f times, want 1 (the returned copy)", allocs)
 	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := f.ReadFileShared(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadFileShared of a clean path allocates %.0f times, want 0", allocs)
+	}
 }

@@ -278,8 +278,21 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 	return nil
 }
 
-// ReadFile returns the contents of the named file.
+// ReadFile returns a copy of the contents of the named file.
 func (f *FS) ReadFile(p string) ([]byte, error) {
+	data, err := f.ReadFileShared(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(data))
+	copy(out, data)
+	return out, nil
+}
+
+// ReadFileShared is ReadFile without the copy: it returns the file's
+// bytes themselves, which stay valid and unchanged after later writes
+// (see node). The result is read-only: a caller must never modify it.
+func (f *FS) ReadFileShared(p string) ([]byte, error) {
 	f.ops.Add(1)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -290,9 +303,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	if n.isDir {
 		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
 	}
-	out := make([]byte, len(n.data))
-	copy(out, n.data)
-	return out, nil
+	return n.data[:len(n.data):len(n.data)], nil
 }
 
 // Stat describes a filesystem entry.

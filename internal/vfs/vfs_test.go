@@ -89,6 +89,38 @@ func TestWriteFileCopiesInput(t *testing.T) {
 	}
 }
 
+// TestReadFileSharedSurvivesRewrite reads a file without a copy, then
+// rewrites it: the bytes already read stay the old contents, and an
+// append to them cannot write into the filesystem's copy.
+func TestReadFileSharedSurvivesRewrite(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/f", []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFileShared("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/f", []byte("new"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "old" {
+		t.Errorf("shared read changed to %q after a rewrite, want %q", got, "old")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("shared read has capacity %d beyond its %d bytes", cap(got), len(got))
+	}
+	if _, err := fs.ReadFileShared("/missing"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("shared read of a missing file: %v, want ErrNotExist", err)
+	}
+	if err := fs.MkdirAll("/dir"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadFileShared("/dir"); !errors.Is(err, ErrIsDir) {
+		t.Errorf("shared read of a directory: %v, want ErrIsDir", err)
+	}
+}
+
 func TestStat(t *testing.T) {
 	fs := New()
 	if err := fs.WriteFile("/a/f.txt", []byte("12345"), 0o600); err != nil {

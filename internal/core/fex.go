@@ -903,7 +903,7 @@ func (fx *Fex) LoadState(r io.Reader) error {
 	fx.historyMu.Lock()
 	fx.loadedHigh = high
 	fx.historyMu.Unlock()
-	for n := fx.LoadedRunHigh("run-"); ; {
+	for n := high["run-"]; ; { // runSeq only advances
 		cur := fx.runSeq.Load()
 		if cur >= n || fx.runSeq.CompareAndSwap(cur, n) {
 			return nil

@@ -32,11 +32,11 @@ chaos:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The quickstart configuration gated in CI: modeled time makes the
-# metrics machine-independent, so the committed baseline run set compares
-# byte-for-byte-equal on any host.
+# The quickstart configuration gated in CI: every metric, wall time
+# included, is modeled and machine-independent, so the committed baseline
+# run set compares byte-for-byte-equal on any host.
 GATE_ARGS := run -n phoenix -t gcc_native gcc_asan -b histogram word_count \
-	-i test -r 2 --modeled-time --state .gate.state
+	-i test -r 2 --state .gate.state
 
 # gate re-runs the quickstart configuration and fails on any significant
 # regression against the committed baseline (fex self-hosting in CI).

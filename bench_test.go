@@ -426,7 +426,7 @@ func BenchmarkAblation_ThreadScaling(b *testing.B) {
 // -no-memo. With memoization, 31 of the 32 repetitions per thread count
 // are O(1) model evaluations instead of kernel executions, so the run
 // must finish at least 5x faster while collecting a byte-identical CSV
-// (modeled time makes wall-derived metrics machine-independent).
+// (wall time is modeled, so every metric is machine-independent).
 func BenchmarkAblation_MemoizedReps(b *testing.B) {
 	fx := newFexB(b, "gcc-6.1", "splash_inputs")
 	cfg := core.Config{
@@ -435,7 +435,6 @@ func BenchmarkAblation_MemoizedReps(b *testing.B) {
 		Benchmarks: []string{"fft"},
 		Reps:       32,
 		Input:      workload.SizeSmall,
-		ModelTime:  true,
 	}
 	var speedup float64
 	var memoCSV, noMemoCSV string
@@ -602,7 +601,7 @@ func BenchmarkModeledRepetition(b *testing.B) {
 		}
 		mv := measure.AcquireMetricVector()
 		tool.Collect(s, mv)
-		mv.Set("wall_ns", float64(s.WallTime.Nanoseconds()))
+		mv.Set("wall_ns", float64(s.ModeledWall().Nanoseconds()))
 		lw.WriteMeasurement(runlog.Measurement{
 			Suite: w.Suite(), Benchmark: w.Name(), BuildType: "gcc_native",
 			Threads: 1, Rep: rep, Values: mv,
@@ -700,7 +699,6 @@ func BenchmarkAblation_PlanAhead(b *testing.B) {
 			Benchmarks: []string{"fft", "lu"},
 			Reps:       2,
 			Input:      workload.SizeTest,
-			ModelTime:  true,
 		}
 		start = time.Now()
 		if _, err := sfx.Run(context.Background(), cfgA); err != nil {
@@ -778,7 +776,6 @@ func planDedupExecs(tb testing.TB) (dedup, raw int64, dedupCSV, rawCSV string) {
 		Threads:    []int{1, 2},
 		Reps:       4,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	report, err := fx.Run(context.Background(), cfg)
 	if err != nil {
@@ -803,7 +800,6 @@ func planWarmResumeBuilds(tb testing.TB) int {
 		BuildTypes: []string{"gcc_native", "clang_native"},
 		Benchmarks: []string{"fft", "lu"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	if _, err := fx.Run(context.Background(), cfg); err != nil {
 		tb.Fatal(err)
@@ -856,7 +852,6 @@ func clusterParsedBytes(tb testing.TB) (parsed, logLen uint64) {
 		Threads:     []int{1, 2},
 		Reps:        2,
 		Input:       workload.SizeTest,
-		ModelTime:   true,
 		Hosts:       []string{"w1", "w2"},
 		NoDedup:     true,
 		NoSpeculate: true,

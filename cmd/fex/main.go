@@ -21,11 +21,11 @@
 // types, -b benchmark filter, -m thread counts, -r repetitions, -i input
 // class, -d debug builds, -v verbose, --no-build) and everything added
 // since (-tool, -jobs, -hosts, -host-timeout, the scheduler ablations,
-// -degrade, -no-memo, -no-dedup, --modeled-time, -resume) live in one
-// flag table in internal/core (args.go): core.ParseArgs reads them into a
-// core.Config, core.Config.Args and String render a run back, and fex
-// serve decodes {"args": [...]} submissions through the same table. Each
-// flag's meaning is documented on its core.Config field. Outside run, -n
+// -degrade, -no-memo, -no-dedup, -resume) live in one flag table in
+// internal/core (args.go): core.ParseArgs reads them into a core.Config,
+// core.Config.Args and String render a run back, and fex serve decodes
+// {"args": [...]} submissions through the same table. Each flag's
+// meaning is documented on its core.Config field. Outside run, -n
 // names the artifact or experiment, -t the plot kind or the two analyze
 // types, and -b the analyze metric.
 //

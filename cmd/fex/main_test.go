@@ -80,36 +80,21 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
+// TestParseArgsResumeAndAdaptiveReps pins -resume and the end of
+// adaptive repetitions: -r takes a repetition count, and every form of
+// the removed -r auto is rejected, as is --modeled-time.
 func TestParseArgsResumeAndAdaptiveReps(t *testing.T) {
-	args, err := parseArgs([]string{
-		"run", "-n", "micro",
-		"-t", "gcc_native",
-		"-r", "auto:0.99,0.02",
-		"-resume",
-	})
+	args, err := parseArgs([]string{"run", "-n", "micro", "-t", "gcc_native", "-r", "5", "-resume"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !args.cfg.AdaptiveReps || args.cfg.RepLevel != 0.99 || args.cfg.RepRelWidth != 0.02 {
-		t.Errorf("adaptive=%t level=%v relwidth=%v", args.cfg.AdaptiveReps, args.cfg.RepLevel, args.cfg.RepRelWidth)
+	if args.cfg.Reps != 5 || !args.cfg.Resume {
+		t.Errorf("reps=%d resume=%t", args.cfg.Reps, args.cfg.Resume)
 	}
-	if !args.cfg.Resume {
-		t.Error("-resume not parsed")
-	}
-
-	args, err = parseArgs([]string{"run", "-n", "micro", "-r", "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !args.cfg.AdaptiveReps || args.cfg.RepLevel != 0 || args.cfg.RepRelWidth != 0 {
-		t.Errorf("bare auto: adaptive=%t level=%v relwidth=%v (params must default)", args.cfg.AdaptiveReps, args.cfg.RepLevel, args.cfg.RepRelWidth)
-	}
-
 	for _, argv := range [][]string{
-		{"run", "-r", "auto:0.99"},     // missing relwidth
-		{"run", "-r", "auto:x,0.05"},   // bad level
-		{"run", "-r", "auto:0.95,y"},   // bad relwidth
-		{"run", "-r", "auto:0.95,0,1"}, // too many params
+		{"run", "-n", "micro", "-r", "auto"},
+		{"run", "-n", "micro", "-r", "auto:0.99,0.02"},
+		{"run", "-n", "micro", "--modeled-time"},
 	} {
 		if _, err := parseArgs(argv); err == nil {
 			t.Errorf("parseArgs(%v): expected error", argv)
@@ -180,7 +165,6 @@ func TestCLIResumeRoundtripWithState(t *testing.T) {
 		"-t", "gcc_native", "gcc_asan",
 		"-b", "array_read", "branch_heavy",
 		"-i", "test", "-r", "2",
-		"--modeled-time",
 		"--state", state,
 	}
 	if err := run(append(append([]string{}, base...), "-o", coldDir)); err != nil {
@@ -233,7 +217,6 @@ func TestCLICompactRoundtripWithState(t *testing.T) {
 		"-t", "gcc_native", "gcc_asan",
 		"-b", "array_read", "branch_heavy",
 		"-i", "test", "-r", "2",
-		"--modeled-time",
 		"--state", state,
 	}
 	if err := run(append(append([]string{}, base...), "-o", coldDir)); err != nil {
@@ -284,19 +267,6 @@ func TestCLIFailedRunStillSavesState(t *testing.T) {
 	}
 	if _, statErr := os.Stat(state); statErr != nil {
 		t.Errorf("state file not saved after failed run: %v", statErr)
-	}
-}
-
-func TestCLIRunAdaptiveReps(t *testing.T) {
-	if err := run([]string{
-		"run", "-n", "micro",
-		"-t", "gcc_native",
-		"-b", "array_read",
-		"-i", "test",
-		"-r", "auto",
-		"--modeled-time",
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -417,16 +387,12 @@ func TestParseArgsClusterFlags(t *testing.T) {
 		"run", "-n", "splash",
 		"-t", "gcc_native",
 		"-hosts", "w1, w2,w3",
-		"--modeled-time",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(args.cfg.Hosts) != 3 || args.cfg.Hosts[0] != "w1" || args.cfg.Hosts[1] != "w2" || args.cfg.Hosts[2] != "w3" {
 		t.Errorf("hosts %v", args.cfg.Hosts)
-	}
-	if !args.cfg.ModelTime {
-		t.Error("--modeled-time not parsed")
 	}
 
 	for _, argv := range [][]string{
@@ -666,7 +632,6 @@ func TestCLIDiffGateEndToEnd(t *testing.T) {
 		"-t", "gcc_native", "gcc_asan",
 		"-b", "array_read", "branch_heavy",
 		"-i", "test", "-r", "2",
-		"--modeled-time",
 	}
 	if err := run(append(append([]string{}, base...), "--state", serialState)); err != nil {
 		t.Fatal(err)
@@ -786,7 +751,7 @@ func TestCLIGateRejectsEmptyCandidate(t *testing.T) {
 	baseDir := filepath.Join(dir, "baseline")
 	if err := run([]string{
 		"run", "-n", "micro", "-t", "gcc_native", "-b", "array_read",
-		"-i", "test", "-r", "2", "--modeled-time", "--state", state,
+		"-i", "test", "-r", "2", "--state", state,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -833,13 +798,13 @@ func TestCLIDiffDisjointRunSetsWithOutput(t *testing.T) {
 	bState := filepath.Join(dir, "b.state")
 	if err := run([]string{
 		"run", "-n", "micro", "-t", "gcc_native", "-b", "array_read",
-		"-i", "test", "-r", "2", "--modeled-time", "--state", aState,
+		"-i", "test", "-r", "2", "--state", aState,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{
 		"run", "-n", "micro", "-t", "gcc_asan", "-b", "branch_heavy",
-		"-i", "test", "-r", "2", "--modeled-time", "--state", bState,
+		"-i", "test", "-r", "2", "--state", bState,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -876,6 +841,49 @@ func TestCLIDiffDisjointRunSetsWithOutput(t *testing.T) {
 	}
 }
 
+// TestCLIGatePassesAA is the A/A check of the configuration that once
+// failed it: two default runs into separate states must compare equal —
+// fex gate passes at its defaults (alpha 0.05, -max-regression 0) and
+// fex diff reports no significant delta on wall_ns, its default metric.
+// When wall_ns was live harness time, half such pairs failed the gate.
+func TestCLIGatePassesAA(t *testing.T) {
+	dir := t.TempDir()
+	states := []string{filepath.Join(dir, "a.state"), filepath.Join(dir, "b.state")}
+	for _, state := range states {
+		if err := run([]string{
+			"run", "-n", "splash", "-t", "gcc_native", "clang_native",
+			"-i", "test", "-r", "5", "--state", state,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseDir := filepath.Join(dir, "baseline")
+	if err := run([]string{"export", "-o", baseDir, "--state", states[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"gate", "-baseline", baseDir, "--state", states[1]}); err != nil {
+		t.Errorf("A/A gate failed: %v", err)
+	}
+	out := filepath.Join(dir, "out")
+	if err := run([]string{"diff", states[0], states[1], "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(out, "fexdiff.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := diff.DecodeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Deltas) != 24 {
+		t.Errorf("deltas %d, want 24 (2 types x 12 benchmarks)", len(report.Deltas))
+	}
+	if n := len(report.Significant()); n != 0 {
+		t.Errorf("A/A diff reported %d significant deltas", n)
+	}
+}
+
 // plantRegression copies a run-set directory, scaling every wall_ns
 // sample by factor.
 func plantRegression(t *testing.T, srcDir, dstDir string, factor float64) {
@@ -905,7 +913,6 @@ func TestCLIClusterRunMatchesSerialCSV(t *testing.T) {
 		"run", "-n", "micro",
 		"-t", "gcc_native", "gcc_asan",
 		"-i", "test", "-r", "2",
-		"--modeled-time",
 		"-o", serialDir,
 	}); err != nil {
 		t.Fatal(err)
@@ -914,7 +921,6 @@ func TestCLIClusterRunMatchesSerialCSV(t *testing.T) {
 		"run", "-n", "micro",
 		"-t", "gcc_native", "gcc_asan",
 		"-i", "test", "-r", "2",
-		"--modeled-time",
 		"-hosts", "w1,w2",
 		"-o", clusterDir,
 	}); err != nil {

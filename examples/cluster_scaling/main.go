@@ -15,8 +15,8 @@
 //  5. kill a host mid-cluster-run and show failover keeps the result
 //     byte-identical anyway.
 //
-// --modeled-time makes the wall-clock metric a pure function of the
-// workload, so the comparison covers every byte of the log.
+// Wall time is modeled, a pure function of the workload, so the
+// comparison covers every byte of the log.
 package main
 
 import (
@@ -62,7 +62,6 @@ func runSplash(cluster *remote.Cluster, jobs int, hosts []string) (string, strin
 		Input:      workload.SizeTest,
 		Jobs:       jobs,
 		Hosts:      hosts,
-		ModelTime:  true,
 	})
 	if err != nil {
 		return "", "", 0, err

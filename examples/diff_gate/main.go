@@ -4,7 +4,7 @@
 //
 // The walkthrough:
 //
-//  1. run the micro suite with --modeled-time and export the result
+//  1. run the micro suite and export the result
 //     store as a baseline directory — the committable run-set format;
 //  2. run the same configuration again on a completely fresh framework
 //     and diff it against the baseline: every cell joins, and with
@@ -57,7 +57,6 @@ func runOnce(source string) (*diff.RunSet, error) {
 		Benchmarks: []string{"array_read", "branch_heavy"},
 		Input:      workload.SizeTest,
 		Reps:       3,
-		ModelTime:  true, // machine-independent metrics: reruns are byte-identical
 	}); err != nil {
 		return nil, err
 	}

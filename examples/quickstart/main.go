@@ -34,8 +34,8 @@ func main() {
 }
 
 // run executes the walkthrough. In deterministic mode — how the golden
-// end-to-end test runs it — the clock is pinned and wall time is modeled,
-// so every exported artifact is byte-stable.
+// end-to-end test runs it — the clock is pinned, so every exported
+// artifact is byte-stable (wall time is always modeled).
 func run(deterministic bool) error {
 	opts := core.Options{Verbose: os.Stdout}
 	if deterministic {
@@ -64,7 +64,6 @@ func run(deterministic bool) error {
 		Benchmarks: []string{"histogram", "word_count"},
 		Input:      workload.SizeTest,
 		Reps:       2,
-		ModelTime:  deterministic,
 	})
 	if err != nil {
 		return err
@@ -140,7 +139,6 @@ CFLAGS += -D_FORTIFY_SOURCE=2
 		BuildTypes: []string{"gcc_native", "gcc_hardened"},
 		Benchmarks: []string{"array_read", "branch_heavy"},
 		Input:      workload.SizeTest,
-		ModelTime:  deterministic,
 	})
 	if err != nil {
 		return err

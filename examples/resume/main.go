@@ -1,12 +1,9 @@
-// Resume_adaptive demonstrates the persistent result store: resumable
-// runs (-resume) and adaptive repetition counts (-r auto).
+// Resume demonstrates the persistent result store: resumable runs
+// (-resume) and incremental evaluation.
 //
 // The walkthrough:
 //
-//  1. run the micro suite cold with -r auto — each sweep runs a pilot
-//     batch and stops as soon as the confidence interval is tight enough
-//     (with --modeled-time the metrics are deterministic, so every sweep
-//     stops at the pilot);
+//  1. run the micro suite cold with -r 5, storing every cell;
 //  2. run the same experiment again with -resume — every cell replays
 //     from the store, executing zero measured repetitions, and the stored
 //     log and CSV stay byte-identical to the cold run;
@@ -32,7 +29,7 @@ import (
 
 func main() {
 	if err := run(false); err != nil {
-		fmt.Fprintln(os.Stderr, "resume_adaptive:", err)
+		fmt.Fprintln(os.Stderr, "resume:", err)
 		os.Exit(1)
 	}
 }
@@ -76,16 +73,15 @@ func run(deterministic bool) error {
 	}
 
 	cfg := core.Config{
-		Experiment:   "micro_counted",
-		BuildTypes:   []string{"gcc_native", "gcc_asan"},
-		Benchmarks:   []string{"array_read", "branch_heavy"},
-		Input:        workload.SizeTest,
-		AdaptiveReps: true, // -r auto
-		ModelTime:    true,
+		Experiment: "micro_counted",
+		BuildTypes: []string{"gcc_native", "gcc_asan"},
+		Benchmarks: []string{"array_read", "branch_heavy"},
+		Reps:       5,
+		Input:      workload.SizeTest,
 	}
 
-	// --- 1. cold adaptive run -------------------------------------------
-	fmt.Println("== cold run with -r auto")
+	// --- 1. cold run ----------------------------------------------------
+	fmt.Println("== cold run with -r 5")
 	report, err := fx.Run(context.Background(), cfg)
 	if err != nil {
 		return err
@@ -95,7 +91,6 @@ func run(deterministic bool) error {
 		return err
 	}
 	fmt.Printf("   %d measurements from %d executed repetitions\n", report.Measurements, executed.Load())
-	fmt.Printf("   (deterministic modeled metrics -> every sweep stopped at the %d-rep pilot)\n", core.AdaptivePilot)
 	if err := testutil.ExportReport(fx, report, "cold"); err != nil {
 		return err
 	}
@@ -160,6 +155,6 @@ func run(deterministic bool) error {
 	if executed.Load() == 0 {
 		return fmt.Errorf("cleaned store still replayed")
 	}
-	fmt.Println("resume_adaptive complete")
+	fmt.Println("resume complete")
 	return nil
 }

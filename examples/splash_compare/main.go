@@ -26,8 +26,8 @@ func main() {
 }
 
 // run executes the case study; deterministic mode (the golden end-to-end
-// test) pins the clock and records modeled wall time so the exported
-// artifacts are byte-stable.
+// test) pins the clock so the exported artifacts are byte-stable (wall
+// time is always modeled).
 func run(deterministic bool) error {
 	opts := core.Options{}
 	if deterministic {
@@ -50,7 +50,6 @@ func run(deterministic bool) error {
 		BuildTypes: []string{"gcc_native", "clang_native"},
 		Input:      workload.SizeSmall,
 		Reps:       2,
-		ModelTime:  deterministic,
 	})
 	if err != nil {
 		return err

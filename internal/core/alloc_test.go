@@ -28,7 +28,7 @@ func TestModeledRepZeroAllocs(t *testing.T) {
 	lw := runlog.NewWriter(io.Discard)
 	rc := &RunContext{
 		Fex:    fx,
-		Config: Config{Experiment: "splash", ModelTime: true, Input: workload.SizeTest},
+		Config: Config{Experiment: "splash", Input: workload.SizeTest},
 		Log:    lw,
 	}
 	artifact, tool, in, err := prepareDefaultRun(rc, "gcc_native", w)
@@ -49,8 +49,8 @@ func TestModeledRepZeroAllocs(t *testing.T) {
 			Rep:       rep,
 			Values:    values,
 		})
-		if _, ok := adaptiveMetric(values); !ok {
-			t.Fatal("adaptive metric missing")
+		if _, ok := values.Get("wall_ns"); !ok {
+			t.Fatal("wall_ns missing")
 		}
 		values.Release()
 		return nil

@@ -147,9 +147,9 @@ func (r AnalysisReport) String() string {
 // experiment, benchmark by benchmark, using the per-repetition samples in
 // the stored log (not the collected means). Samples are taken at the
 // smallest thread count present.
-// The default metric is live wall time ("wall_ns"): modeled counters are
-// deterministic across repetitions (zero variance), so hypothesis testing
-// is only informative for the live measurements.
+// The default metric is wall time ("wall_ns"). Like every cell metric it
+// is modeled and deterministic across repetitions, so two types' samples
+// either agree exactly or differ by their (zero-variance) values.
 func (fx *Fex) Analyze(experiment, metric, typeA, typeB string) (*AnalysisReport, error) {
 	if metric == "" {
 		metric = "wall_ns"

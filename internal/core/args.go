@@ -65,10 +65,12 @@ var runFlags = []runFlag{
 		}},
 	{names: []string{"-r"}, arity: 1, want: "a value",
 		parse: func(c *Config, v []string) (err error) {
-			c.Reps, c.AdaptiveReps, c.RepLevel, c.RepRelWidth, err = ParseRepsSpec(v[0])
-			return err
+			if c.Reps, err = strconv.Atoi(v[0]); err != nil {
+				return fmt.Errorf("core: bad -r value %q (want a repetition count): %w", v[0], err)
+			}
+			return nil
 		},
-		render: renderReps},
+		render: func(c Config) ([]string, bool) { return []string{strconv.Itoa(c.Reps)}, c.Reps > 1 }},
 	{names: []string{"-i"}, arity: 1, want: "a value",
 		parse: func(c *Config, v []string) (err error) { c.Input, err = workload.ParseSizeClass(v[0]); return err },
 		render: func(c Config) ([]string, bool) {
@@ -113,7 +115,6 @@ var runFlags = []runFlag{
 	stringFlag("-degrade", "a mode (local)", func(c *Config) *string { return &c.Degrade }),
 	switchFlag(func(c *Config) *bool { return &c.NoMemo }, "-no-memo", "--no-memo"),
 	switchFlag(func(c *Config) *bool { return &c.NoDedup }, "-no-dedup", "--no-dedup"),
-	switchFlag(func(c *Config) *bool { return &c.ModelTime }, "--modeled-time"),
 	switchFlag(func(c *Config) *bool { return &c.Resume }, "-resume"),
 	switchFlag(func(c *Config) *bool { return &c.Debug }, "-d"),
 	switchFlag(func(c *Config) *bool { return &c.Verbose }, "-v"),
@@ -144,25 +145,6 @@ func stringFlag(name, want string, field func(*Config) *string) runFlag {
 	return runFlag{names: []string{name}, arity: 1, want: want,
 		parse:  func(c *Config, v []string) error { *field(c) = v[0]; return nil },
 		render: func(c Config) ([]string, bool) { return []string{*field(&c)}, *field(&c) != "" }}
-}
-
-// renderReps renders the repetition policy: -r auto, with its parameters
-// only when they differ from the defaults, or a fixed count above 1.
-func renderReps(c Config) ([]string, bool) {
-	level, relWidth := c.RepLevel, c.RepRelWidth
-	if level == 0 {
-		level = DefaultRepLevel
-	}
-	if relWidth == 0 {
-		relWidth = DefaultRepRelWidth
-	}
-	switch {
-	case c.AdaptiveReps && (level != DefaultRepLevel || relWidth != DefaultRepRelWidth):
-		return []string{fmt.Sprintf("auto:%g,%g", level, relWidth)}, true
-	case c.AdaptiveReps:
-		return []string{"auto"}, true
-	}
-	return []string{strconv.Itoa(c.Reps)}, c.Reps > 1
 }
 
 // ParseArgs reads a run's flags from argv through the flag table. A flag

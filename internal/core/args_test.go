@@ -26,8 +26,8 @@ var cliArgvCases = [][]string{
 	{"-n", "splash", "-no-memo", "-cpuprofile", "/tmp/cpu.pprof", "-memprofile", "/tmp/mem.pprof"},
 	{"-n", "splash", "--no-memo"},
 	{"-n", "micro", "-t", "gcc_native", "gcc_asan", "-b", "array_read", "branch_heavy", "-i", "test",
-		"-r", "2", "--modeled-time", "--state", "fex.state", "-resume", "-o", "warm"},
-	{"-n", "splash", "-t", "gcc_native", "-hosts", "w1, w2,w3", "--modeled-time"},
+		"-r", "2", "--state", "fex.state", "-resume", "-o", "warm"},
+	{"-n", "splash", "-t", "gcc_native", "-hosts", "w1, w2,w3"},
 	{"-hosts"}, {"-hosts", "w1,,w2"},
 	{"-n", "splash", "-t", "gcc_native", "-hosts", "w1,w2", "-hosts-file", "hosts.txt",
 		"-host-timeout", "30s", "-no-speculate", "-degrade", "local"},
@@ -98,23 +98,21 @@ func TestParseArgsRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		cfg := Config{
-			Experiment:   names[r.Intn(len(names))],
-			BuildTypes:   append(pick(r, 3), "gcc_native"),
-			Benchmarks:   pick(r, 4),
-			Reps:         r.Intn(12),
-			Input:        workload.SizeClass(r.Intn(4)),
-			Jobs:         r.Intn(6),
-			Hosts:        pick(r, 3),
-			HostTimeout:  time.Duration(r.Intn(3)) * time.Duration(r.Int63n(int64(time.Hour))),
-			NoSpeculate:  r.Intn(2) == 0,
-			NoMemo:       r.Intn(2) == 0,
-			ModelTime:    r.Intn(2) == 0,
-			NoDedup:      r.Intn(2) == 0,
-			Resume:       r.Intn(2) == 0,
-			AdaptiveReps: r.Intn(3) == 0,
-			Debug:        r.Intn(2) == 0,
-			Verbose:      r.Intn(2) == 0,
-			NoBuild:      r.Intn(2) == 0,
+			Experiment:  names[r.Intn(len(names))],
+			BuildTypes:  append(pick(r, 3), "gcc_native"),
+			Benchmarks:  pick(r, 4),
+			Reps:        r.Intn(12),
+			Input:       workload.SizeClass(r.Intn(4)),
+			Jobs:        r.Intn(6),
+			Hosts:       pick(r, 3),
+			HostTimeout: time.Duration(r.Intn(3)) * time.Duration(r.Int63n(int64(time.Hour))),
+			NoSpeculate: r.Intn(2) == 0,
+			NoMemo:      r.Intn(2) == 0,
+			NoDedup:     r.Intn(2) == 0,
+			Resume:      r.Intn(2) == 0,
+			Debug:       r.Intn(2) == 0,
+			Verbose:     r.Intn(2) == 0,
+			NoBuild:     r.Intn(2) == 0,
 		}
 		if r.Intn(2) == 0 {
 			cfg.Tool = names[r.Intn(len(names))]
@@ -124,9 +122,6 @@ func TestParseArgsRoundTripProperty(t *testing.T) {
 		}
 		for i := r.Intn(4); i > 0; i-- {
 			cfg.Threads = append(cfg.Threads, 1+r.Intn(64))
-		}
-		if r.Intn(2) == 0 {
-			cfg.RepLevel, cfg.RepRelWidth = r.Float64()*0.98+0.01, r.ExpFloat64()/10+1e-9
 		}
 		if err := cfg.Normalize(); err != nil {
 			t.Logf("seed %d: generated config does not normalize: %v", seed, err)
@@ -143,9 +138,9 @@ func TestParseArgsRoundTripProperty(t *testing.T) {
 // TestParseArgsRest pins what the table leaves to its caller: unknown
 // flags and every bare token no flag consumed, in order. The rows are
 // flags the table does not know, among them the removed cluster
-// placement switches.
+// placement switches and --modeled-time.
 func TestParseArgsRest(t *testing.T) {
-	for _, flag := range []string{"--bogus", "-no-steal", "--no-steal", "-no-load-aware", "--no-load-aware"} {
+	for _, flag := range []string{"--bogus", "-no-steal", "--no-steal", "-no-load-aware", "--no-load-aware", "--modeled-time"} {
 		cfg, rest, err := ParseArgs([]string{"-n", "splash", flag, "-v"})
 		if err != nil || !slices.Equal(rest, []string{flag}) || cfg.Experiment != "splash" || !cfg.Verbose {
 			t.Errorf("ParseArgs(%s) = rest %q, err %v, config %+v; want %s left over", flag, rest, err, cfg, flag)
@@ -162,12 +157,27 @@ func TestParseArgsRest(t *testing.T) {
 		t.Errorf("config %+v", cfg)
 	}
 	// -hosts accumulates; every other flag's last occurrence wins.
-	cfg, _, err = ParseArgs([]string{"-hosts", "w1", "-hosts", "w2,w3", "-r", "auto", "-r", "3", "-b", "x", "-b"})
+	cfg, _, err = ParseArgs([]string{"-hosts", "w1", "-hosts", "w2,w3", "-r", "2", "-r", "3", "-b", "x", "-b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(cfg.Hosts, []string{"w1", "w2", "w3"}) || cfg.AdaptiveReps || cfg.Reps != 3 || cfg.Benchmarks != nil {
+	if !slices.Equal(cfg.Hosts, []string{"w1", "w2", "w3"}) || cfg.Reps != 3 || cfg.Benchmarks != nil {
 		t.Errorf("config %+v", cfg)
+	}
+}
+
+// TestParseRepsSpec pins the -r forms: a repetition count parses, and
+// anything else — the removed "auto" forms included — is an error naming
+// the value.
+func TestParseRepsSpec(t *testing.T) {
+	cfg, _, err := ParseArgs([]string{"-r", "4"})
+	if err != nil || cfg.Reps != 4 {
+		t.Errorf("-r 4: reps %d, err %v", cfg.Reps, err)
+	}
+	for _, v := range []string{"auto", "auto:0.99,0.02", "many", "4.5"} {
+		if _, _, err := ParseArgs([]string{"-r", v}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", v)) {
+			t.Errorf("-r %s: err %v, want an error naming the value", v, err)
+		}
 	}
 }
 

@@ -48,7 +48,6 @@ func TestCancelAbortsEveryTier(t *testing.T) {
 				BuildTypes: []string{"gcc_native", "clang_native"},
 				Benchmarks: []string{"fft", "lu"},
 				Input:      workload.SizeTest,
-				ModelTime:  true,
 			}
 			mode.set(&cfg)
 			_, err := fx.Run(ctx, cfg)
@@ -75,7 +74,6 @@ func TestCancelPreservesCompletedCells(t *testing.T) {
 		BuildTypes: []string{"gcc_native", "clang_native"},
 		Benchmarks: []string{"fft", "lu"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,7 +152,6 @@ func TestRunScopedArtifacts(t *testing.T) {
 		BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"fft", "lu"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	first, err := fx.Run(context.Background(), cfg)
 	if err != nil {

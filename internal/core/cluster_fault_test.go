@@ -207,13 +207,11 @@ func TestClusterDeterminismUnderFaultSchedules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			serialCfg := tc.cfg
-			serialCfg.ModelTime = true
 			serialCfg.Jobs = 1
 			wantLog, wantCSV := runOnce(t, serialCfg, tc.installs)
 
 			for _, fs := range faultSchedules {
 				cfg := tc.cfg
-				cfg.ModelTime = true
 				cfg.Hosts = []string{"w1", "w2", "w3"}
 				fs.set(&cfg)
 

@@ -67,7 +67,6 @@ func TestClusterHostImageReusedAcrossRuns(t *testing.T) {
 		Benchmarks:  []string{"fft", "lu"},
 		Threads:     []int{1, 2},
 		Input:       workload.SizeTest,
-		ModelTime:   true,
 		Hosts:       []string{"w1", "w2"},
 		NoSpeculate: true,
 	}
@@ -108,7 +107,6 @@ func TestClusterImageInstallBetweenRuns(t *testing.T) {
 		Threads:     []int{1, 2},
 		Reps:        2,
 		Input:       workload.SizeTest,
-		ModelTime:   true,
 		Hosts:       []string{"w1", "w2"},
 		NoSpeculate: true,
 	}
@@ -145,7 +143,6 @@ func TestClusterImageCostModelFlip(t *testing.T) {
 		Benchmarks:  []string{"fft", "lu"},
 		Reps:        2,
 		Input:       workload.SizeTest,
-		ModelTime:   true,
 		Hosts:       []string{"w1", "w2"},
 		NoSpeculate: true,
 	}
@@ -179,7 +176,6 @@ func TestClusterImageShipsCoordinatorMakefiles(t *testing.T) {
 		Benchmarks:  []string{"fft", "lu"},
 		Reps:        2,
 		Input:       workload.SizeTest,
-		ModelTime:   true,
 		Hosts:       []string{"w1"},
 		NoSpeculate: true,
 	}

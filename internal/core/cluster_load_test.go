@@ -284,7 +284,6 @@ func TestBuildSharedAcrossExperiments(t *testing.T) {
 		BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"fft", "lu"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	if _, err := fx.Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)

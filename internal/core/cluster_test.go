@@ -126,8 +126,8 @@ var determinismExperiments = []struct {
 		installs: []string{"gcc-6.1"},
 	},
 	{
-		// The time tool derives wall_seconds from the wall clock;
-		// --modeled-time must make that metric deterministic too.
+		// The time tool derives wall_seconds from modeled time, so that
+		// metric is deterministic too.
 		name: "micro_time_tool",
 		cfg: Config{
 			Experiment: "micro",
@@ -168,8 +168,8 @@ var determinismExperiments = []struct {
 // TestClusterDeterminismBuiltinExperiments is the golden suite of the
 // determinism contract: all three execution modes must store
 // byte-identical run logs and CSVs for every experiment in the matrix.
-// --modeled-time makes wall_ns a pure function of the workload, so the
-// comparison covers every metric byte, not a live-timing subset.
+// wall_ns is modeled time, a pure function of the workload, so the
+// comparison covers every metric byte.
 func TestClusterDeterminismBuiltinExperiments(t *testing.T) {
 	for _, tc := range determinismExperiments {
 		tc := tc
@@ -178,7 +178,6 @@ func TestClusterDeterminismBuiltinExperiments(t *testing.T) {
 			var logs, csvs, names []string
 			for _, mode := range runModes {
 				cfg := tc.cfg
-				cfg.ModelTime = true
 				mode.set(&cfg)
 				lg, csv := runOnce(t, cfg, tc.installs)
 				logs = append(logs, lg)
@@ -473,7 +472,6 @@ func TestClusterBuildsStayOnWorkers(t *testing.T) {
 		BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"array_read", "branch_heavy"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 		Hosts:      []string{"w1", "w2"},
 	})
 	if err != nil {
@@ -613,7 +611,6 @@ func TestClusterCorruptTransferDoesNotPersist(t *testing.T) {
 		BuildTypes: []string{"gcc_native"},
 		Benchmarks: []string{"fft"},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 		Hosts:      []string{"w1"},
 	}
 	if _, err := fx.Run(context.Background(), cfg); err == nil {

@@ -90,50 +90,27 @@ type Config struct {
 	// NoMemo disables the shared execution memo (-no-memo): every
 	// repetition physically re-executes the kernel instead of re-deriving
 	// its sample from cached counters. Kernels are deterministic by
-	// contract, so memoized and unmemoized runs produce identical modeled
-	// measurements; the escape hatch exists for wall-clock studies (every
-	// wall_ns sample a real kernel execution) and for validating the
-	// determinism contract itself.
+	// contract, so memoized and unmemoized runs produce identical
+	// measurements; the switch is the determinism ablation that validates
+	// that contract.
 	NoMemo bool
-	// ModelTime records modeled wall time (modeled cycles at the nominal
-	// modeled clock, see measure.ModeledClockGHz) instead of live wall time
-	// in the "wall_ns" metric (--modeled-time). Modeled time is a pure
-	// function of the workload and build type, so runs produce
-	// byte-identical logs on any machine — serial, parallel, or cluster.
+	// Deprecated: ignored; wall_ns is always modeled time.
 	ModelTime bool
 	// NoDedup disables in-run cell deduplication (-no-dedup): the planner
 	// normally measures each distinct cell fingerprint once per run and
 	// replays the shard into every duplicate position (a benchmark listed
 	// twice in -b, overlapping sweeps). Kernels are deterministic by
 	// contract, so deduped and undeduped runs produce byte-identical
-	// merged logs; the escape hatch exists for wall-clock studies that
-	// want every position physically measured, and as the ablation
-	// baseline.
+	// merged logs; the switch exists as the ablation baseline.
 	NoDedup bool
 	// Resume consults the persistent result store before executing each
 	// experiment cell (-resume): a cell whose fingerprint — experiment,
 	// build type, benchmark, thread sweep, input class, tool, repetition
-	// policy, and cost-model hash — is already satisfied replays its stored
+	// count, and cost-model hash — is already satisfied replays its stored
 	// records instead of re-measuring, in every execution tier. Replayed
 	// records merge in canonical loop order, so a resumed log and CSV are
 	// byte-identical to a cold serial run's.
 	Resume bool
-	// AdaptiveReps selects adaptive repetition counts (-r auto): each
-	// (threads) sweep of a cell runs AdaptivePilot measured repetitions,
-	// feeds them to stats.RequiredRepetitions, and keeps measuring until
-	// the Student-t confidence interval of the adaptive metric is within
-	// RepRelWidth of its mean at RepLevel confidence, capped at
-	// AdaptiveCap. Reps is ignored when set. Unless ModelTime is also
-	// set, adaptive runs execute every repetition physically (the memo is
-	// bypassed): the stop rule watches live wall-time variance, which a
-	// cached evaluation would not exhibit.
-	AdaptiveReps bool
-	// RepLevel is the adaptive confidence level (-r auto:level,relwidth);
-	// 0 defaults to DefaultRepLevel.
-	RepLevel float64
-	// RepRelWidth is the adaptive target half-width as a fraction of the
-	// mean; 0 defaults to DefaultRepRelWidth.
-	RepRelWidth float64
 }
 
 // Normalize validates the config and fills defaults.
@@ -171,26 +148,6 @@ func (c *Config) Normalize() error {
 		if t < 1 {
 			return fmt.Errorf("core: invalid thread count %d", t)
 		}
-	}
-	if c.AdaptiveReps {
-		if c.RepLevel == 0 {
-			c.RepLevel = DefaultRepLevel
-		}
-		if c.RepRelWidth == 0 {
-			c.RepRelWidth = DefaultRepRelWidth
-		}
-		if !(c.RepLevel > 0 && c.RepLevel < 1) {
-			return fmt.Errorf("core: adaptive confidence level %v out of range (0,1)", c.RepLevel)
-		}
-		if !(c.RepRelWidth > 0) {
-			return fmt.Errorf("core: adaptive relative width %v must be positive", c.RepRelWidth)
-		}
-		// The pilot batch is the guaranteed minimum; Reps mirrors it so
-		// log headers and reports stay meaningful under -r auto.
-		c.Reps = AdaptivePilot
-	} else {
-		// Only -r auto carries the stop rule; a fixed count drops it.
-		c.RepLevel, c.RepRelWidth = 0, 0
 	}
 	if c.Reps <= 0 {
 		c.Reps = 1

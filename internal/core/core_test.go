@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,21 +126,75 @@ func TestConfigString(t *testing.T) {
 		t.Errorf("config string %q renders -tool for default tool", s)
 	}
 
+	// A single repetition is implicit, and the deprecated ModelTime field
+	// is never rendered: wall_ns is always modeled time.
 	cfg.Reps = 0
-	cfg.AdaptiveReps = true
 	cfg.Resume = true
+	cfg.ModelTime = true
 	s = cfg.String()
-	for _, want := range []string{" -r auto", " -resume"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("config string %q missing %q", s, want)
+	if !strings.Contains(s, " -resume") {
+		t.Errorf("config string %q missing -resume", s)
+	}
+	for _, unwanted := range []string{" -r ", "modeled"} {
+		if strings.Contains(s, unwanted) {
+			t.Errorf("config string %q renders %q", s, unwanted)
 		}
 	}
-	if strings.Contains(s, "auto:") {
-		t.Errorf("default adaptive params rendered explicitly: %q", s)
-	}
-	cfg.RepLevel, cfg.RepRelWidth = 0.99, 0.02
-	if s = cfg.String(); !strings.Contains(s, "-r auto:0.99,0.02") {
-		t.Errorf("config string %q missing custom adaptive spec", s)
+}
+
+// TestWallTimeIsModeledTime is the trust test of the one time base: a
+// default run of every splash benchmark under three build types reports
+// wall_ns as exactly the modeled cycles at the nominal modeled clock, so
+// the wall_ns ratio between any two types is the modeled ratio and wall
+// time ranks the types the way cycles do. The time tool's wall_seconds
+// is the same value in seconds.
+func TestWallTimeIsModeledTime(t *testing.T) {
+	fx := memoFex(t)
+	for _, tool := range []string{"", "time"} {
+		report, err := fx.Run(context.Background(), Config{
+			Experiment: "splash",
+			BuildTypes: []string{"gcc_native", "clang_native", "gcc_asan"},
+			Reps:       3,
+			Input:      workload.SizeTest,
+			Tool:       tool,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		benches, _ := report.Table.Strings("bench")
+		types, _ := report.Table.Strings("type")
+		cycles, err := report.Table.Floats("cycles")
+		if err != nil {
+			t.Fatal(err)
+		}
+		walls, err := report.Table.Floats("wall_ns")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(walls) != 36 {
+			t.Fatalf("tool %q: %d CSV rows, want 36 (12 benchmarks x 3 types)", tool, len(walls))
+		}
+		for i, wall := range walls {
+			want := float64(time.Duration(cycles[i] / measure.ModeledClockGHz).Nanoseconds())
+			if wall != want {
+				t.Errorf("tool %q, %s [%s]: wall_ns %v, want %v (cycles %v at %v GHz)",
+					tool, benches[i], types[i], wall, want, cycles[i], measure.ModeledClockGHz)
+			}
+		}
+		if tool != "time" {
+			continue
+		}
+		secs, err := report.Table.Floats("wall_seconds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A CSV cell is the mean of the repetitions, and the float mean
+		// of three equal non-integer values may be off by an ulp.
+		for i, sec := range secs {
+			if want := walls[i] / 1e9; math.Abs(sec-want) > 1e-12*want {
+				t.Errorf("%s [%s]: wall_seconds %v, want %v", benches[i], types[i], sec, want)
+			}
+		}
 	}
 }
 
@@ -435,7 +490,6 @@ func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
 		Threads:    []int{1, 2},
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	with := func(set func(*Config)) Config {
 		cfg := splash
@@ -454,7 +508,7 @@ func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
 		{"resume", splash, nil, true},
 		{"dry-run", Config{
 			Experiment: "phoenix", BuildTypes: []string{"gcc_native"},
-			Benchmarks: []string{"histogram", "word_count"}, Reps: 2, Input: workload.SizeTest, ModelTime: true,
+			Benchmarks: []string{"histogram", "word_count"}, Reps: 2, Input: workload.SizeTest,
 		}, nil, false},
 		{"direct-writer", Config{Experiment: "ripe", BuildTypes: []string{"gcc_native", "clang_native"}}, []string{"ripe"}, false},
 	} {

@@ -286,18 +286,16 @@ func (fx *Fex) CleanStore() error {
 
 // CompactStore garbage-collects the result store — the "fex compact"
 // action. Records whose ConfigHash no current run could produce are
-// dropped: a cell's hash must match one of the mode combinations
-// (debug × modeled-time × no-memo) under the *current* calibration and
-// metrics schema, so cells stranded by a calibration or schema change —
-// unreachable by any -resume lookup — stop occupying the store.
+// dropped: a cell's hash must match one of the two debug modes under the
+// *current* calibration and metrics schema, so cells stranded by a
+// calibration or schema change (or written under the removed live-time
+// and -no-memo identities) — unreachable by any -resume lookup — stop
+// occupying the store.
 func (fx *Fex) CompactStore() (store.CompactStats, error) {
 	if fx.store == nil {
 		return store.CompactStats{}, nil
 	}
-	valid := make(map[string]bool, 8)
-	for mode := range 8 {
-		valid[fx.costModelHash(Config{Debug: mode&1 != 0, ModelTime: mode&2 != 0, NoMemo: mode&4 != 0})] = true
-	}
+	valid := map[string]bool{fx.costModelHash(false): true, fx.costModelHash(true): true}
 	return fx.store.Compact(func(fp store.Fingerprint) bool {
 		return valid[fp.ConfigHash]
 	})
@@ -317,7 +315,7 @@ type buildIdentity struct {
 // newBuildIdentity returns the build identity of a run with cfg.
 func (fx *Fex) newBuildIdentity(cfg Config) buildIdentity {
 	shipped := fx.build.ChangedSince(fx.baseMakefiles)
-	return buildIdentity{config: fx.costModelHash(cfg), digest: buildsys.Digest(shipped), makefiles: shipped}
+	return buildIdentity{config: fx.costModelHash(cfg.Debug), digest: buildsys.Digest(shipped), makefiles: shipped}
 }
 
 // marker is the identity as one string: the build marker prepareBuild
@@ -327,13 +325,14 @@ func (id buildIdentity) marker() string { return id.config + id.digest }
 // costModelHash digests the measurement context that cell fingerprints
 // cannot express structurally: the full cost-model calibration (baseline,
 // per-compiler codegen, sanitizer and debug scales — every derived vector
-// a build type can resolve to) and the config modes that change what a
-// repetition records. Any drift here must miss the store rather than
-// replay measurements taken under a different model. The calibration
-// rendering is constant for the process, so its digest is computed once;
-// the per-call work is hashing a short fixed-size string (once per run,
-// in newBuildIdentity, and once per mode combination in CompactStore).
-func (fx *Fex) costModelHash(cfg Config) string {
+// a build type can resolve to) and debug mode, the one config mode that
+// changes what a repetition records. Any drift here must miss the store
+// rather than replay measurements taken under a different model. The
+// calibration rendering is constant for the process, so its digest is
+// computed once; the per-call work is hashing a short fixed-size string
+// (once per run, in newBuildIdentity, and once per debug mode in
+// CompactStore).
+func (fx *Fex) costModelHash(debug bool) string {
 	fx.calOnce.Do(func() {
 		sum := sha256.Sum256([]byte(toolchain.CalibrationCanonical()))
 		fx.calDigest = hex.EncodeToString(sum[:])
@@ -344,11 +343,12 @@ func (fx *Fex) costModelHash(cfg Config) string {
 	// metric sets change (e.g. the write_ratio fix) — replaying records
 	// taken under an older schema would silently resurrect its metrics.
 	fmt.Fprintf(h, "metrics-schema:%d\n", measure.MetricsSchemaVersion)
-	// -no-memo is part of the measurement identity: its wall_ns samples
-	// are real kernel timings, a memoized run's are cached-evaluation
-	// timings. A -no-memo -resume run must never replay memoized cells
-	// (or vice versa), so the two modes hash apart like debug/modeled-time.
-	fmt.Fprintf(h, "debug:%t\nmodeled-time:%t\nno-memo:%t\n", cfg.Debug, cfg.ModelTime, cfg.NoMemo)
+	// wall_ns is always modeled time and memoized runs record exactly
+	// what unmemoized ones do, so neither the retired --modeled-time mode
+	// nor -no-memo is part of the identity. Their bytes stay fixed at the
+	// modeled, memoized values so records stored under that mode keep
+	// their keys.
+	fmt.Fprintf(h, "debug:%t\nmodeled-time:true\nno-memo:false\n", debug)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -765,8 +765,8 @@ func (fx *Fex) RunWithHooks(ctx context.Context, cfg Config, hooks RunHooks) (*R
 // (wipe caches, rebuild from pristine sources); subsequent runs whose
 // identity marker matches reuse the warm coordinator cache — artifacts
 // are a deterministic function of (workload, build type) under the
-// identity's modes (debug, modeled-time, no-memo, calibration) and
-// makefiles, so a shared artifact measures identically to a fresh one.
+// identity's debug mode, calibration and makefiles, so a shared artifact
+// measures identically to a fresh one.
 // A marker change (e.g. -d after a release run, or an edited build type)
 // rebuilds clean, and drops every cluster host image with the
 // coordinator's cache. -no-build runs never touch the marker: they reuse

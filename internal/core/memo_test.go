@@ -89,9 +89,9 @@ func memoExecs(t *testing.T, fx *Fex, cfg Config) int {
 // TestMemoDeterminism is the tentpole's byte-identity proof: a memoized
 // run of a real repetition-heavy experiment produces exactly the log and
 // CSV bytes of a -no-memo run that physically re-executes every kernel.
-// Under --modeled-time every metric, wall time included, is a pure
-// function of the workload and build type, so any divergence the memo
-// introduced would show as a byte diff.
+// Every metric, wall time included, is a pure function of the workload
+// and build type, so any divergence the memo introduced would show as a
+// byte diff.
 func TestMemoDeterminism(t *testing.T) {
 	var logs, csvs []string
 	for _, noMemo := range []bool{false, true} {
@@ -103,7 +103,6 @@ func TestMemoDeterminism(t *testing.T) {
 			Threads:    []int{1, 2},
 			Reps:       4,
 			Input:      workload.SizeTest,
-			ModelTime:  true,
 			NoMemo:     noMemo,
 		}
 		report, err := fx.Run(context.Background(), cfg)
@@ -161,7 +160,6 @@ func TestMemoDeterminismAcrossTiers(t *testing.T) {
 		Threads:    []int{1, 2},
 		Reps:       3,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	variants := []struct {
 		name string
@@ -204,42 +202,6 @@ func TestMemoDeterminismAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLiveTimeBypassesMemo pins the -r auto interaction: when
-// the stop rule watches live wall time, repetitions execute physically
-// (the memo is neither consulted nor populated) so the controller
-// samples kernel noise, not cached-evaluation jitter. Under
-// --modeled-time the metric is deterministic and memoization stays on.
-func TestAdaptiveLiveTimeBypassesMemo(t *testing.T) {
-	fx := memoFex(t)
-	w, err := fx.Registry().Lookup("splash", "fft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	artifact, err := fx.Artifact(w, "gcc_native", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := w.DefaultInput(workload.SizeTest)
-
-	live := &RunContext{Fex: fx, Config: Config{AdaptiveReps: true}}
-	for i := 0; i < 3; i++ {
-		if _, err := live.execute(artifact, in, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if artifact.MemoLen() != 0 {
-		t.Errorf("adaptive live-time execution populated the memo (%d entries)", artifact.MemoLen())
-	}
-
-	modeled := &RunContext{Fex: fx, Config: Config{AdaptiveReps: true, ModelTime: true}}
-	if _, err := modeled.execute(artifact, in, 1); err != nil {
-		t.Fatal(err)
-	}
-	if artifact.MemoLen() != 1 {
-		t.Errorf("adaptive --modeled-time execution bypassed the memo (%d entries)", artifact.MemoLen())
-	}
-}
-
 // TestWriteRatioReported pins the perf-stat-mem write_ratio fix end to
 // end: a real experiment run under the memory tool reports a nonzero
 // write ratio derived from the kernel's read/write mix.
@@ -251,7 +213,6 @@ func TestWriteRatioReported(t *testing.T) {
 		Benchmarks: []string{"lu"},
 		Input:      workload.SizeTest,
 		Tool:       "perf-stat-mem",
-		ModelTime:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,6 @@ func TestPlanDedupDuplicatedSweep(t *testing.T) {
 		Threads:    []int{1, 2},
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	var dedupBuilds, dedupReps, rawBuilds, rawReps atomic.Int64
 
@@ -88,7 +87,6 @@ func TestPlanDedupProperty(t *testing.T) {
 			Threads:    []int{1, 2},
 			Reps:       int(repsRaw)%3 + 1,
 			Input:      workload.SizeTest,
-			ModelTime:  true,
 		}
 		mode.set(&cfg)
 
@@ -134,7 +132,6 @@ func TestRunCellsPropagatesBuildOverride(t *testing.T) {
 		Reps:       1,
 		Input:      workload.SizeTest,
 		Jobs:       2,
-		ModelTime:  true,
 	}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
@@ -170,7 +167,6 @@ func TestResumeFullyWarmSkipsBuilds(t *testing.T) {
 		Benchmarks: []string{"fft", "lu"},
 		Threads:    []int{1, 2},
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	for _, mode := range runModes {
 		mode := mode
@@ -218,7 +214,6 @@ func TestPlanSkipsWarmTypeBuilds(t *testing.T) {
 		Threads:    []int{1},
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	fullCfg := warmTypeCfg
 	fullCfg.BuildTypes = []string{"gcc_native", "clang_native"}
@@ -286,7 +281,6 @@ func TestParallelPipelinesBuildsWithMeasurement(t *testing.T) {
 		Threads:    []int{1},
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	wantLog, wantCSV := serialReference(t, "pipelined", deterministicHooks(0), cfg)
 	for _, mode := range runModes[1:] { // parallel, cluster
@@ -342,7 +336,6 @@ func TestPlanSummaryVerbose(t *testing.T) {
 		Threads:    []int{1},
 		Reps:       1,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 		Verbose:    true,
 	}
 	if _, err := fx.Run(context.Background(), cfg); err != nil {

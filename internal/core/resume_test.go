@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"slices"
@@ -53,11 +55,9 @@ func TestResumeDeterminismBuiltinExperiments(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			serialCfg := tc.cfg
-			serialCfg.ModelTime = true
 			wantLog, wantCSV := runOnce(t, serialCfg, tc.installs)
 			for _, mode := range runModes {
 				cfg := tc.cfg
-				cfg.ModelTime = true
 				mode.set(&cfg)
 				fx := newSchedFex(t)
 				installAll(t, fx, tc.installs...)
@@ -195,7 +195,7 @@ func TestResumePartialRunExtends(t *testing.T) {
 
 // TestResumeMissesOnConfigChange asserts the fingerprint discriminates:
 // any change to the measurement context — threads, input class, reps
-// policy, tool, debug mode — must miss the store and re-measure.
+// count, tool, debug mode — must miss the store and re-measure.
 func TestResumeMissesOnConfigChange(t *testing.T) {
 	base := Config{
 		Experiment: "resume_miss",
@@ -206,12 +206,11 @@ func TestResumeMissesOnConfigChange(t *testing.T) {
 		Input:      workload.SizeTest,
 	}
 	changes := map[string]func(*Config){
-		"threads":  func(c *Config) { c.Threads = []int{1} },
-		"reps":     func(c *Config) { c.Reps = 3 },
-		"adaptive": func(c *Config) { c.AdaptiveReps = true },
-		"input":    func(c *Config) { c.Input = workload.SizeSmall },
-		"tool":     func(c *Config) { c.Tool = "time" },
-		"debug":    func(c *Config) { c.Debug = true },
+		"threads": func(c *Config) { c.Threads = []int{1} },
+		"reps":    func(c *Config) { c.Reps = 3 },
+		"input":   func(c *Config) { c.Input = workload.SizeSmall },
+		"tool":    func(c *Config) { c.Tool = "time" },
+		"debug":   func(c *Config) { c.Debug = true },
 	}
 	for name, change := range changes {
 		name, change := name, change
@@ -405,38 +404,6 @@ func TestResumeCrossTier(t *testing.T) {
 	}
 }
 
-// TestResumeAdaptiveRun proves -resume composes with -r auto: a warm
-// resumed adaptive run replays the stored (adaptively sized) batches
-// without executing a single pilot.
-func TestResumeAdaptiveRun(t *testing.T) {
-	var builds, reps atomic.Int64
-	fx := newSchedFex(t)
-	registerSchedExperiment(t, fx, "resume_adaptive", countingHooks(&builds, &reps))
-	cfg := Config{
-		Experiment:   "resume_adaptive",
-		BuildTypes:   []string{"gcc_native"},
-		Benchmarks:   []string{"fft", "lu"},
-		AdaptiveReps: true,
-		Input:        workload.SizeTest,
-	}
-	coldLog, _ := runOn(t, fx, cfg)
-	if got := reps.Load(); got != 2*AdaptivePilot {
-		t.Fatalf("cold adaptive run executed %d reps, want %d (deterministic hook metric stops at pilot)",
-			got, 2*AdaptivePilot)
-	}
-	reps.Store(0)
-
-	warm := cfg
-	warm.Resume = true
-	warmLog, _ := runOn(t, fx, warm)
-	if reps.Load() != 0 {
-		t.Errorf("warm adaptive run executed %d reps, want 0", reps.Load())
-	}
-	if warmLog != coldLog {
-		t.Error("warm adaptive log differs from cold")
-	}
-}
-
 // TestCleanStoreForcesColdRun asserts fex clean's contract: after
 // CleanStore a -resume run measures everything again.
 func TestCleanStoreForcesColdRun(t *testing.T) {
@@ -497,7 +464,6 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 		Benchmarks: []string{"fft", "lu"},
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}
 	texts := []string{
 		"include gcc_native.mk\nCFLAGS += -fstack-protector\n",
@@ -545,7 +511,7 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 	plain := newSchedFex(t)
 	installAll(t, plain, "gcc-6.1")
 	runOn(t, plain, Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
-		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true})
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest})
 	keys := storeKeys(t, plain)
 	const wantKey = "8a439bfc583bedf469072be6b89bbae4fb62187ae51869cc11d3b80f5ee5830a"
 	if len(keys) != 1 || keys[0] != wantKey {
@@ -554,7 +520,7 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 	// Nor did the keys of cells built from an edited makefile.
 	setMakefile(plain, texts[1])
 	runOn(t, plain, Config{Experiment: "splash", BuildTypes: []string{"gcc_hardened"},
-		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true})
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest})
 	const wantEditedKey = "24887b150f14b5488bab76fbd9e7df583aeed0ab48ec7487ba12fc4289807201"
 	if keys := storeKeys(t, plain); len(keys) != 2 || !slices.Contains(keys, wantEditedKey) {
 		t.Errorf("cell keys after a makefile edit %v, want %s next to the default key", keys, wantEditedKey)
@@ -563,9 +529,9 @@ func TestResumeRemeasuresEditedMakefile(t *testing.T) {
 
 // TestBuildIdentityConsumers changes one build identity input per row, on
 // top of the rows before it, and checks that exactly the consumers it
-// should follow it: a mode flag moves the fingerprint's ConfigHash, the
-// cell key, the build marker and the host image key; an install moves
-// only the image key; adding or editing a makefile moves the cell key,
+// should follow it: debug mode moves the fingerprint's ConfigHash, the
+// cell key, the build marker and the host image key; -no-memo moves none
+// of them; an install moves only the image key; adding or editing a makefile moves the cell key,
 // the marker and the image key, but not ConfigHash. Every row runs, and
 // compaction keeps the records of every row.
 func TestBuildIdentityConsumers(t *testing.T) {
@@ -618,11 +584,9 @@ func TestBuildIdentityConsumers(t *testing.T) {
 		configHash, cellKey, marker, image bool
 	}{
 		{"-d", func() { cfg.Debug = true }, true, true, true, true},
-		{"--modeled-time", func() { cfg.ModelTime = true }, true, true, true, true},
-		// A -no-memo run's wall_ns samples are real kernel timings, a
-		// memoized run's cached-evaluation timings: the two must never
-		// replay each other's cells.
-		{"-no-memo", func() { cfg.NoMemo = true }, true, true, true, true},
+		// Memoized and unmemoized runs record identical bytes (see
+		// TestMemoDeterminism), so they share cells, marker and image.
+		{"-no-memo", func() { cfg.NoMemo = true }, false, false, false, false},
 		{"install clang", func() { installAll(t, fx, "clang-3.8.0") }, false, false, false, true},
 		{"add gcc_hardened.mk", setMakefile("include gcc_native.mk\nCFLAGS += -fstack-protector\n"), false, true, true, true},
 		{"edit gcc_hardened.mk", setMakefile("include gcc_native.mk\nCFLAGS += -fsanitize=address\n"), false, true, true, true},
@@ -662,13 +626,59 @@ func TestBuildIdentityConsumers(t *testing.T) {
 	}
 }
 
+// TestCompactDropsLiveModeRecords pins compaction across the retirement
+// of live wall time: a default run's record keeps the key it had under
+// the old --modeled-time mode, and a record stored under the old
+// live-mode hash — unreachable by any run now — is dropped while the
+// modeled one is kept.
+func TestCompactDropsLiveModeRecords(t *testing.T) {
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	runOn(t, fx, Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest})
+	recs, err := fx.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("%d store records, want 1", len(recs))
+	}
+	// legacyHash is costModelHash as it was when live time and -no-memo
+	// were part of the identity.
+	legacyHash := func(modeled, noMemo bool) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "calibration:%s\nmetrics-schema:%d\n", fx.calDigest, measure.MetricsSchemaVersion)
+		fmt.Fprintf(h, "debug:false\nmodeled-time:%t\nno-memo:%t\n", modeled, noMemo)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	modeled := recs[0]
+	if got, want := modeled.Fingerprint.ConfigHash, legacyHash(true, false); got != want {
+		t.Fatalf("default run stored ConfigHash %s, want the old modeled-mode hash %s", got, want)
+	}
+	live := modeled.Fingerprint
+	live.ConfigHash = legacyHash(false, false)
+	if err := fx.ResultStore().Put(live, modeled.Payload); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := fx.CompactStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Kept != 1 || stats.Dropped != 1 {
+		t.Errorf("compaction kept %d and dropped %d records, want 1 and 1", stats.Kept, stats.Dropped)
+	}
+	if keys := storeKeys(t, fx); !slices.Equal(keys, []string{modeled.Fingerprint.Key()}) {
+		t.Errorf("after compaction the store holds %q, want only the modeled record %s", keys, modeled.Fingerprint.Key())
+	}
+}
+
 // TestRunIDsSkipLoadedRuns runs, saves the state and loads it into a
 // fresh framework, as two `fex run --state F` invocations do: the second
 // invocation's run must get run-0002 and leave run-0001's artifacts
 // byte-identical.
 func TestRunIDsSkipLoadedRuns(t *testing.T) {
 	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
-		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true}
+		Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest}
 	fx := newSchedFex(t)
 	installAll(t, fx, "gcc-6.1")
 	first, err := fx.Run(context.Background(), cfg)
@@ -718,9 +728,9 @@ func TestRunIDsSkipLoadedRuns(t *testing.T) {
 func TestRunHistoryBounded(t *testing.T) {
 	configs := []Config{
 		{Experiment: "splash", BuildTypes: []string{"gcc_native"},
-			Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest, ModelTime: true},
+			Benchmarks: []string{"fft"}, Reps: 1, Input: workload.SizeTest},
 		{Experiment: "splash", BuildTypes: []string{"gcc_native"},
-			Benchmarks: []string{"lu"}, Reps: 1, Input: workload.SizeTest, ModelTime: true},
+			Benchmarks: []string{"lu"}, Reps: 1, Input: workload.SizeTest},
 	}
 	type artifacts struct{ log, csv string }
 	want := make([]artifacts, len(configs))
@@ -811,7 +821,7 @@ func TestRunHistoryBounded(t *testing.T) {
 // none.
 func TestLoadStateResetsStoreIndex(t *testing.T) {
 	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native", "clang_native"},
-		Benchmarks: []string{"fft", "lu"}, Reps: 1, Input: workload.SizeTest, ModelTime: true}
+		Benchmarks: []string{"fft", "lu"}, Reps: 1, Input: workload.SizeTest}
 	src := newSchedFex(t)
 	installAll(t, src, "gcc-6.1", "clang-3.8.0")
 	_, wantCSV := runOn(t, src, cfg)
@@ -823,7 +833,7 @@ func TestLoadStateResetsStoreIndex(t *testing.T) {
 	fx := newSchedFex(t)
 	installAll(t, fx, "gcc-6.1")
 	other := Config{Experiment: "splash", BuildTypes: []string{"gcc_native"},
-		Benchmarks: []string{"radix"}, Reps: 1, Input: workload.SizeTest, ModelTime: true, Resume: true}
+		Benchmarks: []string{"radix"}, Reps: 1, Input: workload.SizeTest, Resume: true}
 	runOn(t, fx, other) // adds a cell to the store
 	if err := fx.LoadState(&state); err != nil {
 		t.Fatal(err)
@@ -846,7 +856,8 @@ func TestLoadStateResetsStoreIndex(t *testing.T) {
 // TestLoadStateUpgradesLegacyStore loads a state written by the CLI when
 // the result store still kept an index, a journal and packs
 // (testdata/legacy-store.fexstate). It was made by `fex run -n splash -t
-// gcc_native clang_native -b fft lu -i test -r 1 --modeled-time`, then
+// gcc_native clang_native -b fft lu -i test -r 1 --modeled-time` (the
+// retired mode whose keys default runs still produce), then
 // `fex compact`, which packed those four cells, then the same run with
 // `-t gcc_native -b radix`, which added one loose record and one journal
 // line. Loading it must upgrade the store: a -resume run of either
@@ -870,7 +881,7 @@ func TestLoadStateUpgradesLegacyStore(t *testing.T) {
 		{[]string{"gcc_native"}, []string{"radix"}, "run-0002"},
 	} {
 		cfg := Config{Experiment: "splash", BuildTypes: tc.types, Benchmarks: tc.benches,
-			Reps: 1, Input: workload.SizeTest, ModelTime: true, Resume: true}
+			Reps: 1, Input: workload.SizeTest, Resume: true}
 		plan, report := planOf(t, fx, cfg)
 		if plan.Total == 0 || plan.Replayed != plan.Total {
 			t.Errorf("%s: replayed %d of %d cells, want all", cfg.String(), plan.Replayed, plan.Total)

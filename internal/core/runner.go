@@ -101,32 +101,13 @@ func (rc *RunContext) logf(format string, args ...any) {
 	}
 }
 
-// finishSample prepares an executed sample for metric collection: under
-// --modeled-time the live wall clock is replaced by modeled wall time (a
-// pure function of the workload and build type) before any tool sees the
-// sample, so every wall-derived metric — wall_ns, the time tool's
-// wall_seconds — is machine-independent.
-func (rc *RunContext) finishSample(s measure.Sample) measure.Sample {
-	if rc.Config.ModelTime {
-		s.WallTime = s.ModeledWall()
-	}
-	return s
-}
-
-// execute runs one repetition of the artifact, honouring the -no-memo
-// escape hatch: by default repeated (benchmark, input, threads)
-// configurations are served from the build system's shared execution
-// memo (an O(1) model evaluation, whichever build type first ran the
-// kernel), while NoMemo re-executes the kernel every time.
-//
-// Adaptive repetitions over live wall time also bypass the memo: the
-// -r auto stop rule watches wall_ns variance, and with the memo on every
-// repetition after the first would sample ~µs cached-evaluation jitter
-// instead of kernel execution noise — the controller would spend the cap
-// on meaningless samples. Under --modeled-time the adaptive metric is
-// deterministic, so memoization stays on.
+// execute runs one repetition of the artifact: by default repeated
+// (benchmark, input, threads) configurations are served from the build
+// system's shared execution memo (an O(1) model evaluation, whichever
+// build type first ran the kernel), while NoMemo — the determinism
+// ablation — re-executes the kernel every time.
 func (rc *RunContext) execute(artifact *toolchain.Artifact, in workload.Input, threads int) (measure.Sample, error) {
-	if rc.Config.NoMemo || (rc.Config.AdaptiveReps && !rc.Config.ModelTime) {
+	if rc.Config.NoMemo {
 		return artifact.ExecuteUncached(in, threads)
 	}
 	return artifact.Execute(in, threads)
@@ -247,11 +228,7 @@ func (r *BenchRunner) runCell(rc *RunContext, buildType string, w workload.Workl
 			return fmt.Errorf("experiment %s, %s/%s [%s] m=%d: %w",
 				rc.Config.Experiment, w.Suite(), w.Name(), buildType, threads, err)
 		}
-		// Repetitions are driven by the controller: a fixed count under
-		// -r N, the pilot-then-RequiredRepetitions stop rule under -r auto.
-		ctl := newRepController(rc.Config)
-		var samples []float64
-		for rep := 0; ctl.more(rep, samples); rep++ {
+		for rep := 0; rep < rc.Config.Reps; rep++ {
 			// Cancellation is observed between repetitions: a cancelled run
 			// abandons the cell mid-sweep (its partial shard never persists)
 			// and the error surfaces as the context's.
@@ -271,9 +248,6 @@ func (r *BenchRunner) runCell(rc *RunContext, buildType string, w workload.Workl
 				Rep:       rep,
 				Values:    values,
 			})
-			if v, ok := adaptiveMetric(values); ok {
-				samples = append(samples, v)
-			}
 			values.Release()
 		}
 	}
@@ -351,13 +325,12 @@ func defaultRep(rc *RunContext, artifact *toolchain.Artifact, tool measure.Tool,
 	if err != nil {
 		return nil, err
 	}
-	sample = rc.finishSample(sample)
 	values := measure.AcquireMetricVector()
 	tool.Collect(sample, values)
 	if withChecksum {
 		values.Set("checksum", float64(sample.Checksum%(1<<52))) // store low bits for cross-type validation
 	}
-	values.Set("wall_ns", float64(sample.WallTime.Nanoseconds()))
+	values.Set("wall_ns", float64(sample.ModeledWall().Nanoseconds()))
 	return values, nil
 }
 
@@ -439,9 +412,7 @@ func (r *VariableInputRunner) runCell(rc *RunContext, buildType string, w worklo
 		in := w.DefaultInput(input)
 		benchLabel := w.Name() + ":" + input.String()
 		for _, threads := range rc.Config.Threads {
-			ctl := newRepController(rc.Config)
-			var samples []float64
-			for rep := 0; ctl.more(rep, samples); rep++ {
+			for rep := 0; rep < rc.Config.Reps; rep++ {
 				if err := rc.cancelled(); err != nil {
 					return err
 				}
@@ -459,9 +430,6 @@ func (r *VariableInputRunner) runCell(rc *RunContext, buildType string, w worklo
 					Rep:       rep,
 					Values:    values,
 				})
-				if v, ok := adaptiveMetric(values); ok {
-					samples = append(samples, v)
-				}
 				values.Release()
 			}
 		}

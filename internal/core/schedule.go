@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +40,7 @@ import (
 // Determinism contract: every cell logs into a private runlog.Shard, and
 // the loop commits settled shards into the main log in canonical loop
 // order, so the stored log — and therefore Collect's CSV — is
-// byte-identical to a serial run's (modulo live wall-clock metrics).
+// byte-identical to a serial run's.
 // Verbose -v output is serialized line-by-line but interleaves across
 // cells in completion order.
 
@@ -69,13 +70,13 @@ func makeCells(buildTypes []string, benches []workload.Workload, dims string) []
 
 // runFingerprint is the part of a cell's fingerprint that every cell of a
 // run shares: the run's configuration surface, plus its build identity's
-// cost-model hash so recalibrating the model (or flipping
-// debug/modeled-time mode) invalidates stored cells wholesale.
+// cost-model hash so recalibrating the model (or flipping debug mode)
+// invalidates stored cells wholesale.
 func runFingerprint(id buildIdentity, cfg Config) store.Fingerprint {
 	return store.Fingerprint{
 		Experiment: cfg.Experiment,
 		Threads:    cfg.Threads,
-		Reps:       repsSpec(cfg),
+		Reps:       strconv.Itoa(cfg.Reps),
 		Input:      cfg.Input.String(),
 		Tool:       cfg.Tool,
 		ConfigHash: id.config,

@@ -354,7 +354,7 @@ func TestVariableInputRunnerParallel(t *testing.T) {
 		t.Fatalf("serial run: %d measurements, parallel run: %d",
 			reports[0].Measurements, reports[1].Measurements)
 	}
-	// Rows must agree cell-for-cell (live wall_ns differs; compare keys).
+	// Rows must agree cell-for-cell.
 	for _, col := range []string{"suite", "bench", "type"} {
 		a, err := reports[0].Table.Strings(col)
 		if err != nil {
@@ -388,7 +388,6 @@ func TestProgressMonotonicEveryTier(t *testing.T) {
 				Benchmarks: []string{"fft", "lu", "radix", "ocean"},
 				Reps:       2,
 				Input:      workload.SizeTest,
-				ModelTime:  true,
 			}
 			mode.set(&cfg)
 			var plan ProgressEvent
@@ -449,7 +448,6 @@ func TestSchedulerSerialOrder(t *testing.T) {
 		Benchmarks: benches,
 		Reps:       2,
 		Input:      workload.SizeTest,
-		ModelTime:  true,
 	}, RunHooks{Progress: func(ev ProgressEvent) {
 		if ev.Stage == "cell" {
 			settled.Add(1)

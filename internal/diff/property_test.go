@@ -7,9 +7,8 @@ import (
 )
 
 // TestVerdictMatchesGroundTruthProperty drives the significance rule over
-// synthetic sample distributions with KNOWN effect sizes, mirroring the
-// adaptive-repetition property suite: for every generated (mean, noise
-// level, alpha) configuration,
+// synthetic sample distributions with KNOWN effect sizes: for every
+// generated (mean, noise level, alpha) configuration,
 //
 //   - a zero effect (candidate drawn from the same distribution) must
 //     verdict "no-change" — identical samples give p = 1 and overlapping

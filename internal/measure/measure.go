@@ -2,18 +2,15 @@
 // time play in the paper (Table I lists "perf-stat (generic), perf-stat
 // (memory), time").
 //
-// Two kinds of measurements are produced for every benchmark run:
-//
-//   - live wall-clock time, measured with the monotonic clock around the
-//     actual kernel execution; and
-//   - modeled hardware counters (cycles, instructions, cache misses,
-//     branch mispredictions, max RSS), derived deterministically from the
-//     kernel's workload.Counters and the active build type's CostVector.
-//
-// The modeled counters are the ones experiments collect and plot: they are
-// machine-independent, so an experiment produces identical numbers on any
-// host — which is precisely the reproducibility property the paper builds
-// FEX around. Wall time is still recorded for sanity-checking the model.
+// Every benchmark run produces modeled hardware counters (cycles,
+// instructions, cache misses, branch mispredictions, max RSS), derived
+// deterministically from the kernel's workload.Counters and the active
+// build type's CostVector, and wall time is those cycles at a nominal
+// clock (Sample.ModeledWall). Kernels never see the build type — only the
+// cost model tells build types apart — so every metric, wall time
+// included, is machine-independent: an experiment produces identical
+// numbers on any host, which is precisely the reproducibility property
+// the paper builds FEX around.
 package measure
 
 import (
@@ -138,8 +135,6 @@ func (cv CostVector) Canonical() string {
 
 // Sample is one benchmark run's measurements.
 type Sample struct {
-	// WallTime is the live measured execution time.
-	WallTime time.Duration
 	// Modeled hardware counters.
 	Cycles       float64
 	Instructions float64
@@ -244,19 +239,13 @@ func Model(c workload.Counters, cv CostVector, threads int) (Sample, error) {
 const ModeledClockGHz = 2.6
 
 // ModeledWall converts the sample's modeled cycles into wall time at the
-// nominal modeled clock. Unlike the live WallTime it is a pure function of
-// the workload and cost vector, so experiments that record it instead of
-// live time produce byte-identical logs on any machine — the property the
-// cluster determinism harness asserts.
+// nominal modeled clock — the only wall time Fex reports (the "wall_ns"
+// metric, the time tool's wall_seconds). Only the cost model tells build
+// types apart, so live time would measure the harness, not the build; the
+// modeled figure is a pure function of the workload and cost vector, and
+// every run produces byte-identical logs on any machine.
 func (s Sample) ModeledWall() time.Duration {
 	return time.Duration(s.Cycles / ModeledClockGHz)
-}
-
-// Timed runs fn and returns its wall-clock duration alongside its result.
-func Timed(fn func() (workload.Counters, error)) (workload.Counters, time.Duration, error) {
-	start := time.Now()
-	c, err := fn()
-	return c, time.Since(start), err
 }
 
 // Tool extracts a named metric set from a Sample — the FEX measurement
@@ -308,7 +297,7 @@ func (PerfStatMem) Collect(s Sample, out *MetricVector) {
 	out.Set("write_ratio", s.WriteRatio())
 }
 
-// TimeTool is the /usr/bin/time equivalent: wall seconds and max RSS.
+// TimeTool is the /usr/bin/time equivalent: (modeled) wall seconds and max RSS.
 type TimeTool struct{}
 
 var _ Tool = TimeTool{}
@@ -318,7 +307,7 @@ func (TimeTool) Name() string { return "time" }
 
 // Collect implements Tool.
 func (TimeTool) Collect(s Sample, out *MetricVector) {
-	out.Set("wall_seconds", s.WallTime.Seconds())
+	out.Set("wall_seconds", s.ModeledWall().Seconds())
 	out.Set("max_rss", s.MaxRSSBytes)
 	out.Set("cycles", s.Cycles)
 }
@@ -371,7 +360,6 @@ func Aggregate(samples []Sample) (Sample, error) {
 		out.MemStallCycles += s.MemStallCycles
 		out.MemReads += s.MemReads
 		out.MemWrites += s.MemWrites
-		out.WallTime += s.WallTime
 	}
 	n := float64(len(samples))
 	out.Cycles /= n
@@ -383,6 +371,5 @@ func Aggregate(samples []Sample) (Sample, error) {
 	out.MemStallCycles /= n
 	out.MemReads /= n
 	out.MemWrites /= n
-	out.WallTime = time.Duration(float64(out.WallTime) / n)
 	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"fex/internal/workload"
 )
@@ -122,32 +121,9 @@ func TestIPC(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	c, wall, err := Timed(func() (workload.Counters, error) {
-		time.Sleep(time.Millisecond)
-		return workload.Counters{IntOps: 1}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.IntOps != 1 || wall < time.Millisecond {
-		t.Errorf("counters %+v wall %v", c, wall)
-	}
-}
-
-func TestTimedPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	_, _, err := Timed(func() (workload.Counters, error) {
-		return workload.Counters{}, sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("got %v", err)
-	}
-}
-
 func TestToolsCollectExpectedMetrics(t *testing.T) {
 	s := Sample{Cycles: 100, Instructions: 50, L1DMisses: 5, LLCMisses: 1,
-		MaxRSSBytes: 2048, WallTime: time.Second, BranchMisses: 3}
+		MaxRSSBytes: 2048, BranchMisses: 3}
 	cases := []struct {
 		tool Tool
 		keys []string
@@ -180,8 +156,8 @@ func TestToolByName(t *testing.T) {
 
 func TestAggregateMeans(t *testing.T) {
 	samples := []Sample{
-		{Cycles: 100, Instructions: 10, Checksum: 7, WallTime: time.Second},
-		{Cycles: 200, Instructions: 20, Checksum: 7, WallTime: 3 * time.Second},
+		{Cycles: 100, Instructions: 10, Checksum: 7},
+		{Cycles: 200, Instructions: 20, Checksum: 7},
 	}
 	agg, err := Aggregate(samples)
 	if err != nil {
@@ -189,9 +165,6 @@ func TestAggregateMeans(t *testing.T) {
 	}
 	if agg.Cycles != 150 || agg.Instructions != 15 {
 		t.Errorf("agg %+v", agg)
-	}
-	if agg.WallTime != 2*time.Second {
-		t.Errorf("wall %v", agg.WallTime)
 	}
 }
 

@@ -24,10 +24,10 @@ func TestServeArgsFormResubmitsVerbatim(t *testing.T) {
 
 	first := postRun(t, ts, RunSpec{Args: []string{
 		"-n", "splash", "-t", "gcc_native", "-b", "fft", "-i", "test",
-		"-r", "auto:0.99,0.02", "-no-memo", "-no-dedup", "--modeled-time",
+		"-r", "3", "-no-memo", "-no-dedup",
 	}})
 	for _, want := range []string{"-n splash", "-t gcc_native", "-b fft", "-i test",
-		"-r auto:0.99,0.02", "-no-memo", "-no-dedup", "--modeled-time", "-resume"} {
+		"-r 3", "-no-memo", "-no-dedup", "-resume"} {
 		if !strings.Contains(first.Config, want) {
 			t.Errorf("config line %q does not render %q", first.Config, want)
 		}
@@ -74,6 +74,8 @@ func TestServeArgsFormRejects(t *testing.T) {
 		"missing value":    `{"args": ["-n", "splash", "-jobs"]}`,
 		"empty args":       `{"args": []}`,
 		"uncarriable host": `{"experiment": "splash", "hosts": ["a,b"]}`,
+		"retired -r auto":  `{"args": ["-n", "splash", "-r", "auto"]}`,
+		"retired flag":     `{"args": ["-n", "splash", "--modeled-time"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -38,11 +38,12 @@ type RunSpec struct {
 	NoSpeculate bool `json:"no_speculate,omitempty"`
 	// Degrade selects the no-healthy-host policy: "" fails the run,
 	// "local" executes queued cells on the coordinator.
-	Degrade   string `json:"degrade,omitempty"`
-	Debug     bool   `json:"debug,omitempty"`
-	Verbose   bool   `json:"verbose,omitempty"`
-	NoBuild   bool   `json:"no_build,omitempty"`
-	ModelTime bool   `json:"modeled_time,omitempty"`
+	Degrade string `json:"degrade,omitempty"`
+	Debug   bool   `json:"debug,omitempty"`
+	Verbose bool   `json:"verbose,omitempty"`
+	NoBuild bool   `json:"no_build,omitempty"`
+	// Deprecated: ignored; wall_ns is always modeled time.
+	ModelTime bool `json:"modeled_time,omitempty"`
 }
 
 // config validates the specification against the framework and produces
@@ -96,7 +97,6 @@ func (spec RunSpec) fieldConfig() (core.Config, error) {
 		Debug:       spec.Debug,
 		Verbose:     spec.Verbose,
 		NoBuild:     spec.NoBuild,
-		ModelTime:   spec.ModelTime,
 	}
 	var err error
 	cfg.Input, err = workload.ParseSizeClass(spec.Input)

@@ -81,7 +81,6 @@ func splashSpec(benches ...string) RunSpec {
 		Threads:    []int{1, 2},
 		Reps:       2,
 		Input:      "test",
-		ModelTime:  true,
 	}
 }
 

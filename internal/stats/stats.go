@@ -300,9 +300,9 @@ func RequiredRepetitions(pilot []float64, level, relWidth float64) (int, error) 
 	}
 	// The half-width is monotone decreasing in n (the t quantile shrinks
 	// with the degrees of freedom, 1/sqrt(n) shrinks with n), so the
-	// smallest satisfying n is found by binary search — this runs once per
-	// adaptive-repetition sweep, where a linear scan to 1e6 t-quantile
-	// evaluations is far too slow.
+	// smallest satisfying n is found by binary search: a linear scan to
+	// 1e6 t-quantile evaluations is far too slow for a caller that sizes
+	// many sweeps.
 	const maxN = 1_000_000
 	if half(maxN) > target {
 		return 0, errors.New("stats: required repetitions exceed 1e6; sample too noisy")

@@ -24,8 +24,7 @@ import (
 )
 
 // Fingerprint identifies one experiment cell's full measurement context.
-// Two cells with equal fingerprints produce identical run-log records (up
-// to live wall-clock noise), so a stored shard under the fingerprint's key
+// Two cells with equal fingerprints produce identical run-log records, so a stored shard under the fingerprint's key
 // can stand in for re-measuring the cell.
 type Fingerprint struct {
 	// Experiment is the experiment name (-n).
@@ -37,8 +36,7 @@ type Fingerprint struct {
 	BuildType string
 	// Threads is the thread sweep executed inside the cell (-m).
 	Threads []int
-	// Reps is the repetition policy: a fixed count ("4") or the adaptive
-	// spec ("auto:<level>,<relwidth>:pilot=5:cap=64").
+	// Reps is the repetition count (-r), in decimal ("4").
 	Reps string
 	// Input is the input size class (-i).
 	Input string
@@ -48,7 +46,7 @@ type Fingerprint struct {
 	// of a variable-input cell); empty for the standard runner.
 	Dims string
 	// ConfigHash digests the remaining measurement context: the cost-model
-	// calibration, debug mode, and modeled-time mode. Any change there
+	// calibration, metrics schema and debug mode. Any change there
 	// invalidates stored cells wholesale.
 	ConfigHash string
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // Clock returns a fixed clock for deterministic example runs: with it,
-// the run-log header timestamp — the one live field of a modeled-time
-// log — is constant, so the example's artifacts are byte-stable and can
+// the run-log header timestamp — the one live field of a run log — is
+// constant, so the example's artifacts are byte-stable and can
 // be committed as golden files.
 func Clock() func() time.Time {
 	instant := time.Date(2017, 6, 26, 12, 0, 0, 0, time.UTC) // DSN'17

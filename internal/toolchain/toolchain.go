@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"fex/internal/measure"
 	"fex/internal/workload"
@@ -326,8 +325,8 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 }
 
 // Execute runs the artifact's kernel with the given input and thread count
-// and returns the measured sample: live wall time plus modeled counters
-// under this artifact's cost vector.
+// and returns the sample: modeled counters under this artifact's cost
+// vector (wall time is derived from them, see measure.Sample.ModeledWall).
 //
 // Execution is memoized in the ExecMemo shared by the artifact's build
 // system: kernels are deterministic by contract (same input + threads ⇒
@@ -337,14 +336,10 @@ func (c *Compiler) Compile(unit SourceUnit) (*Artifact, error) {
 // build type — skips the kernel and re-derives its sample from the
 // cached counters under this artifact's own Cost, an O(1) model
 // evaluation. Concurrent cold callers of one configuration run the
-// kernel once; the others wait for its counters. Live wall time is
-// still stamped per repetition: a memoized repetition reports the (tiny)
-// time the cached evaluation actually took, and --modeled-time replaces
-// it downstream like any other run. Callers that need the kernel
-// physically re-executed every time (the -no-memo escape hatch,
-// wall-clock calibration) use ExecuteUncached.
+// kernel once; the others wait for its counters. Callers that need the
+// kernel physically re-executed every time (the -no-memo determinism
+// ablation) use ExecuteUncached.
 func (a *Artifact) Execute(in workload.Input, threads int) (measure.Sample, error) {
-	start := time.Now()
 	counters, claim := a.memo.acquire(in, threads)
 	if claim != nil {
 		var err error
@@ -353,12 +348,7 @@ func (a *Artifact) Execute(in workload.Input, threads int) (measure.Sample, erro
 				a.Benchmark.Suite(), a.Benchmark.Name(), a.BuildType, err)
 		}
 	}
-	s, err := measure.Model(counters, a.Cost, threads)
-	if err != nil {
-		return measure.Sample{}, err
-	}
-	s.WallTime = time.Since(start)
-	return s, nil
+	return measure.Model(counters, a.Cost, threads)
 }
 
 // runClaim executes the kernel for a configuration this artifact claimed
@@ -377,19 +367,12 @@ func (a *Artifact) runClaim(claim *memoEntry, in workload.Input, threads int) (c
 // ExecuteUncached runs the kernel unconditionally, bypassing and not
 // populating the memo — the -no-memo execution path.
 func (a *Artifact) ExecuteUncached(in workload.Input, threads int) (measure.Sample, error) {
-	counters, wall, err := measure.Timed(func() (workload.Counters, error) {
-		return a.Benchmark.Run(in, threads)
-	})
+	counters, err := a.Benchmark.Run(in, threads)
 	if err != nil {
 		return measure.Sample{}, fmt.Errorf("execute %s/%s [%s]: %w",
 			a.Benchmark.Suite(), a.Benchmark.Name(), a.BuildType, err)
 	}
-	s, err := measure.Model(counters, a.Cost, threads)
-	if err != nil {
-		return measure.Sample{}, err
-	}
-	s.WallTime = wall
-	return s, nil
+	return measure.Model(counters, a.Cost, threads)
 }
 
 // MemoKeys returns the canonical keys of the cached executions of the

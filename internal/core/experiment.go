@@ -121,10 +121,12 @@ func (fx *Fex) ExperimentNames() []string {
 // GenericCollect is the stock collect stage: it averages each metric over
 // repetitions, grouped by (suite, benchmark, build type, threads), and
 // emits one row per group — the generic collect.py most experiments
-// re-use unchanged. Each group sums into slices indexed by the column of
-// the union of metric names; a record's name→column mapping is reused
-// while consecutive records carry the same metric names (a run's records
-// mostly do), so most values are summed without a name lookup.
+// re-use unchanged. A metric that read the same value in every
+// repetition reports exactly that value, not a sum divided back. Each
+// group sums into slices indexed by the column of the union of metric
+// names; a record's name→column mapping is reused while consecutive
+// records carry the same metric names (a run's records mostly do), so
+// most values are summed without a name lookup.
 func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 	if len(lg.Measurements) == 0 {
 		return nil, errors.New("core: log contains no measurements")
@@ -152,8 +154,10 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 		suite, bench, btype string
 		threads             int
 	}
+	// first is a metric's first value; mixed, whether a later one differed.
 	type acc struct {
-		sums, counts []float64
+		sums, counts, first []float64
+		mixed               []bool
 	}
 	var order []groupKey
 	groups := map[groupKey]*acc{}
@@ -167,7 +171,12 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 		if k := (groupKey{m.Suite, m.Benchmark, m.BuildType, m.Threads}); g == nil || k != gk {
 			gk = k
 			if g = groups[k]; g == nil {
-				g = &acc{sums: make([]float64, len(metrics)), counts: make([]float64, len(metrics))}
+				g = &acc{
+					sums:   make([]float64, len(metrics)),
+					counts: make([]float64, len(metrics)),
+					first:  make([]float64, len(metrics)),
+					mixed:  make([]bool, len(metrics)),
+				}
 				groups[k] = g
 				order = append(order, k)
 			}
@@ -182,6 +191,11 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 		}
 		for i, c := range cols {
 			_, v := m.Values.At(i)
+			if g.counts[c] == 0 {
+				g.first[c] = v
+			} else if v != g.first[c] {
+				g.mixed[c] = true
+			}
 			g.sums[c] += v
 			g.counts[c]++
 		}
@@ -202,11 +216,11 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 		g := groups[k]
 		row := []any{k.suite, k.bench, k.btype, float64(k.threads)}
 		for c := range metrics {
-			if n := g.counts[c]; n > 0 {
-				row = append(row, g.sums[c]/n)
-			} else {
-				row = append(row, 0.0)
+			v := g.first[c] // 0 for a metric the group never recorded
+			if g.mixed[c] {
+				v = g.sums[c] / g.counts[c]
 			}
+			row = append(row, v)
 		}
 		if err := b.Append(row...); err != nil {
 			return nil, err

@@ -322,16 +322,19 @@ func (ins *Installer) appendManifest(fsys *vfs.FS, it Installed) error {
 
 // ManifestBytes returns the raw install manifest — the installed set
 // exactly as recorded in the container; nil when nothing is installed.
-// Equal bytes mean equal answers from IsInstalled.
+// Equal bytes mean equal answers from IsInstalled. The bytes are the
+// file's own (vfs.FS.ReadFileShared), read in one vfs operation, and
+// must not be modified.
 func (ins *Installer) ManifestBytes() ([]byte, error) {
 	fsys, err := ins.ctr.FS()
 	if err != nil {
 		return nil, err
 	}
-	if !fsys.Exists(manifestPath) {
+	data, err := fsys.ReadFileShared(manifestPath)
+	if errors.Is(err, vfs.ErrNotExist) {
 		return nil, nil
 	}
-	return fsys.ReadFile(manifestPath)
+	return data, err
 }
 
 // Manifest returns the artifacts recorded as installed in the container.

@@ -9,9 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"math/bits"
 	"path"
-	"slices"
 	"time"
 )
 
@@ -32,6 +30,10 @@ import (
 // Varints are minimally encoded. Directories carry no mode (every
 // directory is fs.ModeDir|0o755), and no entry carries a modification
 // time: loaded entries take the FS clock's current time.
+//
+// Load reads a snapshot whole into one buffer and decodes it in place:
+// loaded files' bytes are slices of that buffer, which therefore lives
+// as long as any of them.
 const (
 	magic         = "fexvfs\x00"
 	formatVersion = 1
@@ -42,10 +44,8 @@ const (
 
 	// maxPathLen bounds a stored path (PATH_MAX on Linux).
 	maxPathLen = 4096
-	// trustedLen is how far a file's length field may run ahead of the
-	// bytes Load has read when it sizes the file's buffer.
-	trustedLen = 64 << 10
-	// ioBufSize is the buffer size of Save's writer and Load's reader.
+	// ioBufSize is the buffer size of Save's writer to a destination that
+	// cannot reserve room, and the most Load reads and checksums at once.
 	ioBufSize = 64 << 10
 )
 
@@ -68,10 +68,9 @@ type snapFile struct {
 // file bytes: their headers, paths included, are rendered into one
 // buffer, and each file keeps a reference to its bytes. The writes to w
 // happen after the lock is released, so writers are never blocked on w.
-// A w that can reserve room, such as a *bytes.Buffer, is first grown by
-// the snapshot's exact size, so it allocates once instead of doubling its
-// way through tens of megabytes, a cost that also swung from one Save to
-// the next with the heap's state; the writer's own buffer is no larger
+// A w that can reserve room, such as a *bytes.Buffer, is grown once by
+// the snapshot's exact size, not doubled through tens of megabytes, and
+// written straight through; any other w gets a buffered writer no larger
 // than the snapshot. It counts as one filesystem operation.
 func (f *FS) Save(w io.Writer) error {
 	// Room for a few hundred entries, a small state, up front; a larger
@@ -104,10 +103,14 @@ func (f *FS) Save(w io.Writer) error {
 		return fmt.Errorf("vfs save: %w", err)
 	}
 	size += len(heads)
+	var bw *bufio.Writer
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(size)
+	} else {
+		bw = bufio.NewWriterSize(w, min(size, ioBufSize))
+		w = bw
 	}
-	sw := &snapWriter{w: bufio.NewWriterSize(w, min(size, ioBufSize))}
+	sw := &snapWriter{w: w}
 	var buf [len(magic) + 1]byte
 	sw.write(append(append(buf[:0], magic...), formatVersion))
 	at := 0
@@ -118,8 +121,8 @@ func (f *FS) Save(w io.Writer) error {
 	}
 	sw.write(append(heads[at:], entryEnd))
 	sw.write(binary.BigEndian.AppendUint32(buf[:0], sw.crc))
-	if sw.err == nil {
-		sw.err = sw.w.Flush()
+	if sw.err == nil && bw != nil {
+		sw.err = bw.Flush()
 	}
 	if sw.err != nil {
 		return fmt.Errorf("vfs save: write: %w", sw.err)
@@ -127,13 +130,9 @@ func (f *FS) Save(w io.Writer) error {
 	return nil
 }
 
-// uvarintLen is the length of x's uvarint encoding.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// snapWriter checksums and buffers what Save writes, keeping the first
-// write error.
+// snapWriter checksums what Save writes, keeping the first write error.
 type snapWriter struct {
-	w   *bufio.Writer
+	w   io.Writer
 	crc uint32
 	err error
 }
@@ -177,9 +176,8 @@ type openDir struct {
 }
 
 func decode(r io.Reader, now time.Time) (*node, error) {
-	d := &snapReader{r: bufio.NewReaderSize(r, ioBufSize)}
-	head := make([]byte, len(magic)+1)
-	if err := d.readFull(head); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+	var head [len(magic) + 1]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	} else if err != nil || string(head[:len(magic)]) != magic {
 		return nil, errNotSnapshot
@@ -187,14 +185,19 @@ func decode(r io.Reader, now time.Time) (*node, error) {
 	if v := head[len(magic)]; v != formatVersion {
 		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
+	b, crc, readErr := readRest(r, head[:])
+	d := &snapDecoder{b: b, off: len(head), end: io.ErrUnexpectedEOF}
+	if readErr != nil {
+		d.end = readErr
+	}
 	root := newRoot()
 	stack := []openDir{{path: "/", n: root}}
-	pathBuf := make([]byte, 0, maxPathLen)
 	for {
-		kind, err := d.ReadByte()
+		k, err := d.next(1)
 		if err != nil {
-			return nil, truncated(err)
+			return nil, err
 		}
+		kind := k[0]
 		if kind == entryEnd {
 			break
 		}
@@ -208,11 +211,11 @@ func decode(r io.Reader, now time.Time) (*node, error) {
 		if plen == 0 || plen > maxPathLen {
 			return nil, fmt.Errorf("path length %d out of range", plen)
 		}
-		pathBuf = pathBuf[:plen]
-		if err := d.readFull(pathBuf); err != nil {
-			return nil, truncated(err)
+		pb, err := d.next(plen)
+		if err != nil {
+			return nil, err
 		}
-		p := string(pathBuf)
+		p := string(pb)
 		if p[0] != '/' || p == "/" || path.Clean(p) != p {
 			return nil, fmt.Errorf("entry %q: not a canonical absolute path", p)
 		}
@@ -246,7 +249,10 @@ func decode(r io.Reader, now time.Time) (*node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n.data, err = d.readData(size); err != nil {
+			if size > math.MaxInt {
+				return nil, fmt.Errorf("entry %q: file length %d out of range", p, size)
+			}
+			if n.data, err = d.next(size); err != nil {
 				return nil, fmt.Errorf("entry %q: %w", p, err)
 			}
 		}
@@ -255,98 +261,88 @@ func decode(r io.Reader, now time.Time) (*node, error) {
 			stack = append(stack, openDir{path: p, n: n})
 		}
 	}
-	want := d.crc
-	var sum [4]byte
-	if err := d.readFull(sum[:]); err != nil {
-		return nil, truncated(err)
-	}
-	if got := binary.BigEndian.Uint32(sum[:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch: trailer %08x, content %08x", got, want)
-	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		if err == nil {
-			err = errors.New("trailing bytes after the snapshot")
-		}
+	sum, err := d.next(4)
+	if err != nil {
 		return nil, err
 	}
-	return root, nil
-}
-
-// truncated turns an end of input inside the snapshot into
-// io.ErrUnexpectedEOF: a snapshot ends only after its trailer.
-func truncated(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+	if d.off != len(b) { // crc stops short of the input's end, not of this trailer
+		crc = crc32.Checksum(b[:d.off-len(sum)], castagnoli)
 	}
-	return err
-}
-
-// snapReader reads a snapshot, checksumming and counting every byte it
-// consumes.
-type snapReader struct {
-	r   *bufio.Reader
-	crc uint32
-	n   uint64
-	one [1]byte
-}
-
-func (d *snapReader) ReadByte() (byte, error) {
-	b, err := d.r.ReadByte()
-	if err == nil {
-		d.one[0] = b
-		d.crc = crc32.Update(d.crc, castagnoli, d.one[:])
-		d.n++
+	if got := binary.BigEndian.Uint32(sum); got != crc {
+		return nil, fmt.Errorf("checksum mismatch: trailer %08x, content %08x", got, crc)
 	}
-	return b, err
+	if d.off != len(b) {
+		return nil, errors.New("trailing bytes after the snapshot")
+	}
+	return root, readErr // a read error after a whole snapshot still fails the load
 }
 
-func (d *snapReader) readFull(p []byte) error {
-	n, err := io.ReadFull(d.r, p)
-	d.crc = crc32.Update(d.crc, castagnoli, p[:n])
-	d.n += uint64(n)
-	return err
+// readRest reads r after its header into one buffer starting with head,
+// sized by Len (in-memory readers) or Stat (files) and grown only if the
+// input is longer. The CRC covers all but the last four bytes, summing
+// each read while it is in cache. A read error ends the input early.
+func readRest(r io.Reader, head []byte) ([]byte, uint32, error) {
+	hint := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		hint = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if st, err := r.Stat(); err == nil {
+			hint = int(max(st.Size()-int64(len(head)), 0))
+		}
+	}
+	b := append(make([]byte, 0, len(head)+hint+1), head...) // +1: see EOF without growing
+	var crc uint32
+	for summed := 0; ; {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):min(cap(b), len(b)+ioBufSize)])
+		b = b[:len(b)+n]
+		if end := len(b) - 4; end > summed {
+			crc = crc32.Update(crc, castagnoli, b[summed:end])
+			summed = end
+		}
+		if err == io.EOF {
+			return b, crc, nil
+		} else if err != nil {
+			return b, crc, err
+		}
+	}
+}
+
+// snapDecoder decodes a snapshot held whole in memory. Running out of
+// bytes fails with end: io.ErrUnexpectedEOF, as a snapshot ends only
+// after its trailer, or the read error that cut the input short.
+type snapDecoder struct {
+	b   []byte
+	off int
+	end error
+}
+
+// next returns the next n bytes, capacity-capped so that appending to
+// them never writes over the bytes that follow.
+func (d *snapDecoder) next(n uint64) ([]byte, error) {
+	if n > uint64(len(d.b)-d.off) {
+		return nil, d.end
+	}
+	d.off += int(n)
+	return d.b[d.off-int(n) : d.off : d.off], nil
 }
 
 // uvarint reads a minimally encoded uvarint, so that every value has
 // exactly one encoding and Save reproduces the bytes Load accepted.
-func (d *snapReader) uvarint() (uint64, error) {
-	var x uint64
-	for i, s := 0, uint(0); i < binary.MaxVarintLen64; i, s = i+1, s+7 {
-		b, err := d.ReadByte()
-		if err != nil {
-			return 0, truncated(err)
-		}
-		if b < 0x80 {
-			if i > 0 && b == 0 {
-				return 0, errors.New("non-minimal varint")
-			}
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				break
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
+func (d *snapDecoder) uvarint() (uint64, error) {
+	x, n := binary.Uvarint(d.b[d.off:])
+	if n == 0 && len(d.b)-d.off < binary.MaxVarintLen64 {
+		return 0, d.end
 	}
-	return 0, errors.New("varint overflows 64 bits")
-}
-
-// readData reads a file's size bytes into a slice of exactly that size.
-// A length field is trusted only as far as the input has backed it: one
-// allocation step is at most trustedLen beyond the bytes read so far,
-// and a longer file grows by such steps as its bytes arrive. A corrupt
-// length therefore cannot allocate much more than the input holds.
-func (d *snapReader) readData(size uint64) ([]byte, error) {
-	if size > math.MaxInt {
-		return nil, fmt.Errorf("file length %d out of range", size)
+	if n <= 0 {
+		return 0, errors.New("varint overflows 64 bits")
 	}
-	buf := make([]byte, 0, min(size, trustedLen+d.n))
-	for uint64(len(buf)) < size {
-		off := len(buf)
-		step := int(min(size-uint64(off), trustedLen+d.n))
-		buf = slices.Grow(buf, step)[:off+step]
-		if err := d.readFull(buf[off:]); err != nil {
-			return nil, truncated(err)
-		}
+	if n > 1 && d.b[d.off+n-1] == 0 {
+		return 0, errors.New("non-minimal varint")
 	}
-	return buf, nil
+	d.off += n
+	return x, nil
 }

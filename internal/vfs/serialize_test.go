@@ -9,10 +9,13 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -167,11 +170,6 @@ func TestSaveGrowsWriterOnce(t *testing.T) {
 			t.Errorf("Grow calls %v for a %d-byte snapshot, want one of exactly that size", g.grows, g.written)
 		}
 	}
-	for _, x := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 + 5} {
-		if got, want := uvarintLen(x), len(binary.AppendUvarint(nil, x)); got != want {
-			t.Errorf("uvarintLen(%d) = %d, want %d", x, got, want)
-		}
-	}
 }
 
 // TestSaveRejectsLongPath: a path Load would reject fails the Save, so
@@ -187,9 +185,9 @@ func TestSaveRejectsLongPath(t *testing.T) {
 }
 
 // TestLoadLargeFirstFile round-trips a file far larger than the bytes
-// read before it, which Load must grow into step by step.
+// before it and than one of Load's reads.
 func TestLoadLargeFirstFile(t *testing.T) {
-	big := make([]byte, 5*trustedLen+7)
+	big := make([]byte, 5<<16+7)
 	for i := range big {
 		big[i] = byte(i * 31)
 	}
@@ -203,6 +201,122 @@ func TestLoadLargeFirstFile(t *testing.T) {
 	}
 	if got, err := dst.ReadFile("/big"); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("large file did not round-trip (err %v, %d of %d bytes)", err, len(got), len(big))
+	}
+}
+
+// TestLoadReaders loads one snapshot through readers that tell their
+// length (in-memory readers by Len, a file by Stat) and readers that do
+// not, delivering a byte, half a request or the last bytes with io.EOF
+// at a time: every load must give the source's tree.
+func TestLoadReaders(t *testing.T) {
+	src := sampleFS(t)
+	if err := src.WriteFile("/big", bytes.Repeat([]byte("0123456789abcdef"), 1<<13), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotOf(t, src)
+	file := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(file, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() io.Reader{
+		"bytes.Reader":  func() io.Reader { return bytes.NewReader(snap) },
+		"bytes.Buffer":  func() io.Reader { return bytes.NewBuffer(bytes.Clone(snap)) },
+		"OneByteReader": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(snap)) },
+		"HalfReader":    func() io.Reader { return iotest.HalfReader(bytes.NewReader(snap)) },
+		"DataErrReader": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(snap)) },
+		"os.File": func() io.Reader {
+			fh, err := os.Open(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fh.Close() })
+			return fh
+		},
+	}
+	want := mustDigest(t, src)
+	for name, r := range readers {
+		dst := New()
+		if err := dst.Load(r()); err != nil {
+			t.Errorf("%s: Load: %v", name, err)
+		} else if mustDigest(t, dst) != want {
+			t.Errorf("%s: loaded tree differs from the source", name)
+		}
+	}
+}
+
+// TestLoadReadErrorUnchanged cuts the input with a read error after
+// every prefix of a valid snapshot, the whole snapshot included: each
+// Load must fail with that error and leave the target untouched.
+func TestLoadReadErrorUnchanged(t *testing.T) {
+	snap := snapshotOf(t, sampleFS(t))
+	errRead := errors.New("device gone")
+	target := New()
+	if err := target.WriteFile("/keep/me", []byte("previous state"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := mustDigest(t, target)
+	for n := 0; n <= len(snap); n++ {
+		r := io.MultiReader(bytes.NewReader(snap[:n]), iotest.ErrReader(errRead))
+		if err := target.Load(r); !errors.Is(err, errRead) {
+			t.Fatalf("prefix %d of %d: Load = %v, want the read error", n, len(snap), err)
+		}
+		if mustDigest(t, target) != before {
+			t.Fatalf("prefix %d of %d: failed Load changed the filesystem", n, len(snap))
+		}
+	}
+}
+
+// endless reads as an unending stream of x, counting what it hands out.
+type endless struct{ n int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestLoadRejectsEndlessInput: input that is not a snapshot is rejected
+// after its header, however much more it holds.
+func TestLoadRejectsEndlessInput(t *testing.T) {
+	var r endless
+	if err := New().Load(&r); err == nil || !strings.Contains(err.Error(), "not a fex state snapshot") {
+		t.Fatalf("Load = %v, want not a fex state snapshot", err)
+	}
+	if r.n != len(magic)+1 {
+		t.Errorf("Load read %d bytes of a non-snapshot, want the %d-byte header only", r.n, len(magic)+1)
+	}
+}
+
+// TestLoadSharesCappedBytes: a loaded file's bytes are capacity-capped
+// slices of the loaded buffer, so appending to one, even to where its
+// neighbours' bytes lie, never changes another file.
+func TestLoadSharesCappedBytes(t *testing.T) {
+	f := New()
+	if err := f.Load(bytes.NewReader(snapshotOf(t, sampleFS(t)))); err != nil {
+		t.Fatal(err)
+	}
+	before := mustDigest(t, f)
+	files := 0
+	if err := f.walkTree("test", "/", func(p []byte, n *node) error {
+		if n.isDir {
+			return nil
+		}
+		files++
+		if cap(n.data) != len(n.data) {
+			t.Errorf("%s: loaded bytes have cap %d, len %d", p, cap(n.data), len(n.data))
+		}
+		_ = append(n.data, bytes.Repeat([]byte{0xaa}, 64)...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if files != 7 {
+		t.Fatalf("walked %d files, want the sample's 7", files)
+	}
+	if mustDigest(t, f) != before {
+		t.Error("appending to a loaded file's bytes changed the tree")
 	}
 }
 

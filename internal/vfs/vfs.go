@@ -58,7 +58,9 @@ func (e *PathError) Unwrap() error { return e.Err }
 // Invariant: a file's bytes are never mutated in place. WriteFile
 // replaces the node whole, so a data slice taken under the lock stays
 // valid, unchanging, after the lock is released. Save streams such slices
-// without copying them, and Clone and CopyTree share them between nodes.
+// without copying them, Clone and CopyTree share them between nodes, and
+// Load leaves every loaded file a capacity-capped slice of the one buffer
+// it read the snapshot into, which stays alive while any such file does.
 type node struct {
 	name     string
 	isDir    bool

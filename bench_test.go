@@ -137,8 +137,7 @@ func BenchmarkFigure7_NginxThroughputLatency(b *testing.B) {
 				Workers:  4,
 			}, nil
 		},
-		Collect:  core.NetCollect,
-		CSVKinds: core.NetCSVKinds(),
+		Collect: core.NetCollect,
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -616,28 +615,6 @@ func BenchmarkModeledRepetition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RepetitionEstimate exercises the Kalibera–Jones-style
-// repetition estimator over a realistic pilot sample (the statistics the
-// paper lists as future work).
-func BenchmarkAblation_RepetitionEstimate(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = requiredReps(b)
-	}
-	b.ReportMetric(float64(n), "required-reps")
-}
-
-// requiredReps is the estimator's answer for the ablation's pilot sample
-// at 95% confidence and 1% relative width.
-func requiredReps(tb testing.TB) int {
-	pilot := []float64{100.2, 99.1, 101.7, 100.9, 98.8, 100.4, 99.7, 101.1}
-	n, err := stats.RequiredRepetitions(pilot, 0.95, 0.01)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return n
-}
-
 // BenchmarkAblation_PlanAhead quantifies the run planner (plan.go) on the
 // three behaviours it adds over per-cell decisions:
 //
@@ -814,8 +791,9 @@ func planWarmResumeBuilds(tb testing.TB) int {
 
 // TestAblationCounters pins the machine-independent counters of the
 // ablation benchmarks exactly, so a change to the store's read path, the
-// planner's dedup or build skipping, or the repetition estimator shows
-// up in the ordinary test run rather than only in a benchmark's output.
+// planner's dedup or build skipping, or how often a run's log is parsed
+// shows up in the ordinary test run rather than only in a benchmark's
+// output.
 func TestAblationCounters(t *testing.T) {
 	if ops := warmResolveOps(t); ops != 1000 {
 		t.Errorf("1000-cell warm resolve: %d vfs ops, want 1000", ops)
@@ -829,9 +807,6 @@ func TestAblationCounters(t *testing.T) {
 	}
 	if n := planWarmResumeBuilds(t); n != 0 {
 		t.Errorf("fully-warm resume performed %d builds, want 0", n)
-	}
-	if n := requiredReps(t); n != 7 {
-		t.Errorf("required repetitions %d, want 7", n)
 	}
 	if parsed, logLen := clusterParsedBytes(t); parsed != logLen {
 		t.Errorf("cold two-host run parsed %d log bytes, want exactly the log's %d", parsed, logLen)

@@ -67,8 +67,7 @@ func run(deterministic bool) error {
 				// on any host.
 			}, nil
 		},
-		Collect:  func(lg *runlog.Log) (*table.Table, error) { return core.NetCollect(lg) },
-		CSVKinds: core.NetCSVKinds(),
+		Collect: func(lg *runlog.Log) (*table.Table, error) { return core.NetCollect(lg) },
 		Plot: func(tbl *table.Table, kind string) (string, error) {
 			return core.ThroughputLatencyPlot(tbl, "nginx: throughput vs latency (Figure 7)")
 		},

@@ -125,7 +125,6 @@ CFLAGS += -D_FORTIFY_SOURCE=2
 		Description: "microbenchmarks under a hardened build",
 		Suite:       "micro",
 		Kind:        core.KindPerformance,
-		CSVKinds:    nil,
 		NewRunner: func(fx *core.Fex) (core.Runner, error) {
 			return &core.BenchRunner{Suite: "micro"}, nil
 		},

@@ -158,20 +158,6 @@ func min(a, b int) int {
 	return b
 }
 
-// Sweep measures one Result per offered rate, in order — the x axis of a
-// throughput–latency plot.
-func Sweep(ctx context.Context, rates []float64, mk func(rate float64) Config) ([]Result, error) {
-	out := make([]Result, 0, len(rates))
-	for _, r := range rates {
-		res, err := Run(ctx, mk(r))
-		if err != nil {
-			return nil, fmt.Errorf("sweep at rate %v: %w", r, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // HTTPTarget returns a request function fetching url with a shared
 // keep-alive client (the "remote clients fetch a 2K static web-page"
 // workload of Figure 7).

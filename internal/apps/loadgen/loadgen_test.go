@@ -132,26 +132,6 @@ func TestRunInFlightCap(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	rates := []float64{100, 200}
-	results, err := Sweep(context.Background(), rates, func(rate float64) Config {
-		return Config{
-			Rate:     rate,
-			Duration: 150 * time.Millisecond,
-			Do:       func(context.Context) error { return nil },
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results %d", len(results))
-	}
-	if results[0].OfferedRate != 100 || results[1].OfferedRate != 200 {
-		t.Errorf("offered rates %v %v", results[0].OfferedRate, results[1].OfferedRate)
-	}
-}
-
 func TestHTTPTargetEndToEnd(t *testing.T) {
 	srv, err := httpd.Start(httpd.Config{Pages: httpd.StaticSite()})
 	if err != nil {

@@ -89,18 +89,6 @@ func (s *System) AddMakefileText(name string, layer Layer, text string) error {
 	return s.AddMakefile(mf)
 }
 
-// Makefiles returns the registered makefile names, sorted.
-func (s *System) Makefiles() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.makefiles))
-	for n := range s.makefiles {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MakefileSet returns a copy of the makefile registry, by name.
 func (s *System) MakefileSet() map[string]*Makefile {
 	s.mu.Lock()

@@ -597,6 +597,37 @@ func TestPlotKinds(t *testing.T) {
 	}
 }
 
+// TestPlotInfersCSVKinds plots an experiment registered the way an
+// experiment author would, with a runner and a plot and nothing about
+// its CSV: the stored CSV's column kinds are inferred when it is read back.
+func TestPlotInfersCSVKinds(t *testing.T) {
+	fx := newFex(t)
+	installAll(t, fx, "gcc-6.1", "clang-3.8.0")
+	if err := fx.RegisterExperiment(&Experiment{
+		Name:  "micro_user",
+		Suite: "micro",
+		Kind:  KindPerformance,
+		NewRunner: func(fx *Fex) (Runner, error) {
+			return &BenchRunner{Suite: "micro"}, nil
+		},
+		Plot: suitePlot("micro"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = runPhoenixSubset(t, fx, Config{
+		Experiment: "micro_user",
+		BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"array_read", "branch_heavy"},
+		Threads:    []int{1, 2},
+		Input:      workload.SizeTest,
+	})
+	for _, kind := range []string{"perf", "threads"} {
+		if _, err := fx.Plot("micro_user", kind); err != nil {
+			t.Errorf("plot %s: %v", kind, err)
+		}
+	}
+}
+
 func TestRipeExperimentMatchesTable2(t *testing.T) {
 	fx := newFex(t)
 	installAll(t, fx, "gcc-6.1", "clang-3.8.0", "ripe")
@@ -659,8 +690,7 @@ func TestNginxExperimentEndToEnd(t *testing.T) {
 				Workers:  2,
 			}, nil
 		},
-		Collect:  NetCollect,
-		CSVKinds: NetCSVKinds(),
+		Collect: NetCollect,
 		Plot: func(tbl *table.Table, kind string) (string, error) {
 			return ThroughputLatencyPlot(tbl, "test")
 		},
@@ -706,8 +736,7 @@ func TestMemcachedExperimentEndToEnd(t *testing.T) {
 				Duration: 150 * time.Millisecond,
 			}, nil
 		},
-		Collect:  NetCollect,
-		CSVKinds: NetCSVKinds(),
+		Collect: NetCollect,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"fex/internal/measure"
 	"fex/internal/runlog"
@@ -61,8 +60,6 @@ type Experiment struct {
 	DefaultTypes []string
 	// PlotKinds lists the plot names Plot accepts.
 	PlotKinds []string
-	// CSVKinds types the experiment's CSV columns for re-parsing.
-	CSVKinds map[string]table.Kind
 	// NewRunner constructs the experiment's runner.
 	NewRunner func(fx *Fex) (Runner, error)
 	// Collect aggregates a parsed run log into a table; nil uses
@@ -201,51 +198,25 @@ func GenericCollect(lg *runlog.Log) (*table.Table, error) {
 		}
 	}
 
-	names := append([]string{"suite", "bench", "type", "threads"}, metrics...)
-	kinds := make([]table.Kind, len(names))
-	kinds[0], kinds[1], kinds[2] = table.String, table.String, table.String
-	kinds[3] = table.Float
-	for i := 4; i < len(kinds); i++ {
-		kinds[i] = table.Float
+	out := make([]table.Column, 4+len(metrics))
+	out[0] = table.Column{Name: "suite", Kind: table.String, Strings: make([]string, len(order))}
+	out[1] = table.Column{Name: "bench", Kind: table.String, Strings: make([]string, len(order))}
+	out[2] = table.Column{Name: "type", Kind: table.String, Strings: make([]string, len(order))}
+	out[3] = table.Column{Name: "threads", Kind: table.Float, Floats: make([]float64, len(order))}
+	for c, name := range metrics {
+		out[4+c] = table.Column{Name: name, Kind: table.Float, Floats: make([]float64, len(order))}
 	}
-	b, err := table.NewBuilder(names, kinds)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range order {
+	for r, k := range order {
+		out[0].Strings[r], out[1].Strings[r], out[2].Strings[r] = k.suite, k.bench, k.btype
+		out[3].Floats[r] = float64(k.threads)
 		g := groups[k]
-		row := []any{k.suite, k.bench, k.btype, float64(k.threads)}
 		for c := range metrics {
 			v := g.first[c] // 0 for a metric the group never recorded
 			if g.mixed[c] {
 				v = g.sums[c] / g.counts[c]
 			}
-			row = append(row, v)
-		}
-		if err := b.Append(row...); err != nil {
-			return nil, err
+			out[4+c].Floats[r] = v
 		}
 	}
-	return b.Table()
+	return table.New(out...)
 }
-
-// genericCSVKinds types the GenericCollect output columns.
-func genericCSVKinds() map[string]table.Kind {
-	kinds := map[string]table.Kind{
-		"suite": table.String, "bench": table.String, "type": table.String,
-	}
-	// Every other column is numeric; ReadCSV defaults unknown columns to
-	// String, so enumerate the common metric names.
-	for _, m := range []string{
-		"threads", "cycles", "instructions", "ipc", "branch_misses",
-		"l1d_misses", "llc_misses", "max_rss", "cache_refs", "mem_cycles",
-		"rss_mbytes", "write_ratio", "wall_ns", "checksum", "input_class",
-		"wall_seconds",
-	} {
-		kinds[m] = table.Float
-	}
-	return kinds
-}
-
-// threadsLabel renders a thread count for plot labels.
-func threadsLabel(t float64) string { return strconv.Itoa(int(t)) }

@@ -847,7 +847,7 @@ func (fx *Fex) Plot(experiment, kind string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("plot %s: no collected results (run/collect first): %w", experiment, err)
 	}
-	tbl, err := table.ReadCSV(strings.NewReader(string(data)), exp.CSVKinds)
+	tbl, err := table.ReadCSV(bytes.NewReader(data))
 	if err != nil {
 		return "", fmt.Errorf("plot %s: %w", experiment, err)
 	}

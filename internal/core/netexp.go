@@ -41,16 +41,6 @@ func NetCollect(lg *runlog.Log) (*table.Table, error) {
 	return b.Table()
 }
 
-// NetCSVKinds types the NetCollect columns.
-func NetCSVKinds() map[string]table.Kind {
-	return map[string]table.Kind{
-		"bench": table.String, "type": table.String,
-		"offered_rate": table.Float, "throughput": table.Float,
-		"latency_ms": table.Float, "p95_ms": table.Float,
-		"p99_ms": table.Float, "errors": table.Float,
-	}
-}
-
 // registerNetworkExperiments installs the nginx, apache, and memcached
 // throughput–latency experiments.
 func (fx *Fex) registerNetworkExperiments() error {
@@ -62,7 +52,6 @@ func (fx *Fex) registerNetworkExperiments() error {
 			Kind:         KindThroughputLatency,
 			DefaultTypes: []string{"gcc_native", "clang_native"},
 			PlotKinds:    []string{"tput-latency"},
-			CSVKinds:     NetCSVKinds(),
 			NewRunner: func(fx *Fex) (Runner, error) {
 				return &ServerBenchRunner{App: app}, nil
 			},

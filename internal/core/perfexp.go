@@ -29,7 +29,6 @@ func (fx *Fex) registerBuiltinExperiments() error {
 			Kind:         KindPerformance,
 			DefaultTypes: []string{"gcc_native"},
 			PlotKinds:    []string{"perf", "mem", "threads", "cache"},
-			CSVKinds:     genericCSVKinds(),
 			NewRunner: func(fx *Fex) (Runner, error) {
 				return &BenchRunner{Suite: suiteName}, nil
 			},
@@ -52,7 +51,6 @@ func (fx *Fex) registerBuiltinExperiments() error {
 			Kind:         KindVariableInput,
 			DefaultTypes: []string{"gcc_native"},
 			PlotKinds:    []string{"perf"},
-			CSVKinds:     genericCSVKinds(),
 			NewRunner: func(fx *Fex) (Runner, error) {
 				return &VariableInputRunner{Suite: suiteName}, nil
 			},

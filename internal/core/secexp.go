@@ -90,11 +90,7 @@ func (fx *Fex) registerSecurityExperiment() error {
 		Description:  "RIPE security testbed: 850 attack forms per build type (Table II)",
 		Kind:         KindSecurity,
 		DefaultTypes: []string{"gcc_native", "clang_native"},
-		CSVKinds: map[string]table.Kind{
-			"type": table.String, "successful": table.Float,
-			"failed": table.Float, "total": table.Float,
-		},
-		NewRunner: func(fx *Fex) (Runner, error) { return SecurityRunner{}, nil },
-		Collect:   ripeCollect,
+		NewRunner:    func(fx *Fex) (Runner, error) { return SecurityRunner{}, nil },
+		Collect:      ripeCollect,
 	})
 }

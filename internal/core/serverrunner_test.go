@@ -24,8 +24,7 @@ func registerServerBench(t *testing.T, fx *Fex, name string, r *ServerBenchRunne
 		NewRunner: func(fx *Fex) (Runner, error) {
 			return r, nil
 		},
-		Collect:  NetCollect,
-		CSVKinds: NetCSVKinds(),
+		Collect: NetCollect,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,6 @@ func (d Delta) regressionPct(higherIsBetter bool) float64 {
 	return pct
 }
 
-// RegressionPct is the cost-metric regression magnitude in percent.
-func (d Delta) RegressionPct() float64 { return d.regressionPct(false) }
-
 // Gate applies a regression threshold: it fails on every delta whose
 // verdict is a significant regression AND whose magnitude exceeds
 // maxRegressionPct (0 fails on any significant regression at all).

@@ -75,8 +75,8 @@ func TestGateResultRendering(t *testing.T) {
 	if !strings.Contains(s, "FAIL") || !strings.Contains(s, "s/bad [t] m1") || !strings.Contains(s, "+50.00%") {
 		t.Errorf("failure rendering: %s", s)
 	}
-	if pct := fail.Regressions[0].RegressionPct(); math.Abs(pct-50) > 0.01 {
-		t.Errorf("RegressionPct %v, want ~50", pct)
+	if pct := fail.Regressions[0].regressionPct(false); math.Abs(pct-50) > 0.01 {
+		t.Errorf("regressionPct %v, want ~50", pct)
 	}
 	pass := report.Gate(60)
 	if !pass.OK() {

@@ -14,7 +14,6 @@
 package measure
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -331,45 +330,4 @@ func ToolNames() []string {
 	names := []string{"perf-stat", "perf-stat-mem", "time"}
 	sort.Strings(names)
 	return names
-}
-
-// ErrNoSamples reports an aggregation over zero samples.
-var ErrNoSamples = errors.New("measure: no samples")
-
-// Aggregate summarizes repeated samples of the same configuration: it
-// verifies all checksums agree and returns means of the modeled counters.
-func Aggregate(samples []Sample) (Sample, error) {
-	if len(samples) == 0 {
-		return Sample{}, ErrNoSamples
-	}
-	first := samples[0]
-	var out Sample
-	out.Checksum = first.Checksum
-	out.Threads = first.Threads
-	for i, s := range samples {
-		if s.Checksum != first.Checksum {
-			return Sample{}, fmt.Errorf("measure: checksum mismatch across repetitions: rep %d got %x want %x",
-				i, s.Checksum, first.Checksum)
-		}
-		out.Cycles += s.Cycles
-		out.Instructions += s.Instructions
-		out.L1DMisses += s.L1DMisses
-		out.LLCMisses += s.LLCMisses
-		out.BranchMisses += s.BranchMisses
-		out.MaxRSSBytes += s.MaxRSSBytes
-		out.MemStallCycles += s.MemStallCycles
-		out.MemReads += s.MemReads
-		out.MemWrites += s.MemWrites
-	}
-	n := float64(len(samples))
-	out.Cycles /= n
-	out.Instructions /= n
-	out.L1DMisses /= n
-	out.LLCMisses /= n
-	out.BranchMisses /= n
-	out.MaxRSSBytes /= n
-	out.MemStallCycles /= n
-	out.MemReads /= n
-	out.MemWrites /= n
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -154,33 +153,6 @@ func TestToolByName(t *testing.T) {
 	}
 }
 
-func TestAggregateMeans(t *testing.T) {
-	samples := []Sample{
-		{Cycles: 100, Instructions: 10, Checksum: 7},
-		{Cycles: 200, Instructions: 20, Checksum: 7},
-	}
-	agg, err := Aggregate(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Cycles != 150 || agg.Instructions != 15 {
-		t.Errorf("agg %+v", agg)
-	}
-}
-
-func TestAggregateChecksumMismatch(t *testing.T) {
-	samples := []Sample{{Checksum: 1}, {Checksum: 2}}
-	if _, err := Aggregate(samples); err == nil {
-		t.Error("expected checksum mismatch error")
-	}
-}
-
-func TestAggregateEmpty(t *testing.T) {
-	if _, err := Aggregate(nil); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("got %v", err)
-	}
-}
-
 func TestQuickModelDeterministic(t *testing.T) {
 	prop := func(ints, reads uint32, threads uint8) bool {
 		th := int(threads%8) + 1
@@ -242,18 +214,6 @@ func TestMemCyclesDerivedFromCostVector(t *testing.T) {
 	}
 	if got2 == got {
 		t.Error("mem_cycles ignored the cost vector's penalties")
-	}
-}
-
-func TestAggregateAveragesMemStallCycles(t *testing.T) {
-	a := Sample{MemStallCycles: 100, Checksum: 7, Threads: 1}
-	b := Sample{MemStallCycles: 300, Checksum: 7, Threads: 1}
-	agg, err := Aggregate([]Sample{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.MemStallCycles != 200 {
-		t.Errorf("MemStallCycles = %g, want 200", agg.MemStallCycles)
 	}
 }
 

@@ -81,57 +81,6 @@ func TestGroupedBarPlotMismatchedSeries(t *testing.T) {
 	}
 }
 
-func TestGroupedBarPlotASCII(t *testing.T) {
-	p := GroupedBarPlot{
-		Categories: []string{"x"},
-		Series: []Series{
-			{Name: "gcc", Values: []float64{1}},
-			{Name: "clang", Values: []float64{2}},
-		},
-	}
-	out, err := p.RenderASCII(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "gcc") || !strings.Contains(out, "clang") {
-		t.Errorf("ascii:\n%s", out)
-	}
-}
-
-func TestStackedBarPlot(t *testing.T) {
-	p := StackedBarPlot{
-		Categories: []string{"bench1", "bench2"},
-		Series: []Series{
-			{Name: "L1", Values: []float64{10, 20}},
-			{Name: "LLC", Values: []float64{1, 2}},
-		},
-	}
-	svg, err := p.RenderSVG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(svg, "L1") || !strings.Contains(svg, "LLC") {
-		t.Error("legend entries missing")
-	}
-}
-
-func TestStackedBarPlotASCIITotals(t *testing.T) {
-	p := StackedBarPlot{
-		Categories: []string{"c"},
-		Series: []Series{
-			{Name: "a", Values: []float64{3}},
-			{Name: "b", Values: []float64{4}},
-		},
-	}
-	out, err := p.RenderASCII(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "7") {
-		t.Errorf("expected stacked total 7 in:\n%s", out)
-	}
-}
-
 func TestStackedGroupedBarPlot(t *testing.T) {
 	p := StackedGroupedBarPlot{
 		Categories: []string{"fft"},
@@ -194,21 +143,6 @@ func TestLinePlotEmptySeries(t *testing.T) {
 	none := LinePlot{}
 	if _, err := none.RenderSVG(); err == nil {
 		t.Error("expected error for no series")
-	}
-}
-
-func TestLinePlotASCII(t *testing.T) {
-	p := LinePlot{
-		Series: []LineSeries{
-			{Name: "s", Points: []LinePoint{{0, 0}, {1, 1}, {2, 4}}},
-		},
-	}
-	out, err := p.RenderASCII(40, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "*") {
-		t.Errorf("ascii markers missing:\n%s", out)
 	}
 }
 

@@ -127,54 +127,6 @@ func (p *GroupedBarPlot) RenderSVG() (string, error) {
 	return c.String(), nil
 }
 
-// RenderASCII renders per-category rows with one bar line per series.
-func (p *GroupedBarPlot) RenderASCII(width int) (string, error) {
-	if err := p.validate(); err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	if p.Opts.Title != "" {
-		sb.WriteString(p.Opts.Title + "\n")
-	}
-	maxV := 0.0
-	for _, s := range p.Series {
-		for _, v := range s.Values {
-			if v > maxV {
-				maxV = v
-			}
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	labelW := 0
-	for _, c := range p.Categories {
-		if len(c) > labelW {
-			labelW = len(c)
-		}
-	}
-	for _, s := range p.Series {
-		if len(s.Name)+2 > labelW {
-			labelW = len(s.Name) + 2
-		}
-	}
-	barSpace := width - labelW - 12
-	if barSpace < 10 {
-		barSpace = 10
-	}
-	for ci, cat := range p.Categories {
-		fmt.Fprintf(&sb, "%-*s\n", labelW, cat)
-		for _, s := range p.Series {
-			n := int(math.Round(s.Values[ci] / maxV * float64(barSpace)))
-			if n < 0 {
-				n = 0
-			}
-			fmt.Fprintf(&sb, "  %-*s %s %.3g\n", labelW-2, s.Name, strings.Repeat("█", n), s.Values[ci])
-		}
-	}
-	return sb.String(), nil
-}
-
 func (p *GroupedBarPlot) validate() error {
 	if len(p.Categories) == 0 {
 		return errf("grouped barplot: no categories")
@@ -188,41 +140,6 @@ func (p *GroupedBarPlot) validate() error {
 		}
 	}
 	return nil
-}
-
-// StackedBarPlot stacks the series on top of each other for every category
-// (e.g. time breakdown per phase).
-type StackedBarPlot struct {
-	Categories []string
-	Series     []Series
-	Opts       Options
-}
-
-// RenderSVG renders the stacked barplot as an SVG document.
-func (p *StackedBarPlot) RenderSVG() (string, error) {
-	g := &StackedGroupedBarPlot{
-		Categories: p.Categories,
-		Groups:     []StackGroup{{Name: "", Series: p.Series}},
-		Opts:       p.Opts,
-	}
-	return g.RenderSVG()
-}
-
-// RenderASCII renders stacked totals with per-segment breakdown.
-func (p *StackedBarPlot) RenderASCII(width int) (string, error) {
-	if len(p.Series) == 0 || len(p.Categories) == 0 {
-		return "", errf("stacked barplot: no data")
-	}
-	totals := make([]float64, len(p.Categories))
-	for _, s := range p.Series {
-		if len(s.Values) != len(p.Categories) {
-			return "", errf("stacked barplot: series %q has %d values, want %d", s.Name, len(s.Values), len(p.Categories))
-		}
-		for i, v := range s.Values {
-			totals[i] += v
-		}
-	}
-	return asciiBars(p.Opts.Title, p.Categories, totals, width)
 }
 
 // StackGroup is one group of a stacked-grouped barplot: a full stack.
@@ -379,69 +296,6 @@ func (p *LinePlot) RenderSVG() (string, error) {
 		}
 	}
 	return c.String(), nil
-}
-
-// RenderASCII renders a character-grid scatter of the series.
-func (p *LinePlot) RenderASCII(width, height int) (string, error) {
-	if len(p.Series) == 0 {
-		return "", errf("lineplot: no series")
-	}
-	if width < 20 {
-		width = 20
-	}
-	if height < 8 {
-		height = 8
-	}
-	var xs, ys [][]float64
-	for _, s := range p.Series {
-		if len(s.Points) == 0 {
-			return "", errf("lineplot: series %q is empty", s.Name)
-		}
-		sx := make([]float64, len(s.Points))
-		sy := make([]float64, len(s.Points))
-		for i, pt := range s.Points {
-			sx[i], sy[i] = pt.X, pt.Y
-		}
-		xs = append(xs, sx)
-		ys = append(ys, sy)
-	}
-	xLo, xHi := dataRange(xs, false)
-	yLo, yHi := dataRange(ys, false)
-	grid := make([][]rune, height)
-	for i := range grid {
-		grid[i] = make([]rune, width)
-		for j := range grid[i] {
-			grid[i][j] = ' '
-		}
-	}
-	marks := []rune{'*', 'o', '+', 'x', '#', '@'}
-	for si, s := range p.Series {
-		for _, pt := range s.Points {
-			cx := int(math.Round((pt.X - xLo) / (xHi - xLo) * float64(width-1)))
-			cy := int(math.Round((pt.Y - yLo) / (yHi - yLo) * float64(height-1)))
-			row := height - 1 - cy
-			if row >= 0 && row < height && cx >= 0 && cx < width {
-				grid[row][cx] = marks[si%len(marks)]
-			}
-		}
-	}
-	var sb strings.Builder
-	if p.Opts.Title != "" {
-		sb.WriteString(p.Opts.Title + "\n")
-	}
-	for i, s := range p.Series {
-		fmt.Fprintf(&sb, "  %c = %s\n", marks[i%len(marks)], s.Name)
-	}
-	fmt.Fprintf(&sb, "y: [%.3g, %.3g]  x: [%.3g, %.3g]\n", yLo, yHi, xLo, xHi)
-	for _, row := range grid {
-		sb.WriteByte('|')
-		sb.WriteString(string(row))
-		sb.WriteByte('\n')
-	}
-	sb.WriteByte('+')
-	sb.WriteString(strings.Repeat("-", width))
-	sb.WriteByte('\n')
-	return sb.String(), nil
 }
 
 // asciiBars renders labeled horizontal bars scaled to the max value.

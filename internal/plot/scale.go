@@ -1,8 +1,9 @@
 // Package plot renders the plot families FEX supports (Table I of the
-// paper): regular barplot, grouped barplot, stacked barplot,
-// stacked-grouped barplot, and lineplot (including the throughput–latency
-// curves of Figure 7). Two backends are provided: SVG (for files, replacing
-// matplotlib's PDF output) and ASCII (for terminals and logs).
+// paper): regular barplot, grouped barplot, stacked-grouped barplot (a
+// stacked barplot is its one-group case), and lineplot (including the
+// throughput–latency curves of Figure 7). Every plot renders as SVG (for
+// files, replacing matplotlib's PDF output); the regular barplot also
+// renders as ASCII for terminals and logs.
 package plot
 
 import (

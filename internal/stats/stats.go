@@ -72,22 +72,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// CoV returns the coefficient of variation (stddev / mean).
-func CoV(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	if m == 0 {
-		return 0, errors.New("stats: CoV undefined for zero mean")
-	}
-	s, err := StdDev(xs)
-	if err != nil {
-		return 0, err
-	}
-	return s / m, nil
-}
-
 // Min returns the smallest element of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -272,64 +256,6 @@ func sign(x float64) int {
 		return -1
 	}
 	return 1
-}
-
-// RequiredRepetitions estimates (in the spirit of Kalibera & Jones,
-// "Rigorous benchmarking in reasonable time") how many repetitions are
-// needed so the half-width of the level-confidence interval is at most
-// relWidth × mean, given a pilot sample.
-func RequiredRepetitions(pilot []float64, level, relWidth float64) (int, error) {
-	if len(pilot) < 2 {
-		return 0, fmt.Errorf("stats: pilot sample needs >=2 observations, got %d", len(pilot))
-	}
-	if relWidth <= 0 {
-		return 0, fmt.Errorf("stats: relative width must be positive, got %v", relWidth)
-	}
-	mean, _ := Mean(pilot)
-	if mean == 0 {
-		return 0, errors.New("stats: pilot mean is zero")
-	}
-	sd, _ := StdDev(pilot)
-	if sd == 0 {
-		return 2, nil
-	}
-	target := math.Abs(relWidth * mean)
-	half := func(n int) float64 {
-		t := tQuantile(1-(1-level)/2, float64(n-1))
-		return t * sd / math.Sqrt(float64(n))
-	}
-	// The half-width is monotone decreasing in n (the t quantile shrinks
-	// with the degrees of freedom, 1/sqrt(n) shrinks with n), so the
-	// smallest satisfying n is found by binary search: a linear scan to
-	// 1e6 t-quantile evaluations is far too slow for a caller that sizes
-	// many sweeps.
-	const maxN = 1_000_000
-	if half(maxN) > target {
-		return 0, errors.New("stats: required repetitions exceed 1e6; sample too noisy")
-	}
-	lo, hi := 2, maxN
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if half(mid) <= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, nil
-}
-
-// Normalize divides each element of xs by base and returns the ratios —
-// the transformation behind "normalized runtime w.r.t. native GCC" plots.
-func Normalize(xs []float64, base float64) ([]float64, error) {
-	if base == 0 {
-		return nil, errors.New("stats: cannot normalize by zero")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out, nil
 }
 
 // --- Student-t distribution helpers -----------------------------------------

@@ -68,19 +68,6 @@ func TestVarianceSingle(t *testing.T) {
 	}
 }
 
-func TestCoV(t *testing.T) {
-	cov, err := CoV([]float64{10, 10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov != 0 {
-		t.Errorf("CoV of constant sample = %v", cov)
-	}
-	if _, err := CoV([]float64{-1, 1}); err == nil {
-		t.Error("expected error for zero-mean CoV")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	mn, _ := Min(xs)
@@ -235,48 +222,6 @@ func TestWelchTTestTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestRequiredRepetitions(t *testing.T) {
-	pilot := []float64{100, 102, 98, 101, 99}
-	n, err := RequiredRepetitions(pilot, 0.95, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 2 {
-		t.Errorf("n = %d", n)
-	}
-	// A looser target needs fewer repetitions.
-	loose, err := RequiredRepetitions(pilot, 0.95, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose > n {
-		t.Errorf("looser width requires more reps: %d > %d", loose, n)
-	}
-}
-
-func TestRequiredRepetitionsZeroVariance(t *testing.T) {
-	n, err := RequiredRepetitions([]float64{5, 5, 5}, 0.95, 0.01)
-	if err != nil || n != 2 {
-		t.Errorf("got %d, %v", n, err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 4, 6}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %v", i, out[i])
-		}
-	}
-	if _, err := Normalize([]float64{1}, 0); err == nil {
-		t.Error("expected error for zero base")
-	}
-}
-
 func TestTCDFMatchesKnownValues(t *testing.T) {
 	// For df -> large, t distribution approaches the normal: CDF(1.96) ≈ 0.975.
 	got := tCDF(1.96, 1000)
@@ -339,63 +284,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-// TestRequiredRepetitionsMinimal pins the binary search's contract: the
-// returned n is the *smallest* repetition count whose Student-t interval
-// half-width meets the target — n satisfies it and n-1 does not.
-func TestRequiredRepetitionsMinimal(t *testing.T) {
-	halfWidth := func(pilot []float64, level float64, n int) float64 {
-		sd, _ := StdDev(pilot)
-		return tQuantile(1-(1-level)/2, float64(n-1)) * sd / math.Sqrt(float64(n))
-	}
-	pilots := [][]float64{
-		{100, 102, 98, 101, 99},
-		{100, 130, 75, 110, 92},
-		{1, 2},
-		{5, 5.01, 4.99, 5.02},
-	}
-	for _, pilot := range pilots {
-		for _, level := range []float64{0.90, 0.95, 0.99} {
-			for _, relWidth := range []float64{0.005, 0.05, 0.2} {
-				n, err := RequiredRepetitions(pilot, level, relWidth)
-				if err != nil {
-					t.Fatalf("pilot %v level %v width %v: %v", pilot, level, relWidth, err)
-				}
-				mean, _ := Mean(pilot)
-				target := relWidth * mean
-				if got := halfWidth(pilot, level, n); got > target {
-					t.Errorf("pilot %v level %v width %v: n=%d does not satisfy the target (%v > %v)",
-						pilot, level, relWidth, n, got, target)
-				}
-				if n > 2 {
-					if got := halfWidth(pilot, level, n-1); got <= target {
-						t.Errorf("pilot %v level %v width %v: n=%d is not minimal (n-1 already satisfies)",
-							pilot, level, relWidth, n)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRequiredRepetitionsTooNoisy(t *testing.T) {
-	// Enormous dispersion with a microscopic target exceeds the 1e6 cap.
-	if _, err := RequiredRepetitions([]float64{1, 10000}, 0.99, 1e-6); err == nil {
-		t.Error("expected error for unattainable target")
-	}
-}
-
-func TestRequiredRepetitionsErrors(t *testing.T) {
-	if _, err := RequiredRepetitions([]float64{1}, 0.95, 0.05); err == nil {
-		t.Error("expected error for single-observation pilot")
-	}
-	if _, err := RequiredRepetitions([]float64{1, 2}, 0.95, 0); err == nil {
-		t.Error("expected error for zero width")
-	}
-	if _, err := RequiredRepetitions([]float64{-1, 1}, 0.95, 0.05); err == nil {
-		t.Error("expected error for zero-mean pilot")
-	}
-}
-
 // TestIntervalOverlapBoundary pins the inclusive overlap boundary the
 // significance rule builds on: exactly-touching intervals OVERLAP (the
 // shared endpoint is plausible for both means), and Disjoint is its
@@ -453,9 +341,6 @@ func TestEmptyInputErrors(t *testing.T) {
 	if _, err := StdDev(nil); err == nil {
 		t.Error("StdDev(nil) succeeded")
 	}
-	if _, err := CoV(nil); err == nil {
-		t.Error("CoV(nil) succeeded")
-	}
 	if _, err := Min(nil); err == nil {
 		t.Error("Min(nil) succeeded")
 	}
@@ -467,13 +352,6 @@ func TestEmptyInputErrors(t *testing.T) {
 	}
 	if _, err := Summarize(nil); err == nil {
 		t.Error("Summarize(nil) succeeded")
-	}
-}
-
-// TestCoVZeroMean covers CoV's division guard.
-func TestCoVZeroMean(t *testing.T) {
-	if _, err := CoV([]float64{-1, 1}); err == nil {
-		t.Error("CoV with zero mean succeeded")
 	}
 }
 

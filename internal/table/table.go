@@ -1,11 +1,12 @@
-// Package table implements the small dataframe FEX's collect stage needs —
-// the role Pandas plays in the paper: holding parsed measurement records,
-// filtering, grouping, aggregating, pivoting, normalizing against a baseline
-// build type, and reading/writing CSV.
+// Package table is the small typed table FEX's collect and plot stages
+// share — the role Pandas plays in the paper. A collect stage builds one
+// row by row (Builder) or from whole columns (New) and stores it as CSV;
+// the plot stage reads that CSV back (ReadCSV), inferring each column's
+// kind.
 //
 // A Table is column-oriented: every column has a name and a uniform kind
-// (string or float64). Rows are addressed by index. All transforming methods
-// return new Tables and never mutate the receiver.
+// (string or float64). Rows are addressed by index. A Table is never
+// mutated after it is built.
 package table
 
 import (
@@ -13,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -67,25 +67,7 @@ func (c *Column) Len() int {
 	return len(c.Floats)
 }
 
-func (c *Column) clone() Column {
-	out := Column{Name: c.Name, Kind: c.Kind}
-	if c.Kind == String {
-		out.Strings = append([]string(nil), c.Strings...)
-	} else {
-		out.Floats = append([]float64(nil), c.Floats...)
-	}
-	return out
-}
-
-func (c *Column) cell(i int) string {
-	if c.Kind == String {
-		return c.Strings[i]
-	}
-	return strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
-}
-
-// appendCell renders the i-th cell onto b — the allocation-free form of
-// cell, used by the CSV and text renderers.
+// appendCell renders the i-th cell onto b, used by the text renderer.
 func (c *Column) appendCell(b []byte, i int) []byte {
 	if c.Kind == String {
 		return append(b, c.Strings[i]...)
@@ -102,56 +84,36 @@ func (c *Column) cellWidth(i int, scratch []byte) int {
 	return len(strconv.AppendFloat(scratch[:0], c.Floats[i], 'g', -1, 64))
 }
 
-func (c *Column) take(idx []int) Column {
-	out := Column{Name: c.Name, Kind: c.Kind}
-	if c.Kind == String {
-		out.Strings = make([]string, 0, len(idx))
-		for _, i := range idx {
-			out.Strings = append(out.Strings, c.Strings[i])
-		}
-	} else {
-		out.Floats = make([]float64, 0, len(idx))
-		for _, i := range idx {
-			out.Floats = append(out.Floats, c.Floats[i])
-		}
-	}
-	return out
-}
-
-// Table is an immutable column-oriented dataframe.
+// Table is an immutable column-oriented table.
 type Table struct {
 	cols  []Column
 	index map[string]int
 }
 
 // New builds a Table from columns. All columns must have equal length and
-// distinct names.
+// distinct names. The Table keeps the columns' slices, not copies: the
+// caller must not modify them afterwards.
 func New(cols ...Column) (*Table, error) {
-	t := &Table{index: make(map[string]int, len(cols))}
-	n := -1
-	for _, c := range cols {
+	t := &Table{cols: cols, index: make(map[string]int, len(cols))}
+	for i, c := range cols {
 		if _, dup := t.index[c.Name]; dup {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
 		if c.Kind != String && c.Kind != Float {
 			return nil, fmt.Errorf("table: column %q has invalid kind", c.Name)
 		}
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrLengthMismatch, c.Name, c.Len(), n)
+		if c.Len() != cols[0].Len() {
+			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrLengthMismatch, c.Name, c.Len(), cols[0].Len())
 		}
-		t.index[c.Name] = len(t.cols)
-		t.cols = append(t.cols, c.clone())
+		t.index[c.Name] = i
 	}
 	return t, nil
 }
 
-// Builder incrementally assembles a Table row by row.
+// Builder assembles a Table row by row, appending each value straight
+// into its typed column.
 type Builder struct {
-	names []string
-	kinds []Kind
-	rows  [][]any
+	cols []Column
 }
 
 // NewBuilder creates a Builder with the given schema. Names and kinds must
@@ -161,71 +123,57 @@ func NewBuilder(names []string, kinds []Kind) (*Builder, error) {
 		return nil, fmt.Errorf("table: %d names but %d kinds", len(names), len(kinds))
 	}
 	seen := make(map[string]bool, len(names))
-	for _, n := range names {
+	cols := make([]Column, len(names))
+	for i, n := range names {
 		if seen[n] {
 			return nil, fmt.Errorf("table: duplicate column %q", n)
 		}
 		seen[n] = true
+		cols[i] = Column{Name: n, Kind: kinds[i]}
 	}
-	return &Builder{
-		names: append([]string(nil), names...),
-		kinds: append([]Kind(nil), kinds...),
-	}, nil
+	return &Builder{cols: cols}, nil
 }
 
 // Append adds a row. Each value must be a string or float64 matching the
-// column kind (ints are accepted for float columns).
+// column kind (ints are accepted for float columns). The whole row is
+// checked before any value is appended, so a rejected row adds nothing.
 func (b *Builder) Append(values ...any) error {
-	if len(values) != len(b.names) {
-		return fmt.Errorf("table: row has %d values, want %d", len(values), len(b.names))
+	if len(values) != len(b.cols) {
+		return fmt.Errorf("table: row has %d values, want %d", len(values), len(b.cols))
 	}
-	row := make([]any, len(values))
 	for i, v := range values {
-		switch b.kinds[i] {
-		case String:
-			s, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("%w: column %q wants string, got %T", ErrKindMismatch, b.names[i], v)
-			}
-			row[i] = s
-		case Float:
-			switch x := v.(type) {
-			case float64:
-				row[i] = x
-			case int:
-				row[i] = float64(x)
-			case int64:
-				row[i] = float64(x)
-			default:
-				return fmt.Errorf("%w: column %q wants float, got %T", ErrKindMismatch, b.names[i], v)
-			}
+		ok := false
+		switch v.(type) {
+		case string:
+			ok = b.cols[i].Kind == String
+		case float64, int, int64:
+			ok = b.cols[i].Kind == Float
+		}
+		if !ok {
+			return fmt.Errorf("%w: column %q wants %v, got %T", ErrKindMismatch, b.cols[i].Name, b.cols[i].Kind, v)
 		}
 	}
-	b.rows = append(b.rows, row)
+	for i, v := range values {
+		c := &b.cols[i]
+		switch x := v.(type) {
+		case string:
+			c.Strings = append(c.Strings, x)
+		case float64:
+			c.Floats = append(c.Floats, x)
+		case int:
+			c.Floats = append(c.Floats, float64(x))
+		case int64:
+			c.Floats = append(c.Floats, float64(x))
+		}
+	}
 	return nil
 }
 
-// Table materializes the accumulated rows.
+// Table returns the rows appended so far as a Table. The builder may
+// keep appending: the Table holds its own column headers, and appends
+// only write past the ends of the slices it holds.
 func (b *Builder) Table() (*Table, error) {
-	cols := make([]Column, len(b.names))
-	for i := range b.names {
-		cols[i] = Column{Name: b.names[i], Kind: b.kinds[i]}
-		if b.kinds[i] == String {
-			cols[i].Strings = make([]string, 0, len(b.rows))
-		} else {
-			cols[i].Floats = make([]float64, 0, len(b.rows))
-		}
-	}
-	for _, row := range b.rows {
-		for i, v := range row {
-			if b.kinds[i] == String {
-				cols[i].Strings = append(cols[i].Strings, v.(string))
-			} else {
-				cols[i].Floats = append(cols[i].Floats, v.(float64))
-			}
-		}
-	}
-	return New(cols...)
+	return New(append([]Column(nil), b.cols...)...)
 }
 
 // NumRows returns the number of rows.
@@ -235,9 +183,6 @@ func (t *Table) NumRows() int {
 	}
 	return t.cols[0].Len()
 }
-
-// NumCols returns the number of columns.
-func (t *Table) NumCols() int { return len(t.cols) }
 
 // Names returns the column names in order.
 func (t *Table) Names() []string {
@@ -281,433 +226,6 @@ func (t *Table) Floats(name string) ([]float64, error) {
 	return append([]float64(nil), c.Floats...), nil
 }
 
-// Cell returns the value at (row, col) rendered as a string.
-func (t *Table) Cell(row int, col string) (string, error) {
-	c, err := t.Col(col)
-	if err != nil {
-		return "", err
-	}
-	if row < 0 || row >= c.Len() {
-		return "", fmt.Errorf("table: row %d out of range [0,%d)", row, c.Len())
-	}
-	return c.cell(row), nil
-}
-
-func (t *Table) take(idx []int) *Table {
-	cols := make([]Column, len(t.cols))
-	for i := range t.cols {
-		cols[i] = t.cols[i].take(idx)
-	}
-	out, _ := New(cols...)
-	return out
-}
-
-// Filter returns the rows for which pred returns true. The predicate
-// receives a Row view of each row.
-func (t *Table) Filter(pred func(r Row) bool) *Table {
-	var idx []int
-	for i := 0; i < t.NumRows(); i++ {
-		if pred(Row{t: t, i: i}) {
-			idx = append(idx, i)
-		}
-	}
-	return t.take(idx)
-}
-
-// FilterEq returns the rows whose string column col equals value.
-func (t *Table) FilterEq(col, value string) (*Table, error) {
-	c, err := t.Col(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Kind != String {
-		return nil, fmt.Errorf("%w: %q is %v", ErrKindMismatch, col, c.Kind)
-	}
-	return t.Filter(func(r Row) bool {
-		s, _ := r.String(col)
-		return s == value
-	}), nil
-}
-
-// Row is a lightweight view of one table row.
-type Row struct {
-	t *Table
-	i int
-}
-
-// String returns the value of the named string column in this row.
-func (r Row) String(col string) (string, error) {
-	c, err := r.t.Col(col)
-	if err != nil {
-		return "", err
-	}
-	if c.Kind != String {
-		return "", fmt.Errorf("%w: %q is %v", ErrKindMismatch, col, c.Kind)
-	}
-	return c.Strings[r.i], nil
-}
-
-// Float returns the value of the named float column in this row.
-func (r Row) Float(col string) (float64, error) {
-	c, err := r.t.Col(col)
-	if err != nil {
-		return 0, err
-	}
-	if c.Kind != Float {
-		return 0, fmt.Errorf("%w: %q is %v", ErrKindMismatch, col, c.Kind)
-	}
-	return c.Floats[r.i], nil
-}
-
-// Sort returns a copy of the table sorted by the named columns in order.
-// String columns sort lexicographically, float columns numerically.
-func (t *Table) Sort(by ...string) (*Table, error) {
-	for _, name := range by {
-		if _, ok := t.index[name]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
-		}
-	}
-	idx := make([]int, t.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, name := range by {
-			c := &t.cols[t.index[name]]
-			if c.Kind == String {
-				if c.Strings[idx[a]] != c.Strings[idx[b]] {
-					return c.Strings[idx[a]] < c.Strings[idx[b]]
-				}
-			} else {
-				if c.Floats[idx[a]] != c.Floats[idx[b]] {
-					return c.Floats[idx[a]] < c.Floats[idx[b]]
-				}
-			}
-		}
-		return false
-	})
-	return t.take(idx), nil
-}
-
-// Agg names an aggregation function over float columns.
-type Agg int
-
-// Aggregations supported by GroupBy.
-const (
-	AggMean Agg = iota + 1
-	AggSum
-	AggMin
-	AggMax
-	AggCount
-	AggStdDev
-)
-
-// String returns the aggregation name used as a column suffix.
-func (a Agg) String() string {
-	switch a {
-	case AggMean:
-		return "mean"
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggCount:
-		return "count"
-	case AggStdDev:
-		return "std"
-	default:
-		return fmt.Sprintf("Agg(%d)", int(a))
-	}
-}
-
-func (a Agg) apply(xs []float64) float64 {
-	switch a {
-	case AggMean:
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	case AggSum:
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	case AggMin:
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	case AggMax:
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	case AggCount:
-		return float64(len(xs))
-	case AggStdDev:
-		if len(xs) < 2 {
-			return 0
-		}
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		m := s / float64(len(xs))
-		var ss float64
-		for _, x := range xs {
-			d := x - m
-			ss += d * d
-		}
-		return sqrt(ss / float64(len(xs)-1))
-	default:
-		return 0
-	}
-}
-
-func sqrt(x float64) float64 {
-	// Newton's method; avoids importing math for one call and is exact
-	// enough for aggregate display purposes.
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 64; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// GroupBy groups rows by the given string key columns and aggregates the
-// float column value with each of the given aggregations. The result has the
-// key columns plus one column per aggregation named "value_<agg>"
-// (or just the value name for a single AggMean, matching common usage).
-func (t *Table) GroupBy(keys []string, value string, aggs ...Agg) (*Table, error) {
-	if len(aggs) == 0 {
-		aggs = []Agg{AggMean}
-	}
-	for _, k := range keys {
-		c, err := t.Col(k)
-		if err != nil {
-			return nil, err
-		}
-		if c.Kind != String {
-			return nil, fmt.Errorf("%w: group key %q must be string", ErrKindMismatch, k)
-		}
-	}
-	vc, err := t.Col(value)
-	if err != nil {
-		return nil, err
-	}
-	if vc.Kind != Float {
-		return nil, fmt.Errorf("%w: value column %q must be float", ErrKindMismatch, value)
-	}
-
-	type group struct {
-		key    []string
-		values []float64
-	}
-	order := make([]string, 0)
-	groups := make(map[string]*group)
-	for i := 0; i < t.NumRows(); i++ {
-		parts := make([]string, len(keys))
-		for j, k := range keys {
-			parts[j] = t.cols[t.index[k]].Strings[i]
-		}
-		ck := strings.Join(parts, "\x00")
-		g, ok := groups[ck]
-		if !ok {
-			g = &group{key: parts}
-			groups[ck] = g
-			order = append(order, ck)
-		}
-		g.values = append(g.values, vc.Floats[i])
-	}
-
-	names := make([]string, 0, len(keys)+len(aggs))
-	kinds := make([]Kind, 0, len(keys)+len(aggs))
-	names = append(names, keys...)
-	for range keys {
-		kinds = append(kinds, String)
-	}
-	for _, a := range aggs {
-		if len(aggs) == 1 && a == AggMean {
-			names = append(names, value)
-		} else {
-			names = append(names, value+"_"+a.String())
-		}
-		kinds = append(kinds, Float)
-	}
-	b, err := NewBuilder(names, kinds)
-	if err != nil {
-		return nil, err
-	}
-	for _, ck := range order {
-		g := groups[ck]
-		row := make([]any, 0, len(names))
-		for _, k := range g.key {
-			row = append(row, k)
-		}
-		for _, a := range aggs {
-			row = append(row, a.apply(g.values))
-		}
-		if err := b.Append(row...); err != nil {
-			return nil, err
-		}
-	}
-	return b.Table()
-}
-
-// Pivot reshapes the table: one row per distinct value of indexCol, one
-// float column per distinct value of pivotCol, cells taken from valueCol.
-// Missing combinations are filled with fill. Duplicate combinations keep the
-// last value. Row and column orders follow first appearance.
-func (t *Table) Pivot(indexCol, pivotCol, valueCol string, fill float64) (*Table, error) {
-	ic, err := t.Col(indexCol)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := t.Col(pivotCol)
-	if err != nil {
-		return nil, err
-	}
-	vc, err := t.Col(valueCol)
-	if err != nil {
-		return nil, err
-	}
-	if ic.Kind != String || pc.Kind != String {
-		return nil, fmt.Errorf("%w: pivot index and column must be strings", ErrKindMismatch)
-	}
-	if vc.Kind != Float {
-		return nil, fmt.Errorf("%w: pivot value must be float", ErrKindMismatch)
-	}
-
-	var rowOrder, colOrder []string
-	rowSeen := map[string]bool{}
-	colSeen := map[string]bool{}
-	cells := map[[2]string]float64{}
-	for i := 0; i < t.NumRows(); i++ {
-		r, c := ic.Strings[i], pc.Strings[i]
-		if !rowSeen[r] {
-			rowSeen[r] = true
-			rowOrder = append(rowOrder, r)
-		}
-		if !colSeen[c] {
-			colSeen[c] = true
-			colOrder = append(colOrder, c)
-		}
-		cells[[2]string{r, c}] = vc.Floats[i]
-	}
-
-	names := append([]string{indexCol}, colOrder...)
-	kinds := make([]Kind, len(names))
-	kinds[0] = String
-	for i := 1; i < len(kinds); i++ {
-		kinds[i] = Float
-	}
-	b, err := NewBuilder(names, kinds)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rowOrder {
-		row := make([]any, 0, len(names))
-		row = append(row, r)
-		for _, c := range colOrder {
-			if v, ok := cells[[2]string{r, c}]; ok {
-				row = append(row, v)
-			} else {
-				row = append(row, fill)
-			}
-		}
-		if err := b.Append(row...); err != nil {
-			return nil, err
-		}
-	}
-	return b.Table()
-}
-
-// NormalizeBy divides valueCol in every row by the value found in the row of
-// the same group (groupCol) whose baselineCol equals baseline. This is the
-// "normalized runtime w.r.t. native GCC" transformation of Figure 6. Rows
-// whose group has no baseline row produce an error.
-func (t *Table) NormalizeBy(groupCol, baselineCol, baseline, valueCol string) (*Table, error) {
-	gc, err := t.Col(groupCol)
-	if err != nil {
-		return nil, err
-	}
-	bc, err := t.Col(baselineCol)
-	if err != nil {
-		return nil, err
-	}
-	vc, err := t.Col(valueCol)
-	if err != nil {
-		return nil, err
-	}
-	if gc.Kind != String || bc.Kind != String {
-		return nil, fmt.Errorf("%w: normalize group/baseline columns must be strings", ErrKindMismatch)
-	}
-	if vc.Kind != Float {
-		return nil, fmt.Errorf("%w: normalize value column must be float", ErrKindMismatch)
-	}
-	base := make(map[string]float64)
-	for i := 0; i < t.NumRows(); i++ {
-		if bc.Strings[i] == baseline {
-			base[gc.Strings[i]] = vc.Floats[i]
-		}
-	}
-	cols := make([]Column, len(t.cols))
-	for i := range t.cols {
-		cols[i] = t.cols[i].clone()
-	}
-	out, err := New(cols...)
-	if err != nil {
-		return nil, err
-	}
-	nvc := &out.cols[out.index[valueCol]]
-	for i := 0; i < out.NumRows(); i++ {
-		b, ok := base[gc.Strings[i]]
-		if !ok {
-			return nil, fmt.Errorf("table: group %q has no baseline %q=%q row", gc.Strings[i], baselineCol, baseline)
-		}
-		if b == 0 {
-			return nil, fmt.Errorf("table: group %q baseline value is zero", gc.Strings[i])
-		}
-		nvc.Floats[i] = nvc.Floats[i] / b
-	}
-	return out, nil
-}
-
-// AppendTable concatenates other below t. Schemas must match exactly.
-func (t *Table) AppendTable(other *Table) (*Table, error) {
-	if len(t.cols) != len(other.cols) {
-		return nil, fmt.Errorf("table: schema mismatch: %d vs %d columns", len(t.cols), len(other.cols))
-	}
-	cols := make([]Column, len(t.cols))
-	for i := range t.cols {
-		oc := other.cols[i]
-		if oc.Name != t.cols[i].Name || oc.Kind != t.cols[i].Kind {
-			return nil, fmt.Errorf("table: schema mismatch at column %d: %q/%v vs %q/%v",
-				i, t.cols[i].Name, t.cols[i].Kind, oc.Name, oc.Kind)
-		}
-		cols[i] = t.cols[i].clone()
-		if cols[i].Kind == String {
-			cols[i].Strings = append(cols[i].Strings, oc.Strings...)
-		} else {
-			cols[i].Floats = append(cols[i].Floats, oc.Floats...)
-		}
-	}
-	return New(cols...)
-}
-
 // csvFieldNeedsQuotes mirrors encoding/csv's quoting rule for the default
 // comma separator: a field is quoted when it contains the separator, a
 // quote, or a line break, or when it starts with a space (including the
@@ -728,8 +246,13 @@ func csvFieldNeedsQuotes(field string) bool {
 }
 
 // appendCSVField renders one CSV field onto b, quoting per
-// csvFieldNeedsQuotes with inner quotes doubled.
-func appendCSVField(b []byte, field string) []byte {
+// csvFieldNeedsQuotes with inner quotes doubled. A lone field, the only
+// one of its record, is quoted when empty too: unquoted, its record would
+// be an empty line, which CSV readers skip.
+func appendCSVField(b []byte, field string, lone bool) []byte {
+	if lone && field == "" {
+		return append(b, '"', '"')
+	}
 	if !csvFieldNeedsQuotes(field) {
 		return append(b, field...)
 	}
@@ -753,7 +276,7 @@ func (t *Table) AppendCSV(dst []byte) []byte {
 		if j > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendCSVField(dst, t.cols[j].Name)
+		dst = appendCSVField(dst, t.cols[j].Name, len(t.cols) == 1)
 	}
 	dst = append(dst, '\n')
 	for i := 0; i < t.NumRows(); i++ {
@@ -763,7 +286,7 @@ func (t *Table) AppendCSV(dst []byte) []byte {
 			}
 			c := &t.cols[j]
 			if c.Kind == String {
-				dst = appendCSVField(dst, c.Strings[i])
+				dst = appendCSVField(dst, c.Strings[i], len(t.cols) == 1)
 			} else {
 				// Float renders never need quoting.
 				dst = strconv.AppendFloat(dst, c.Floats[i], 'g', -1, 64)
@@ -774,57 +297,48 @@ func (t *Table) AppendCSV(dst []byte) []byte {
 	return dst
 }
 
-// WriteCSV writes the table in CSV form with a header row.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := w.Write(t.AppendCSV(nil)); err != nil {
-		return fmt.Errorf("write csv: %w", err)
-	}
-	return nil
-}
-
 // CSVString renders the table as a CSV string.
 func (t *Table) CSVString() string {
 	return string(t.AppendCSV(nil))
 }
 
-// ReadCSV parses a CSV document with a header row. Column kinds are given
-// explicitly; kinds must cover every header column by name (columns missing
-// from kinds default to String).
-func ReadCSV(r io.Reader, kinds map[string]Kind) (*Table, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
+// ReadCSV parses a CSV document with a header row. A column is Float
+// when every one of its cells parses with strconv.ParseFloat, and String
+// otherwise, so a table AppendCSV wrote reads back with the kinds it had
+// (a string column whose every cell is a number reads back as Float).
+func ReadCSV(r io.Reader) (*Table, error) {
+	records, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("read csv: %w", err)
 	}
 	if len(records) == 0 {
 		return nil, errors.New("table: empty csv")
 	}
-	header := records[0]
+	// The csv reader has already checked every row has len(header) fields.
+	header, rows := records[0], records[1:]
 	cols := make([]Column, len(header))
 	for i, name := range header {
-		k, ok := kinds[name]
-		if !ok {
-			k = String
-		}
-		cols[i] = Column{Name: name, Kind: k}
-	}
-	for rowIdx, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("table: csv row %d has %d fields, want %d", rowIdx+1, len(rec), len(header))
-		}
-		for i, cell := range rec {
-			if cols[i].Kind == String {
-				cols[i].Strings = append(cols[i].Strings, cell)
-				continue
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
-			if err != nil {
-				return nil, fmt.Errorf("table: csv row %d column %q: %w", rowIdx+1, header[i], err)
-			}
-			cols[i].Floats = append(cols[i].Floats, v)
-		}
+		cols[i] = readColumn(name, rows, i)
 	}
 	return New(cols...)
+}
+
+// readColumn returns field i of every row as a column named name, Float
+// if every field parses as a float.
+func readColumn(name string, rows [][]string, i int) Column {
+	floats := make([]float64, len(rows))
+	for r, rec := range rows {
+		v, err := strconv.ParseFloat(rec[i], 64)
+		if err != nil {
+			strs := make([]string, len(rows))
+			for r, rec := range rows {
+				strs[r] = rec[i]
+			}
+			return Column{Name: name, Kind: String, Strings: strs}
+		}
+		floats[r] = v
+	}
+	return Column{Name: name, Kind: Float, Floats: floats}
 }
 
 // appendPadded appends s onto b left-aligned in a field of the given

@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"math"
 	"path"
-	"time"
 )
 
 // Snapshot format. Save writes, and Load accepts, exactly this byte
@@ -28,8 +27,7 @@ import (
 //	trailer    CRC-32C (Castagnoli) of every preceding byte, big-endian
 //
 // Varints are minimally encoded. Directories carry no mode (every
-// directory is fs.ModeDir|0o755), and no entry carries a modification
-// time: loaded entries take the FS clock's current time.
+// directory is fs.ModeDir|0o755).
 //
 // Load reads a snapshot whole into one buffer and decodes it in place:
 // loaded files' bytes are slices of that buffer, which therefore lives
@@ -153,10 +151,7 @@ func (s *snapWriter) write(p []byte) {
 // untouched. It counts as one filesystem operation.
 func (f *FS) Load(r io.Reader) error {
 	f.ops.Add(1)
-	f.mu.RLock()
-	now := f.now()
-	f.mu.RUnlock()
-	root, err := decode(r, now)
+	root, err := decode(r)
 	if err != nil {
 		return fmt.Errorf("vfs load: %w", err)
 	}
@@ -175,7 +170,7 @@ type openDir struct {
 	last string
 }
 
-func decode(r io.Reader, now time.Time) (*node, error) {
+func decode(r io.Reader) (*node, error) {
 	var head [len(magic) + 1]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
@@ -231,7 +226,7 @@ func decode(r io.Reader, now time.Time) (*node, error) {
 			return nil, fmt.Errorf("entry %q: duplicate or out of walk order", p)
 		}
 		parent.last = name
-		n := &node{name: name, modTime: now}
+		n := &node{name: name}
 		if kind == entryDir {
 			n.isDir = true
 			n.mode = fs.ModeDir | 0o755

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Common error values, matchable with errors.Is.
@@ -58,7 +57,7 @@ func (e *PathError) Unwrap() error { return e.Err }
 // Invariant: a file's bytes are never mutated in place. WriteFile
 // replaces the node whole, so a data slice taken under the lock stays
 // valid, unchanging, after the lock is released. Save streams such slices
-// without copying them, Clone and CopyTree share them between nodes, and
+// without copying them, Clone shares them between nodes, and
 // Load leaves every loaded file a capacity-capped slice of the one buffer
 // it read the snapshot into, which stays alive while any such file does.
 type node struct {
@@ -66,7 +65,6 @@ type node struct {
 	isDir    bool
 	data     []byte
 	mode     fs.FileMode
-	modTime  time.Time
 	children map[string]*node
 }
 
@@ -82,11 +80,10 @@ func newRoot() *node {
 // clone copies the tree rooted at n, sharing file bytes (see node).
 func (n *node) clone() *node {
 	c := &node{
-		name:    n.name,
-		isDir:   n.isDir,
-		data:    n.data,
-		mode:    n.mode,
-		modTime: n.modTime,
+		name:  n.name,
+		isDir: n.isDir,
+		data:  n.data,
+		mode:  n.mode,
 	}
 	if n.children != nil {
 		c.children = make(map[string]*node, len(n.children))
@@ -100,12 +97,11 @@ func (n *node) clone() *node {
 // stat describes n, found at path p.
 func (n *node) stat(p string) Stat {
 	return Stat{
-		Name:    n.name,
-		Path:    p,
-		IsDir:   n.isDir,
-		Size:    int64(len(n.data)),
-		Mode:    n.mode,
-		ModTime: n.modTime,
+		Name:  n.name,
+		Path:  p,
+		IsDir: n.isDir,
+		Size:  int64(len(n.data)),
+		Mode:  n.mode,
 	}
 }
 
@@ -113,7 +109,6 @@ func (n *node) stat(p string) Stat {
 type FS struct {
 	mu   sync.RWMutex
 	root *node
-	now  func() time.Time
 	// ops counts public filesystem operations, so tests and benchmarks
 	// can count the filesystem round trips a code path costs (a result
 	// store Put is one, a lookup one per key).
@@ -128,19 +123,7 @@ func (f *FS) Ops() uint64 { return f.ops.Load() }
 
 // New returns an empty filesystem containing only the root directory.
 func New() *FS {
-	return &FS{
-		root: newRoot(),
-		// A fixed clock keeps trees byte-identical across runs; callers that
-		// care about real timestamps can override via SetClock.
-		now: func() time.Time { return time.Unix(0, 0).UTC() },
-	}
-}
-
-// SetClock overrides the timestamp source used for new files.
-func (f *FS) SetClock(now func() time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = now
+	return &FS{root: newRoot()}
 }
 
 // Clone returns a copy of the filesystem in O(entries): file bytes are
@@ -149,7 +132,7 @@ func (f *FS) SetClock(now func() time.Time) {
 func (f *FS) Clone() *FS {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return &FS{root: f.root.clone(), now: f.now}
+	return &FS{root: f.root.clone()}
 }
 
 // cleanPath returns p trimmed, rooted and cleaned: "/" or "/a/b". A path
@@ -221,7 +204,6 @@ func (f *FS) mkdirs(rel string) (*node, error) {
 				name:     part,
 				isDir:    true,
 				mode:     fs.ModeDir | 0o755,
-				modTime:  f.now(),
 				children: make(map[string]*node),
 			}
 			cur.children[part] = next
@@ -272,10 +254,9 @@ func (f *FS) WriteFile(p string, data []byte, mode fs.FileMode) error {
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	parent.children[name] = &node{
-		name:    name,
-		data:    buf,
-		mode:    mode,
-		modTime: f.now(),
+		name: name,
+		data: buf,
+		mode: mode,
 	}
 	return nil
 }
@@ -310,12 +291,11 @@ func (f *FS) ReadFileShared(p string) ([]byte, error) {
 
 // Stat describes a filesystem entry.
 type Stat struct {
-	Name    string
-	Path    string
-	IsDir   bool
-	Size    int64
-	Mode    fs.FileMode
-	ModTime time.Time
+	Name  string
+	Path  string
+	IsDir bool
+	Size  int64
+	Mode  fs.FileMode
 }
 
 // Stat returns metadata for the named path.
@@ -474,58 +454,6 @@ func (w *walker) visit(n *node) error {
 		}
 	}
 	w.path, w.kids = w.path[:base], w.kids[:start]
-	return nil
-}
-
-// Glob returns paths below root whose base name matches the pattern
-// (path.Match syntax).
-func (f *FS) Glob(root, pattern string) ([]string, error) {
-	var out []string
-	err := f.Walk(root, func(st Stat) error {
-		ok, err := path.Match(pattern, st.Name)
-		if err != nil {
-			return err
-		}
-		if ok {
-			out = append(out, st.Path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TotalSize returns the sum of file sizes below root.
-func (f *FS) TotalSize(root string) (int64, error) {
-	var total int64
-	err := f.Walk(root, func(st Stat) error {
-		total += st.Size
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-// CopyTree copies the tree rooted at src into dst (dst is created).
-func (f *FS) CopyTree(src, dst string) error {
-	f.ops.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	srcNode, err := f.walk(cleanPath(src))
-	if err != nil {
-		return &PathError{Op: "copytree", Path: src, Err: err}
-	}
-	cloned := srcNode.clone()
-	parent, name, err := f.createParent(dst)
-	if err != nil {
-		return &PathError{Op: "copytree", Path: dst, Err: err}
-	}
-	cloned.name = name
-	parent.children[name] = cloned
 	return nil
 }
 

@@ -260,39 +260,6 @@ func TestWalkStopsOnError(t *testing.T) {
 	}
 }
 
-func TestGlob(t *testing.T) {
-	fs := New()
-	for _, p := range []string{"/src/a.c", "/src/b.c", "/src/c.h", "/src/sub/d.c"} {
-		if err := fs.WriteFile(p, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	matches, err := fs.Glob("/src", "*.c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 3 {
-		t.Errorf("got %d matches %v, want 3", len(matches), matches)
-	}
-}
-
-func TestTotalSize(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a", make([]byte, 100), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/d/b", make([]byte, 50), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	total, err := fs.TotalSize("/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 150 {
-		t.Errorf("total = %d, want 150", total)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	fs := New()
 	if err := fs.WriteFile("/f", []byte("original"), 0o644); err != nil {
@@ -308,31 +275,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if string(got) != "original" {
 		t.Error("mutating clone changed the original")
-	}
-}
-
-func TestCopyTree(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/src/a/f", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CopyTree("/src", "/dst"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/dst/a/f")
-	if err != nil {
-		t.Fatalf("copied file missing: %v", err)
-	}
-	if string(got) != "x" {
-		t.Errorf("copied content %q", got)
-	}
-	// Mutating the copy must not affect the source.
-	if err := fs.WriteFile("/dst/a/f", []byte("y"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, _ := fs.ReadFile("/src/a/f")
-	if string(src) != "x" {
-		t.Error("copy aliases source")
 	}
 }
 

@@ -51,17 +51,6 @@ func ParallelFor(n, workers int, body func(c *Counters, worker, lo, hi int)) Cou
 	return total
 }
 
-// Rounds runs a sequence of parallel phases separated by barriers, as the
-// iterative SPLASH kernels (ocean, water, radiosity) do. The phase function
-// receives the round index; counters accumulate across rounds.
-func Rounds(rounds, n, workers int, phase func(round int) func(c *Counters, worker, lo, hi int)) Counters {
-	var total Counters
-	for r := 0; r < rounds; r++ {
-		total.Add(ParallelFor(n, workers, phase(r)))
-	}
-	return total
-}
-
 // PRNG is a small deterministic generator (xorshift64*), embedded in
 // kernels so results do not depend on math/rand internals.
 type PRNG struct {

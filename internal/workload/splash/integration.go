@@ -122,8 +122,3 @@ func BuildFiles() (map[string]string, error) {
 	}
 	return out, nil
 }
-
-// InstallScript returns the suite's input-installation reference (the
-// 5-LoC install script of §IV-A): the artifact name the setup stage must
-// install before native-input runs.
-func InstallScript() string { return "splash_inputs" }

@@ -182,17 +182,6 @@ func TestParallelForMoreWorkersThanWork(t *testing.T) {
 	}
 }
 
-func TestRounds(t *testing.T) {
-	total := Rounds(5, 10, 2, func(round int) func(c *Counters, worker, lo, hi int) {
-		return func(c *Counters, _, lo, hi int) {
-			c.IntOps += uint64(hi - lo)
-		}
-	})
-	if total.IntOps != 50 {
-		t.Errorf("IntOps = %d", total.IntOps)
-	}
-}
-
 func TestPRNGDeterministic(t *testing.T) {
 	a := NewPRNG(7)
 	b := NewPRNG(7)

@@ -311,6 +311,9 @@ func run(argv []string) error {
 		if outDir == "" {
 			outDir = "."
 		}
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return fmt.Errorf("write plot: %w", err)
+		}
 		out := filepath.Join(outDir, name+"_"+orDefault(kind, "default")+".svg")
 		if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
 			return fmt.Errorf("write plot: %w", err)

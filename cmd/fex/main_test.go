@@ -343,6 +343,17 @@ func TestCLIRunMicroAndPlot(t *testing.T) {
 	if !strings.Contains(string(svg), "<svg") {
 		t.Error("plot is not SVG")
 	}
+	// -o names a directory that does not exist yet: plot creates it, as
+	// run and diff do.
+	newDir := filepath.Join(dir, "new", "dir")
+	if err := run([]string{
+		"plot", "-n", "micro", "-t", "perf", "-o", newDir, "--state", state,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(newDir, "micro_perf.svg")); err != nil {
+		t.Errorf("plot into a new directory: %v", err)
+	}
 }
 
 func TestCLIAnalyze(t *testing.T) {
@@ -838,6 +849,55 @@ func TestCLIDiffDisjointRunSetsWithOutput(t *testing.T) {
 	if len(report.Deltas) != 0 || len(report.BaselineOnly) != 1 || len(report.CandidateOnly) != 1 {
 		t.Errorf("joinless report: %d deltas, %d base-only, %d cand-only",
 			len(report.Deltas), len(report.BaselineOnly), len(report.CandidateOnly))
+	}
+}
+
+// TestCLIDiffGateOverRipeAndSuite diffs and gates two states that each
+// ran RIPE and a suite experiment. RIPE's cells store attack counts, not
+// wall_ns, so under the default metric they are listed as cells without
+// the metric instead of stopping the report; under -metric successful the
+// roles swap.
+func TestCLIDiffGateOverRipeAndSuite(t *testing.T) {
+	dir := t.TempDir()
+	states := []string{filepath.Join(dir, "a.state"), filepath.Join(dir, "b.state")}
+	for _, state := range states {
+		for _, args := range [][]string{
+			{"install", "-n", "ripe"},
+			{"run", "-n", "ripe", "-t", "gcc_native", "clang_native"},
+			{"run", "-n", "splash", "-t", "gcc_native", "-b", "fft", "-i", "test", "-r", "2"},
+		} {
+			if err := run(append(args, "--state", state)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := run([]string{"gate", "-baseline", states[0], "--state", states[1]}); err != nil {
+		t.Errorf("gate over ripe and splash cells: %v", err)
+	}
+	for _, tc := range []struct {
+		metric                string
+		deltas, withoutMetric int
+	}{{"", 1, 2}, {"successful", 2, 1}} {
+		out := filepath.Join(dir, "out"+tc.metric)
+		args := []string{"diff", states[0], states[1], "-o", out}
+		if tc.metric != "" {
+			args = append(args, "-metric", tc.metric)
+		}
+		if err := run(args); err != nil {
+			t.Fatalf("diff -metric %q: %v", tc.metric, err)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "fexdiff.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := diff.DecodeReport(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.Deltas) != tc.deltas || len(report.WithoutMetric) != tc.withoutMetric {
+			t.Errorf("diff -metric %q: %d deltas, %d cells without the metric; want %d, %d",
+				tc.metric, len(report.Deltas), len(report.WithoutMetric), tc.deltas, tc.withoutMetric)
+		}
 	}
 }
 

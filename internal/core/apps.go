@@ -104,20 +104,29 @@ func appWorkloads() []workload.Workload {
 	}
 }
 
-// installArtifactFor maps an application to the installer artifact that
+// installArtifacts maps each application to the installer artifact that
 // provides its sources (the paper installs these from the Internet rather
 // than shipping them under src/).
-func installArtifactFor(app string) (string, bool) {
-	switch app {
-	case "nginx":
-		return "nginx-1.4.1", true
-	case "apache":
-		return "apache-2.4.18", true
-	case "memcached":
-		return "memcached-1.4.25", true
-	case "ripe":
-		return "ripe", true
-	default:
-		return "", false
+var installArtifacts = map[string]string{
+	"nginx": "nginx-1.4.1", "apache": "apache-2.4.18", "memcached": "memcached-1.4.25", "ripe": "ripe",
+}
+
+// requireSources fails unless every application among benches has its
+// sources installed. Suite benchmarks ship their sources, so checking them
+// reads nothing.
+func requireSources(rc *RunContext, benches []workload.Workload) error {
+	for _, w := range benches {
+		artifactName, ok := installArtifacts[w.Name()]
+		if !ok {
+			continue
+		}
+		have, err := rc.Fex.Installed(artifactName)
+		if err != nil {
+			return err
+		}
+		if !have {
+			return fmt.Errorf("core: %s sources not installed (run: fex install -n %s)", w.Name(), artifactName)
+		}
 	}
+	return nil
 }

@@ -55,13 +55,14 @@ func runOnce(t *testing.T, cfg Config, installs []string) (string, string) {
 }
 
 // determinismExperiments is the builtin-experiment matrix of the
-// determinism contract: every builtin experiment whose runner is
-// cell-based (the benchmark suites and their variable-input variants)
-// plus the RIPE experiment. The network experiments (nginx, apache,
+// determinism contract: every deterministic builtin experiment — the
+// benchmark suites, their variable-input variants and RIPE, whose cells
+// execute on every tier. The network experiments (nginx, apache,
 // memcached) measure live load-generator timing and are inherently
-// machine-dependent; they have no determinism contract to assert. The
-// matrix is shared by the cold three-mode suite below and the cold/warm
-// -resume suite (resume_test.go).
+// machine-dependent; they have no determinism contract to assert (their
+// fixed-rate replay is pinned by TestResumeExecutesZeroCellsRipeAndServer).
+// The matrix is shared by the cold three-mode suite below and the
+// cold/warm -resume suite (resume_test.go).
 var determinismExperiments = []struct {
 	name     string
 	cfg      Config

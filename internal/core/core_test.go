@@ -477,8 +477,8 @@ func TestCollectRereadsStoredLog(t *testing.T) {
 // parsed as written — against fx.Collect, which parses the stored log
 // from scratch. They must agree on every way records reach the log:
 // local cells serially and in parallel, remote shards, replayed store
-// entries, a dry-run note, and a runner that writes to the run log
-// directly (RIPE).
+// entries, a dry-run note, RIPE's cells, and a user runner that writes to
+// the run log directly.
 func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
 	splash := Config{
 		Experiment: "splash",
@@ -507,11 +507,18 @@ func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
 			Experiment: "phoenix", BuildTypes: []string{"gcc_native"},
 			Benchmarks: []string{"histogram", "word_count"}, Reps: 2, Input: workload.SizeTest,
 		}, nil, false},
-		{"direct-writer", Config{Experiment: "ripe", BuildTypes: []string{"gcc_native", "clang_native"}}, []string{"ripe"}, false},
+		{"ripe", Config{Experiment: "ripe", BuildTypes: []string{"gcc_native", "clang_native"}}, []string{"ripe"}, false},
+		{"direct-writer", Config{Experiment: "direct_writer", BuildTypes: []string{"gcc_native", "clang_native"}}, nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newFex(t)
 			installAll(t, fx, append([]string{"gcc-6.1", "clang-3.8.0"}, tc.installs...)...)
+			if err := fx.RegisterExperiment(&Experiment{
+				Name:      "direct_writer",
+				NewRunner: func(*Fex) (Runner, error) { return directWriter{}, nil },
+			}); err != nil {
+				t.Fatal(err)
+			}
 			cfg := tc.cfg
 			if tc.resume {
 				if _, err := fx.Run(context.Background(), cfg); err != nil {
@@ -551,6 +558,21 @@ func TestRunCSVEqualsCollectOfStoredLog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// directWriter is a user runner outside the cell model: it writes its
+// records and a note straight into the run log, bypassing the planner.
+type directWriter struct{}
+
+func (directWriter) Run(rc *RunContext) error {
+	for _, bt := range rc.Config.BuildTypes {
+		for rep := 0; rep < 2; rep++ {
+			rc.Log.WriteMeasurement(runlog.Measurement{Suite: "user", Benchmark: "probe", BuildType: bt,
+				Threads: 1, Rep: rep, Values: measure.FromMap(map[string]float64{"cycles": float64(len(bt) + rep)})})
+		}
+		rc.Log.WriteNote("probed " + bt)
+	}
+	return nil
 }
 
 func TestPlotSplashPerf(t *testing.T) {
@@ -594,6 +616,23 @@ func TestPlotKinds(t *testing.T) {
 	}
 	if _, err := fx.Plot("splash", "pie"); err == nil {
 		t.Error("unknown plot kind accepted")
+	}
+}
+
+// TestPlotMicroMem renders the micro memory plot over every micro
+// kernel: atomic_contention allocates nothing, so its modeled max_rss is 0
+// under every build type and must normalize to no overhead.
+func TestPlotMicroMem(t *testing.T) {
+	fx := newFex(t)
+	installAll(t, fx, "gcc-6.1", "clang-3.8.0")
+	_ = runPhoenixSubset(t, fx, Config{
+		Experiment: "micro",
+		BuildTypes: []string{"gcc_native", "clang_asan"},
+		Input:      workload.SizeTest,
+		Tool:       "perf-stat-mem",
+	})
+	if _, err := fx.Plot("micro", "mem"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,13 +8,6 @@ import (
 	"fex/internal/table"
 )
 
-func suiteOf(app string) string {
-	if app == "ripe" {
-		return securitySuite
-	}
-	return appSuite
-}
-
 // NetCollect is the specialized collect stage for throughput–latency
 // experiments (the 14-LoC collect.py of §IV-B): one row per sweep point.
 func NetCollect(lg *runlog.Log) (*table.Table, error) {

@@ -207,13 +207,16 @@ func (p *runPlan) logSummary(rc *RunContext) {
 }
 
 // runExperiment is the single entry point of the execution tiers: it
-// decomposes the run into cells, plans it, hands the plan to the
-// scheduler, and merges whatever the scheduler left uncommitted. perType
-// receives the RunContext it must log and act through — the scheduler
-// passes a verbose-serialized context, since builds may overlap cell
-// measurement.
+// checks that the benchmarks' sources are installed, decomposes the run
+// into cells, plans it, hands the plan to the scheduler, and merges
+// whatever the scheduler left uncommitted. perType receives the
+// RunContext it must log and act through — the scheduler passes a
+// verbose-serialized context, since builds may overlap cell measurement.
 func runExperiment(rc *RunContext, benches []workload.Workload, dims string, perType func(*RunContext, string) error, cellFn func(*RunContext, cell) error) error {
 	if err := rc.cancelled(); err != nil {
+		return err
+	}
+	if err := requireSources(rc, benches); err != nil {
 		return err
 	}
 	cells := makeCells(rc.Config.BuildTypes, benches, dims)
@@ -227,3 +230,6 @@ func runExperiment(rc *RunContext, benches []workload.Workload, dims string, per
 	}
 	return err
 }
+
+// noPerType is the per-type action of runners that have none.
+func noPerType(*RunContext, string) error { return nil }

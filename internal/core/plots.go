@@ -62,7 +62,9 @@ func metricByBenchType(tbl *table.Table, metric string) (benches []string, types
 // NormalizedPerfPlot renders the Figure 6 family: per-benchmark runtime of
 // every non-baseline build type normalized to the baseline, with a final
 // "All" bar carrying the geometric mean. The metric defaults to modeled
-// cycles.
+// cycles. A benchmark whose metric reads zero under both the baseline and
+// a candidate normalizes to 1 (no overhead); zero under the baseline alone
+// is an error.
 func NormalizedPerfPlot(tbl *table.Table, metric, baseline, title string) (string, error) {
 	if metric == "" {
 		metric = "cycles"
@@ -94,10 +96,13 @@ func NormalizedPerfPlot(tbl *table.Table, metric, baseline, title string) (strin
 		for _, b := range benches {
 			base := values[[2]string{b, baseline}]
 			v := values[[2]string{b, t}]
-			if base == 0 {
+			r := 1.0 // zero under a zero baseline: no overhead
+			switch {
+			case base != 0:
+				r = v / base
+			case v != 0:
 				return "", fmt.Errorf("core: baseline %s has zero %s for %s", baseline, metric, b)
 			}
-			r := v / base
 			vals = append(vals, r)
 			ratios = append(ratios, r)
 		}

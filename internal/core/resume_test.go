@@ -11,9 +11,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fex/internal/buildsys"
 	"fex/internal/measure"
+	"fex/internal/remote"
 	"fex/internal/store"
 	"fex/internal/workload"
 )
@@ -73,6 +75,95 @@ func TestResumeDeterminismBuiltinExperiments(t *testing.T) {
 					t.Errorf("%s/%s: warm -resume CSV differs from cold serial:\n--- cold serial ---\n%s\n--- warm %s ---\n%s",
 						tc.name, mode.name, wantCSV, mode.name, csv)
 				}
+			}
+		})
+	}
+}
+
+// TestResumeExecutesZeroCellsRipeAndServer extends the store's
+// acceptance test to RIPE and a fixed-rate throughput–latency experiment:
+// a warm -resume rerun replays every cell, sends no load-generation job
+// to the client host, and stores the cold run's log byte for byte. A
+// rerun whose measurement interval changed misses the store and
+// re-measures.
+func TestResumeExecutesZeroCellsRipeAndServer(t *testing.T) {
+	types := []string{"gcc_native", "clang_native"}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		installs []string
+		// runner backs the experiment when set; change edits it between
+		// the cold and the warm run, which must then re-measure.
+		runner *ServerBenchRunner
+		change func(*ServerBenchRunner)
+	}{
+		{name: "ripe", cfg: Config{Experiment: "ripe", BuildTypes: types}, installs: []string{"ripe"}},
+		{
+			name: "memcached", cfg: Config{Experiment: "mc_fixed", BuildTypes: types},
+			installs: []string{"memcached-1.4.25"},
+			runner:   &ServerBenchRunner{App: "memcached", Rates: []float64{100, 200}, Duration: 30 * time.Millisecond},
+		},
+		{
+			name: "memcached_duration_changed", cfg: Config{Experiment: "mc_fixed", BuildTypes: types},
+			installs: []string{"memcached-1.4.25"},
+			runner:   &ServerBenchRunner{App: "memcached", Rates: []float64{100, 200}, Duration: 30 * time.Millisecond},
+			change:   func(r *ServerBenchRunner) { r.Duration = 40 * time.Millisecond },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := remote.NewCluster()
+			client, err := cluster.AddHost(clientHost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The identity "corruption" sees every job the client answers.
+			var jobs atomic.Int64
+			client.SetCorruptOutput(func(s string) string { jobs.Add(1); return s })
+			fx, err := New(Options{Now: fixedNow, Cluster: cluster})
+			if err != nil {
+				t.Fatal(err)
+			}
+			installAll(t, fx, append([]string{"gcc-6.1", "clang-3.8.0"}, tc.installs...)...)
+			if tc.runner != nil {
+				registerServerBench(t, fx, tc.cfg.Experiment, tc.runner)
+			}
+			coldLog, _ := runOn(t, fx, tc.cfg)
+			if tc.change != nil {
+				tc.change(tc.runner)
+			}
+			jobs.Store(0)
+			warm := tc.cfg
+			warm.Resume = true
+			var plan ProgressEvent
+			report, err := fx.RunWithHooks(context.Background(), warm, RunHooks{
+				Progress: func(ev ProgressEvent) {
+					if ev.Stage == "plan" {
+						plan = ev
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.change != nil {
+				if plan.Replayed != 0 || jobs.Load() == 0 {
+					t.Errorf("changed runner: %d of %d cells replayed, %d loadgen jobs; want a re-measure",
+						plan.Replayed, plan.Total, jobs.Load())
+				}
+				return
+			}
+			if plan.Total == 0 || plan.Replayed != plan.Total {
+				t.Errorf("warm -resume replayed %d of %d cells", plan.Replayed, plan.Total)
+			}
+			if n := jobs.Load(); n != 0 {
+				t.Errorf("warm -resume sent %d loadgen jobs to %s", n, clientHost)
+			}
+			lg, err := fx.ReadResult(report.LogPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(lg) != coldLog {
+				t.Errorf("warm -resume log differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", coldLog, lg)
 			}
 		})
 	}

@@ -44,6 +44,9 @@ type RunContext struct {
 	build *buildsys.System
 	// identity is the run's build identity (see buildIdentity).
 	identity buildIdentity
+	// ephemeral cells carry values measured in the run (auto-calibrated
+	// rates) in their fingerprint; no later run can hit them, so none persist.
+	ephemeral bool
 }
 
 // Context returns the run's cancellation context (context.Background()
@@ -151,8 +154,6 @@ type BenchRunner struct {
 	// Hooks overrides individual loop actions.
 	Hooks Hooks
 }
-
-var _ Runner = (*BenchRunner)(nil)
 
 // errSkipBenchmark lets a PerBenchmarkAction skip one benchmark without
 // failing the experiment.
@@ -357,8 +358,6 @@ type VariableInputRunner struct {
 	Inputs []workload.SizeClass
 	Hooks  Hooks
 }
-
-var _ Runner = (*VariableInputRunner)(nil)
 
 // Run implements Runner with the extended loop: build types × benchmarks ×
 // inputs × thread counts × repetitions. Like BenchRunner, Config.Jobs > 1

@@ -141,13 +141,13 @@ func planReplays(rc *RunContext, cells []cell, fps []store.Cell) []*runlog.Shard
 }
 
 // persistCell stores a completed cell's shard under its fingerprint.
-// Persistence is unconditional (not gated on -resume): every run fills the
-// store, so the *next* -resume run benefits — including after a run that
-// failed partway, whose completed cells are already durable. Store errors
-// only cost the cache entry; they never fail the measurement that produced
-// it.
+// Persistence is not gated on -resume: every run but an ephemeral one
+// fills the store, so the *next* -resume run benefits — including after a
+// run that failed partway, whose completed cells are already durable.
+// Store errors only cost the cache entry; they never fail the measurement
+// that produced it.
 func persistCell(rc *RunContext, c cell, fp store.Cell, shard *runlog.Shard) {
-	if rc.Fex.store == nil {
+	if rc.Fex.store == nil || rc.ephemeral {
 		return
 	}
 	text, err := shard.Text()

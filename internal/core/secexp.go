@@ -2,12 +2,12 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"fex/internal/measure"
 	"fex/internal/runlog"
 	"fex/internal/security"
 	"fex/internal/table"
+	"fex/internal/workload"
 )
 
 // SecurityRunner executes the RIPE testbed (§IV-C): for each build type it
@@ -16,46 +16,40 @@ import (
 // counts — the data behind Table II.
 type SecurityRunner struct{}
 
-var _ Runner = (*SecurityRunner)(nil)
-
-// Run implements Runner.
+// Run implements Runner: one cell per build type, through the same
+// planner and scheduler as the benchmark suites.
 func (SecurityRunner) Run(rc *RunContext) error {
 	ripeW, err := rc.Fex.registry.Lookup(securitySuite, "ripe")
 	if err != nil {
 		return err
 	}
-	if artifactName, ok := installArtifactFor("ripe"); ok {
-		have, err := rc.Fex.Installed(artifactName)
-		if err != nil {
-			return err
-		}
-		if !have {
-			return fmt.Errorf("core: RIPE sources not installed (run: fex install -n %s)", artifactName)
-		}
+	return runExperiment(rc, []workload.Workload{ripeW}, "", noPerType, ripeCell)
+}
+
+// ripeCell compiles RIPE for one build type and runs the testbed against
+// the binary's security profile, writing one record of its counts.
+func ripeCell(rc *RunContext, c cell) error {
+	artifact, err := rc.Artifact(c.workload, c.buildType, rc.Config.Debug)
+	if err != nil {
+		return err
 	}
-	for _, buildType := range rc.Config.BuildTypes {
-		artifact, err := rc.Fex.Artifact(ripeW, buildType, rc.Config.Debug)
-		if err != nil {
-			return err
-		}
-		res := security.RunTestbed(buildType, artifact.Security)
-		rc.logf("== ripe [%s]: %d successful / %d failed", buildType, res.Successful, res.Failed)
-		values := measure.NewMetricVector()
-		values.Set("successful", float64(res.Successful))
-		values.Set("failed", float64(res.Failed))
-		values.Set("total", float64(res.Total()))
-		for code, n := range res.ByCode {
-			values.Set("success_"+code, float64(n))
-		}
-		rc.Log.WriteMeasurement(runlog.Measurement{
-			Suite:     securitySuite,
-			Benchmark: "ripe",
-			BuildType: buildType,
-			Threads:   1,
-			Rep:       0,
-			Values:    values,
-		})
+	res := security.RunTestbed(c.buildType, artifact.Security)
+	rc.logf("== ripe [%s]: %d successful / %d failed", c.buildType, res.Successful, res.Failed)
+	values := measure.NewMetricVector()
+	values.Set("successful", float64(res.Successful))
+	values.Set("failed", float64(res.Failed))
+	values.Set("total", float64(res.Total()))
+	for code, n := range res.ByCode {
+		values.Set("success_"+code, float64(n))
 	}
+	rc.Log.WriteMeasurement(runlog.Measurement{
+		Suite:     securitySuite,
+		Benchmark: "ripe",
+		BuildType: c.buildType,
+		Threads:   1,
+		Rep:       0,
+		Values:    values,
+	})
 	return nil
 }
 

@@ -50,8 +50,6 @@ type ServerBenchRunner struct {
 	BaseWorkUnits int
 }
 
-var _ Runner = (*ServerBenchRunner)(nil)
-
 func (r *ServerBenchRunner) defaults() {
 	if len(r.RateFractions) == 0 {
 		r.RateFractions = []float64{0.2, 0.4, 0.6, 0.8, 0.95, 1.1}
@@ -89,25 +87,78 @@ func costFactorOf(artifact *toolchain.Artifact, w workload.Workload) (float64, e
 	return got.Cycles / base.Cycles, nil
 }
 
-// Run implements Runner.
+// Run implements Runner: one cell per (app, build type) through
+// runExperiment. The offered rates, the measurement interval, the worker
+// count and the per-request work all join the cell fingerprint, so
+// -resume replays a fixed-rate sweep only while none of them changed; an
+// auto-calibrated sweep, whose rates every run measures anew, is not stored.
 func (r *ServerBenchRunner) Run(rc *RunContext) error {
-	r.defaults()
-	appW, err := rc.Fex.registry.Lookup(suiteOf(r.App), r.App)
+	sr := *r // Run never writes the runner struct
+	sr.defaults()
+	appW, err := rc.Fex.registry.Lookup(appSuite, sr.App)
 	if err != nil {
 		return err
 	}
-	// The application sources are installed from the Internet, not
-	// shipped — require the setup stage to have run.
-	if artifactName, ok := installArtifactFor(r.App); ok {
-		have, err := rc.Fex.Installed(artifactName)
-		if err != nil {
+	rates := sr.Rates
+	if len(rates) == 0 {
+		// Calibrate once per Run, before planning. Calibrating runs the
+		// server, so its sources must be installed.
+		if err := requireSources(rc, []workload.Workload{appW}); err != nil {
 			return err
 		}
-		if !have {
-			return fmt.Errorf("core: %s sources not installed (run: fex install -n %s)", r.App, artifactName)
+		if rates, err = sr.calibrateRates(rc, appW); err != nil {
+			return fmt.Errorf("%s [%s]: %w", sr.App, rc.Config.BuildTypes[0], err)
 		}
 	}
+	dims := fmt.Sprintf("rates=%v;duration=%v;workers=%d;work=%d", rates, sr.Duration, sr.Workers, sr.BaseWorkUnits)
+	// Cells measure live latency, and two servers must never be measured
+	// at once: they run one at a time on the coordinator, whatever -jobs
+	// and -hosts say.
+	serial := rc.child(rc.Log, rc.Verbose)
+	serial.Config.Jobs, serial.Config.Hosts = 1, nil
+	serial.ephemeral = len(sr.Rates) == 0
+	return runExperiment(serial, []workload.Workload{appW}, dims, noPerType, func(crc *RunContext, c cell) error {
+		if err := sr.runCell(crc, c, rates); err != nil {
+			return fmt.Errorf("%s [%s]: %w", sr.App, c.buildType, err)
+		}
+		return nil
+	})
+}
 
+// calibrateRates estimates the capacity of the run's first build type's
+// server with a short closed-loop burst (offered load far above capacity,
+// in-flight bounded near the worker count) and returns RateFractions of
+// it: both curves of the figure share one x-axis sweep.
+func (r *ServerBenchRunner) calibrateRates(rc *RunContext, appW workload.Workload) ([]float64, error) {
+	target, stop, err := r.startServer(rc, appW, rc.Config.BuildTypes[0])
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	res, err := loadgen.Run(rc.Context(), loadgen.Config{
+		Rate:        1e6,
+		Duration:    r.Duration,
+		MaxInFlight: r.Workers * 4,
+		Do:          target,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("calibrate: %w", err)
+	}
+	if res.Throughput <= 0 {
+		return nil, errors.New("calibrate: server completed no requests")
+	}
+	rc.logf("== %s [%s] calibrated capacity %.0f req/s", r.App, rc.Config.BuildTypes[0], res.Throughput)
+	rates := make([]float64, len(r.RateFractions))
+	for i, f := range r.RateFractions {
+		rates[i] = res.Throughput * f
+	}
+	return rates, nil
+}
+
+// runCell measures one build type's sweep: it starts the server, drives
+// the offered rates from the remote client, writes one record per rate,
+// and fetches the client logs, as run.py does after the experiment.
+func (r *ServerBenchRunner) runCell(rc *RunContext, c cell, rates []float64) error {
 	// The remote client machine (§IV-B: "start a client on a separate
 	// machine via SSH") — resolved through the framework cluster, per the
 	// Options.Cluster contract: an injected cluster's latency and
@@ -116,149 +167,92 @@ func (r *ServerBenchRunner) Run(rc *RunContext) error {
 	if err != nil {
 		return err
 	}
-
-	// The calibrated sweep is per-Run state, deliberately kept off the
-	// runner struct: calibrate once against the first build type, reuse the
-	// same offered rates for every type of this run (both curves of the
-	// figure share one x-axis sweep), and re-probe on the next Run.
-	sweep := r.Rates
-
-	for _, buildType := range rc.Config.BuildTypes {
-		artifact, err := rc.Fex.Artifact(appW, buildType, rc.Config.Debug)
-		if err != nil {
-			return err
-		}
-		factor, err := costFactorOf(artifact, appW)
-		if err != nil {
-			return err
-		}
-		workUnits := int(float64(r.BaseWorkUnits)*factor + 0.5)
-		if workUnits < 1 {
-			workUnits = 1
-		}
-		rc.logf("== %s [%s] workUnits=%d (cost factor %.3f)", r.App, buildType, workUnits, factor)
-
-		results, rates, err := r.sweepOnce(rc, client, buildType, workUnits, sweep)
-		if err != nil {
-			return fmt.Errorf("%s [%s]: %w", r.App, buildType, err)
-		}
-		sweep = rates
-		for i, res := range results {
-			values := measure.NewMetricVector()
-			values.Set("offered_rate", res.OfferedRate)
-			values.Set("throughput", res.Throughput)
-			values.Set("latency_ms", float64(res.Mean.Microseconds())/1000)
-			values.Set("p50_ms", float64(res.P50.Microseconds())/1000)
-			values.Set("p95_ms", float64(res.P95.Microseconds())/1000)
-			values.Set("p99_ms", float64(res.P99.Microseconds())/1000)
-			values.Set("completed", float64(res.Completed))
-			values.Set("errors", float64(res.Errors))
-			values.Set("dropped", float64(res.Dropped))
-			rc.Log.WriteMeasurement(runlog.Measurement{
-				Suite:     suiteOf(r.App),
-				Benchmark: r.App,
-				BuildType: buildType,
-				Threads:   r.Workers,
-				Rep:       i,
-				Values:    values,
-			})
-		}
-		// Fetch the client logs, as run.py does after the experiment.
-		for _, lg := range client.FetchLogs() {
-			rc.Log.WriteNote(clientHost + ": " + lg)
-		}
+	target, stop, err := r.startServer(rc, c.workload, c.buildType)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	results, err := r.driveFromClient(rc.Context(), client, c.buildType, target, rates)
+	if err != nil {
+		return err
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	for i, res := range results {
+		rc.Log.WriteMeasurement(runlog.Measurement{
+			Suite:     appSuite,
+			Benchmark: r.App,
+			BuildType: c.buildType,
+			Threads:   r.Workers,
+			Rep:       i,
+			Values: measure.FromMap(map[string]float64{
+				"offered_rate": res.OfferedRate, "throughput": res.Throughput,
+				"latency_ms": ms(res.Mean), "p50_ms": ms(res.P50), "p95_ms": ms(res.P95), "p99_ms": ms(res.P99),
+				"completed": float64(res.Completed), "errors": float64(res.Errors), "dropped": float64(res.Dropped),
+			}),
+		})
+	}
+	for _, lg := range client.FetchLogs() {
+		rc.Log.WriteNote(clientHost + ": " + lg)
 	}
 	return nil
 }
 
-// sweepOnce starts the server for one build type, drives the rate sweep
-// from the remote client, and stops the server. sweep carries the run's
-// offered rates; when empty, the sweep is calibrated against this server
-// and returned for the run's remaining build types.
-func (r *ServerBenchRunner) sweepOnce(rc *RunContext, client *remote.Host, buildType string, workUnits int, sweep []float64) ([]loadgen.Result, []float64, error) {
-	ctx := rc.Context()
+// startServer builds the application for one build type and starts its
+// server, scaling the per-request work by the type's codegen cost. It
+// returns the load generator's target and a function that stops the
+// server.
+func (r *ServerBenchRunner) startServer(rc *RunContext, appW workload.Workload, buildType string) (func(context.Context) error, func(), error) {
+	artifact, err := rc.Artifact(appW, buildType, rc.Config.Debug)
+	if err != nil {
+		return nil, nil, err
+	}
+	factor, err := costFactorOf(artifact, appW)
+	if err != nil {
+		return nil, nil, err
+	}
+	workUnits := max(int(float64(r.BaseWorkUnits)*factor+0.5), 1)
+	rc.logf("== %s [%s] workUnits=%d (cost factor %.3f)", r.App, buildType, workUnits, factor)
+	var srv interface{ Stop(context.Context) error }
+	closePool := func() {}
+	stop := func() {
+		closePool()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Stop(ctx)
+	}
 	switch r.App {
 	case "nginx", "apache":
 		model := httpd.ModelEventWorkers
 		if r.App == "apache" {
 			model = httpd.ModelPerConnection
 		}
-		srv, err := httpd.Start(httpd.Config{
-			Pages:     httpd.StaticSite(),
-			WorkUnits: workUnits,
-			Workers:   r.Workers,
-			Model:     model,
-		})
+		h, err := httpd.Start(httpd.Config{Pages: httpd.StaticSite(), WorkUnits: workUnits, Workers: r.Workers, Model: model})
 		if err != nil {
 			return nil, nil, err
 		}
-		defer func() {
-			stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Stop(stopCtx)
-		}()
-		target := loadgen.HTTPTarget(srv.URL() + "/index.html")
-		return r.driveFromClient(ctx, client, buildType, target, sweep)
+		srv = h
+		return loadgen.HTTPTarget(h.URL() + "/index.html"), stop, nil
 	case "memcached":
-		srv, err := kvcache.Start(kvcache.Config{WorkUnits: workUnits, Shards: r.Workers})
+		kv, err := kvcache.Start(kvcache.Config{WorkUnits: workUnits, Shards: r.Workers})
 		if err != nil {
 			return nil, nil, err
 		}
-		defer func() {
-			stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Stop(stopCtx)
-		}()
-		target, closePool, err := loadgen.KVTarget(srv.Addr(), "bench-key", 1024)
+		srv = kv
+		target, closeKV, err := loadgen.KVTarget(kv.Addr(), "bench-key", 1024)
 		if err != nil {
+			stop()
 			return nil, nil, err
 		}
-		defer closePool()
-		return r.driveFromClient(ctx, client, buildType, target, sweep)
+		closePool = closeKV
+		return target, stop, nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown server application %q", r.App)
 	}
 }
 
-// calibrate estimates the server's capacity with a short closed-loop
-// burst (offered load far above capacity, in-flight bounded near the
-// worker count), returning achieved requests/second.
-func (r *ServerBenchRunner) calibrate(ctx context.Context, target func(context.Context) error) (float64, error) {
-	res, err := loadgen.Run(ctx, loadgen.Config{
-		Rate:        1e6,
-		Duration:    r.Duration,
-		MaxInFlight: r.Workers * 4,
-		Do:          target,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("calibrate: %w", err)
-	}
-	if res.Throughput <= 0 {
-		return 0, errors.New("calibrate: server completed no requests")
-	}
-	return res.Throughput, nil
-}
-
 // driveFromClient registers and invokes the loadgen command on the remote
-// host, one job per offered rate. The sweep is received and returned as a
-// value — never written back onto the runner — so a second Run of the same
-// runner instance re-probes capacity instead of silently reusing the first
-// run's calibration.
-func (r *ServerBenchRunner) driveFromClient(ctx context.Context, client *remote.Host, buildType string, target func(context.Context) error, sweep []float64) ([]loadgen.Result, []float64, error) {
-	rates := sweep
-	if len(rates) == 0 {
-		// Calibrate against this run's first build type; the caller reuses
-		// the returned rates for the run's remaining types — both curves of
-		// the figure share one x-axis sweep.
-		capacity, err := r.calibrate(ctx, target)
-		if err != nil {
-			return nil, nil, err
-		}
-		rates = make([]float64, 0, len(r.RateFractions))
-		for _, f := range r.RateFractions {
-			rates = append(rates, capacity*f)
-		}
-	}
+// host, one job per offered rate, and returns the results in rate order.
+func (r *ServerBenchRunner) driveFromClient(ctx context.Context, client *remote.Host, buildType string, target func(context.Context) error, rates []float64) ([]loadgen.Result, error) {
 	results := make([]loadgen.Result, 0, len(rates))
 	err := client.RegisterCommand("loadgen", func(ctx context.Context, job remote.Job) (remote.Output, error) {
 		var rate float64
@@ -277,11 +271,10 @@ func (r *ServerBenchRunner) driveFromClient(ctx context.Context, client *remote.
 		return remote.Output{
 			Log: fmt.Sprintf("[%s] rate=%.0f tput=%.0f lat=%.3fms completed=%d errors=%d",
 				buildType, rate, res.Throughput, res.Mean.Seconds()*1000, res.Completed, res.Errors),
-			Data: map[string]float64{"throughput": res.Throughput},
 		}, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Tear the session down when the sweep ends: the handler closure
 	// captures this sweep's target and results, which must not outlive it
@@ -292,8 +285,8 @@ func (r *ServerBenchRunner) driveFromClient(ctx context.Context, client *remote.
 			Command: "loadgen",
 			Args:    map[string]string{"rate": fmt.Sprintf("%f", rate)},
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return results, rates, nil
+	return results, nil
 }

@@ -9,10 +9,11 @@ import (
 	"fex/internal/remote"
 )
 
-// This file pins the two one-shot-state regressions of ServerBenchRunner:
-// the runner struct must stay pure configuration (no calibration
-// write-back between runs) and the load-generation client must live on the
-// framework cluster (so injected faults apply to it).
+// This file pins the one-shot-state regressions of ServerBenchRunner: the
+// runner struct must stay pure configuration (no calibration write-back
+// between runs), a calibrated sweep must not be stored, and the
+// load-generation client must live on the framework cluster (so injected
+// faults apply to it).
 
 // registerServerBench registers a throughput-latency experiment backed by
 // the given shared runner instance.
@@ -85,6 +86,35 @@ func TestServerRunnerRecalibratesPerRun(t *testing.T) {
 	}
 	if len(runner.Rates) != 0 {
 		t.Errorf("Run wrote the calibrated sweep onto the shared runner struct: %v", runner.Rates)
+	}
+}
+
+// TestServerRunnerCalibratedSweepNotStored runs an auto-calibrated
+// experiment twice. Each run measures its own rates, which join the cell
+// fingerprint, so no later lookup can hit its cells: neither run may leave
+// a store record, and compaction has none to keep.
+func TestServerRunnerCalibratedSweepNotStored(t *testing.T) {
+	fx := newFex(t)
+	installAll(t, fx, "gcc-6.1", "memcached-1.4.25")
+	registerServerBench(t, fx, "calibrated", &ServerBenchRunner{
+		App:           "memcached",
+		RateFractions: []float64{0.5, 1.0},
+		Duration:      30 * time.Millisecond,
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := fx.Run(context.Background(), Config{Experiment: "calibrated", BuildTypes: []string{"gcc_native"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fx.CompactStore(); err != nil {
+		t.Fatal(err)
+	}
+	records, err := fx.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 0 {
+		t.Errorf("two auto-calibrated runs left %d store records after compaction, want 0", len(records))
 	}
 }
 

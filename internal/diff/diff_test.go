@@ -378,6 +378,39 @@ func TestCompareVariableInputCellsGroupByInputClass(t *testing.T) {
 	}
 }
 
+// TestCompareListsCellsWithoutMetric joins a suite cell with a cell
+// whose records carry other metrics (RIPE's attack counts): the first
+// yields a delta, the second is listed, not an error. A cell where only
+// some records carry the metric stays an error.
+func TestCompareListsCellsWithoutMetric(t *testing.T) {
+	ripe := Cell{
+		Fingerprint: store.Fingerprint{Experiment: "ripe", Suite: "security", Benchmark: "ripe", BuildType: "t",
+			Threads: []int{1}, Reps: "1", ConfigHash: "h"},
+		Payload: []byte("RUN|suite=security|bench=ripe|type=t|threads=1|rep=0|successful=3|failed=5\n"),
+	}
+	suite := cellOf("e", "s", "b", "t", []int{1}, "i", map[int][]float64{1: {1, 2}})
+	rs := runSetOf(t, "a", ripe, suite)
+	report, err := Compare(rs, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Deltas) != 1 || len(report.WithoutMetric) != 1 || report.WithoutMetric[0].Benchmark != "ripe" {
+		t.Fatalf("%d deltas, without metric %+v", len(report.Deltas), report.WithoutMetric)
+	}
+	text, err := report.AppendText(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "no wall_ns: ripe/security/ripe [t]") {
+		t.Errorf("text report does not list the cell without wall_ns:\n%s", text)
+	}
+	mixed := suite
+	mixed.Payload = append([]byte("RUN|suite=s|bench=b|type=t|threads=1|rep=2|cycles=1\n"), suite.Payload...)
+	if _, err := Compare(rs, runSetOf(t, "b", ripe, mixed), Options{}); err == nil {
+		t.Error("cell with the metric on only some records accepted")
+	}
+}
+
 func TestCompareErrors(t *testing.T) {
 	good := cellOf("e", "s", "b", "t", []int{1}, "i", map[int][]float64{1: {1, 2}})
 	base := runSetOf(t, "base", good)

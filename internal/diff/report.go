@@ -2,6 +2,7 @@ package diff
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -119,7 +120,14 @@ type Report struct {
 	// BaselineOnly and CandidateOnly list the unmatched cells.
 	BaselineOnly  []UnmatchedCell `json:"baseline_only,omitempty"`
 	CandidateOnly []UnmatchedCell `json:"candidate_only,omitempty"`
+	// WithoutMetric lists the matched cells whose records carry no sample
+	// of the metric on either side (RIPE's attack counts, a throughput–
+	// latency sweep under wall_ns): they have nothing to compare.
+	WithoutMetric []UnmatchedCell `json:"without_metric,omitempty"`
 }
+
+// errNoMetric marks a cell none of whose records carries the metric.
+var errNoMetric = errors.New("metric not in any measurement")
 
 // group is one sample set inside a cell: a thread count plus, for
 // variable-input cells, the input class.
@@ -130,7 +138,9 @@ type group struct {
 }
 
 // cellSamples extracts the metric's per-repetition samples from a cell
-// payload, grouped by (threads[, input_class]).
+// payload, grouped by (threads[, input_class]). A cell none of whose
+// records carries the metric fails with errNoMetric; one where only some
+// do is inconsistent and fails outright.
 func cellSamples(c Cell, metric string) (map[group][]float64, []group, error) {
 	lg, err := runlog.Parse(bytes.NewReader(c.Payload))
 	if err != nil {
@@ -138,6 +148,8 @@ func cellSamples(c Cell, metric string) (map[group][]float64, []group, error) {
 	}
 	out := map[group][]float64{}
 	var order []group
+	var lacking []string // names of the first record without the metric
+	missing := 0
 	for _, m := range lg.Measurements {
 		// Variable-input cells label each sub-measurement with the input
 		// class ("histogram:test"); the bare benchmark name is the standard
@@ -150,8 +162,10 @@ func cellSamples(c Cell, metric string) (map[group][]float64, []group, error) {
 		}
 		v, ok := m.Values.Get(metric)
 		if !ok {
-			return nil, nil, fmt.Errorf("cell %s: metric %q not in measurements (have %v)",
-				c.Fingerprint.Key(), metric, m.Values.Names())
+			if missing++; lacking == nil {
+				lacking = m.Values.Names()
+			}
+			continue
 		}
 		g := group{threads: m.Threads}
 		if ic, ok := m.Values.Get("input_class"); ok {
@@ -161,6 +175,13 @@ func cellSamples(c Cell, metric string) (map[group][]float64, []group, error) {
 			order = append(order, g)
 		}
 		out[g] = append(out[g], v)
+	}
+	if missing > 0 && missing == len(lg.Measurements) {
+		return nil, nil, fmt.Errorf("cell %s: %w: %q (have %v)", c.Fingerprint.Key(), errNoMetric, metric, lacking)
+	}
+	if missing > 0 {
+		return nil, nil, fmt.Errorf("cell %s: metric %q not in %d of %d measurements (have %v)",
+			c.Fingerprint.Key(), metric, missing, len(lg.Measurements), lacking)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].threads != order[j].threads {
@@ -194,7 +215,10 @@ func verdictOf(c core.Comparison, alpha float64, higherIsBetter bool) Verdict {
 }
 
 // Compare joins two run sets and computes one Delta per joined sample
-// group. The confidence level of the per-side intervals is 1 - alpha.
+// group. The confidence level of the per-side intervals is 1 - alpha. A
+// matched cell whose records lack the metric on both sides is listed in
+// WithoutMetric; if every matched cell lacks it, the metric is unknown to
+// the run sets and Compare fails.
 func Compare(base, cand *RunSet, opts Options) (*Report, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -215,12 +239,16 @@ func Compare(base, cand *RunSet, opts Options) (*Report, error) {
 	level := 1 - opts.Alpha
 	for _, p := range join.Pairs {
 		bs, bOrder, err := cellSamples(p.Baseline, opts.Metric)
+		cs, _, cerr := cellSamples(p.Candidate, opts.Metric)
+		if errors.Is(err, errNoMetric) && errors.Is(cerr, errNoMetric) {
+			r.WithoutMetric = append(r.WithoutMetric, UnmatchedCell{Key: p.Key, Fingerprint: p.Baseline.Fingerprint.Key()})
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("diff: baseline %s: %w", p.Key, err)
 		}
-		cs, _, err := cellSamples(p.Candidate, opts.Metric)
-		if err != nil {
-			return nil, fmt.Errorf("diff: candidate %s: %w", p.Key, err)
+		if cerr != nil {
+			return nil, fmt.Errorf("diff: candidate %s: %w", p.Key, cerr)
 		}
 		if len(bs) != len(cs) {
 			return nil, fmt.Errorf("diff: %s: baseline has %d sample groups, candidate %d", p.Key, len(bs), len(cs))
@@ -249,6 +277,9 @@ func Compare(base, cand *RunSet, opts Options) (*Report, error) {
 			}
 			r.Deltas = append(r.Deltas, d)
 		}
+	}
+	if len(join.Pairs) > 0 && len(r.WithoutMetric) == len(join.Pairs) {
+		return nil, fmt.Errorf("diff: metric %q not in any matched cell", opts.Metric)
 	}
 	for _, c := range join.BaselineOnly {
 		r.BaselineOnly = append(r.BaselineOnly, UnmatchedCell{Key: KeyOf(c.Fingerprint), Fingerprint: c.Fingerprint.Key()})
@@ -318,6 +349,11 @@ func (r *Report) AppendText(dst []byte) ([]byte, error) {
 	}
 	for _, u := range r.CandidateOnly {
 		dst = append(dst, "candidate only: "...)
+		dst = append(dst, u.Key.String()...)
+		dst = append(dst, '\n')
+	}
+	for _, u := range r.WithoutMetric {
+		dst = append(dst, "no "+r.Metric+": "...)
 		dst = append(dst, u.Key.String()...)
 		dst = append(dst, '\n')
 	}

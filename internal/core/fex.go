@@ -111,6 +111,13 @@ type Fex struct {
 	// LoadState carried in (see LoadedRunHigh); historyMu guards it.
 	historyMu  sync.Mutex
 	loadedHigh map[string]uint64
+	// clientSlot is a one-slot semaphore that gives throughput–latency
+	// runs the load-generation client one session at a time (see
+	// RunContext.holdClient): the loadgen command on clientHost and the
+	// host's log buffer are shared by every run of the framework.
+	// Calibration takes it too, so that no other server is measured at
+	// the same time.
+	clientSlot chan struct{}
 	// buildMu serializes the pre-run build step; lastBuildHash is the
 	// marker of the build identity whose CleanBuild the coordinator's
 	// artifact cache currently reflects. A run whose marker matches
@@ -212,6 +219,7 @@ func New(opts Options) (*Fex, error) {
 		experiments:   make(map[string]*Experiment),
 		cluster:       cluster,
 		images:        make(map[string]*hostImage),
+		clientSlot:    make(chan struct{}, 1),
 		providers: map[string]env.Provider{
 			"native": env.NativeProvider{},
 			"asan":   env.ASanProvider{},

@@ -1027,3 +1027,112 @@ func storeKeys(t *testing.T, fx *Fex) []string {
 	}
 	return keys
 }
+
+// TestLoadStateReplaysUnfoldedRecords loads a state whose store records
+// were all written unfolded, as before the store folded repeated lines:
+// the records read back as they were, a -resume run replays every cell,
+// and its log and CSV are byte-identical to a cold serial run's. The
+// unfolded records need no migration: the load leaves them as they are.
+func TestLoadStateReplaysUnfoldedRecords(t *testing.T) {
+	cfg := Config{Experiment: "splash", BuildTypes: []string{"gcc_native", "clang_native"},
+		Benchmarks: []string{"fft", "lu"}, Threads: []int{1, 2}, Reps: 4, Input: workload.SizeTest}
+	compilers := []string{"gcc-6.1", "clang-3.8.0"}
+	coldLog, coldCSV := runOnce(t, cfg, compilers)
+
+	fx := newSchedFex(t)
+	installAll(t, fx, compilers...)
+	runOn(t, fx, cfg)
+	fsys, err := fx.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := fx.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfoldedBytes := map[string][]byte{}
+	for _, rec := range folded {
+		key := rec.Fingerprint.Key()
+		path := StoreDir + "/" + key[:2] + "/" + key
+		stored, err := fsys.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := store.Encode(rec)
+		if bytes.Equal(stored, data) {
+			t.Fatalf("record %s of a -r 4 run is not stored folded", key)
+		}
+		if err := fsys.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		unfoldedBytes[path] = data
+	}
+	var state bytes.Buffer
+	if err := fx.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := newSchedFex(t)
+	if err := warm.LoadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := warm.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != len(folded) {
+		t.Fatalf("loaded %d records, want %d", len(loaded), len(folded))
+	}
+	for i, rec := range loaded {
+		if !rec.Fingerprint.Equal(folded[i].Fingerprint) || !bytes.Equal(rec.Payload, folded[i].Payload) {
+			t.Errorf("record %s reads back differently unfolded", rec.Fingerprint.Key())
+		}
+	}
+	resumed := cfg
+	resumed.Resume = true
+	plan, report := planOf(t, warm, resumed)
+	if plan.Total == 0 || plan.Replayed != plan.Total {
+		t.Errorf("replayed %d of %d cells, want all", plan.Replayed, plan.Total)
+	}
+	for path, want := range map[string]string{report.LogPath: coldLog, report.CSVPath: coldCSV} {
+		if got, err := warm.ReadResult(path); err != nil || string(got) != want {
+			t.Errorf("%s differs from the cold serial run's (err %v):\n--- cold ---\n%s\n--- replayed ---\n%s", path, err, want, got)
+		}
+	}
+	warmFS, err := warm.Container().FS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range unfoldedBytes {
+		if got, err := warmFS.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed on load and replay (err %v)", path, err)
+		}
+	}
+}
+
+// TestStoreBytesAfterRepeatedRun pins the store's footprint after a
+// -r 10 splash run exactly: every metric is modeled, so the byte count
+// is the same on any machine. The store keeps each cell's ten repeated
+// lines as one, a fraction of the unfolded records' bytes.
+func TestStoreBytesAfterRepeatedRun(t *testing.T) {
+	fx := newSchedFex(t)
+	installAll(t, fx, "gcc-6.1")
+	runOn(t, fx, Config{Experiment: "splash", BuildTypes: []string{"gcc_native"}, Reps: 10, Input: workload.SizeTest})
+	st, err := fx.ResultStore().Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := fx.ResultStore().Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfolded := 0
+	for _, rec := range records {
+		unfolded += len(store.Encode(rec))
+	}
+	t.Logf("%d records: %d bytes stored, %d unfolded", st.Records, st.Bytes, unfolded)
+	if st.Records != 12 || st.Bytes != 5175 || unfolded != 25803 {
+		t.Errorf("store holds %d records in %d bytes (%d unfolded), want 12 in 5175 (25803 unfolded)",
+			st.Records, st.Bytes, unfolded)
+	}
+}

@@ -125,11 +125,28 @@ func (r *ServerBenchRunner) Run(rc *RunContext) error {
 	})
 }
 
+// holdClient waits for the framework's load-generation client and
+// returns the function that releases it, or the run's context error if
+// the run is cancelled while another run holds the client.
+func (rc *RunContext) holdClient() (release func(), err error) {
+	select {
+	case rc.Fex.clientSlot <- struct{}{}:
+		return func() { <-rc.Fex.clientSlot }, nil
+	case <-rc.Context().Done():
+		return nil, rc.Context().Err()
+	}
+}
+
 // calibrateRates estimates the capacity of the run's first build type's
 // server with a short closed-loop burst (offered load far above capacity,
 // in-flight bounded near the worker count) and returns RateFractions of
 // it: both curves of the figure share one x-axis sweep.
 func (r *ServerBenchRunner) calibrateRates(rc *RunContext, appW workload.Workload) ([]float64, error) {
+	release, err := rc.holdClient()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	target, stop, err := r.startServer(rc, appW, rc.Config.BuildTypes[0])
 	if err != nil {
 		return nil, err
@@ -157,8 +174,15 @@ func (r *ServerBenchRunner) calibrateRates(rc *RunContext, appW workload.Workloa
 
 // runCell measures one build type's sweep: it starts the server, drives
 // the offered rates from the remote client, writes one record per rate,
-// and fetches the client logs, as run.py does after the experiment.
+// and fetches the client logs, as run.py does after the experiment. It
+// holds the framework's client session throughout, so a concurrent run's
+// jobs and client notes never mix with its own.
 func (r *ServerBenchRunner) runCell(rc *RunContext, c cell, rates []float64) error {
+	release, err := rc.holdClient()
+	if err != nil {
+		return err
+	}
+	defer release()
 	// The remote client machine (§IV-B: "start a client on a separate
 	// machine via SSH") — resolved through the framework cluster, per the
 	// Options.Cluster contract: an injected cluster's latency and

@@ -3,6 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +18,7 @@ import (
 // runner struct must stay pure configuration (no calibration write-back
 // between runs), a calibrated sweep must not be stored, and the
 // load-generation client must live on the framework cluster (so injected
-// faults apply to it).
+// faults apply to it) and serve one run at a time.
 
 // registerServerBench registers a throughput-latency experiment backed by
 // the given shared runner instance.
@@ -188,5 +193,108 @@ func TestServerRunnerClientLatencyApplies(t *testing.T) {
 	}
 	if report.Table.NumRows() != 2 {
 		t.Errorf("rows = %d, want 2", report.Table.NumRows())
+	}
+}
+
+// TestServerRunnerConcurrentRunsOwnTheirClient runs two fixed-rate
+// memcached experiments at once on one framework. Both drive the one
+// loadgen command on the shared client host and drain its one log
+// buffer, so each run must hold the client for its whole session: every
+// run logs exactly its own three rates, in order, and exactly its own
+// three client notes. A run waiting for the client must still end when
+// it is cancelled.
+func TestServerRunnerConcurrentRunsOwnTheirClient(t *testing.T) {
+	fx, err := New(Options{Now: fixedNow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	installAll(t, fx, "gcc-6.1", "memcached-1.4.25")
+	rates := map[string][]float64{"mcA": {101, 202, 303}, "mcB": {111, 222, 333}}
+	for name, r := range rates {
+		registerServerBench(t, fx, name, &ServerBenchRunner{App: "memcached", Rates: r, Duration: 30 * time.Millisecond})
+	}
+	var wg sync.WaitGroup
+	logs := map[string]string{}
+	errs := map[string]error{}
+	var mu sync.Mutex
+	for name := range rates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			report, err := fx.Run(context.Background(), Config{Experiment: name, BuildTypes: []string{"gcc_native"}})
+			var lg []byte
+			if err == nil {
+				lg, err = fx.ReadResult(report.LogPath)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			logs[name], errs[name] = string(lg), err
+		}()
+	}
+	wg.Wait()
+	for name, want := range rates {
+		if errs[name] != nil {
+			t.Errorf("%s: %v", name, errs[name])
+			continue
+		}
+		var offered []float64
+		var notes []string
+		for _, line := range strings.Split(logs[name], "\n") {
+			if note, ok := strings.CutPrefix(line, "NOTE|"+clientHost+": "); ok {
+				notes = append(notes, note)
+				continue
+			}
+			if !strings.HasPrefix(line, "RUN|") {
+				continue
+			}
+			for _, f := range strings.Split(line, "|") {
+				if v, ok := strings.CutPrefix(f, "offered_rate="); ok {
+					rate, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatalf("%s: %q: %v", name, line, err)
+					}
+					offered = append(offered, rate)
+				}
+			}
+		}
+		if !slices.Equal(offered, want) {
+			t.Errorf("%s logged offered rates %v, want %v", name, offered, want)
+		}
+		if len(notes) != len(want) {
+			t.Errorf("%s logged %d client notes, want %d: %q", name, len(notes), len(want), notes)
+		}
+		for i, note := range notes {
+			if i < len(want) && !strings.Contains(note, fmt.Sprintf(" rate=%.0f ", want[i])) {
+				t.Errorf("%s client note %d is not its own rate %.0f: %q", name, i, want[i], note)
+			}
+		}
+	}
+
+	// A run waiting for the client sees its cancellation: with the
+	// client held elsewhere, cancelling the run ends it with the
+	// context's error instead of leaving it blocked. Its rates are new,
+	// so it cannot replay the records above without the client.
+	registerServerBench(t, fx, "mcC", &ServerBenchRunner{App: "memcached", Rates: []float64{123}, Duration: 30 * time.Millisecond})
+	fx.clientSlot <- struct{}{}
+	defer func() { <-fx.clientSlot }()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := fx.Run(ctx, Config{Experiment: "mcC", BuildTypes: []string{"gcc_native"}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("run ended while the client was held: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled run waiting for the client returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled run still waiting for the client after 10s")
 	}
 }

@@ -56,14 +56,16 @@ func FuzzFingerprintRoundTrip(f *testing.F) {
 }
 
 // FuzzStoreCodec hardens Decode against arbitrary store-file bytes: it
-// must never panic, and anything it accepts must re-encode to the exact
-// input bytes (strict canonical format — a property Put/Get rely on for
-// tamper detection). The store-hit verification must agree with Decode
-// followed by Equal on the same bytes — payload and error class — both
-// against the fingerprint the bytes hold and against a fixed one. The
-// seeds include a valid record's damaged variants: a flipped byte,
-// swapped fields, threads written as 01, a cut DATA line and a foreign
-// fingerprint.
+// must never panic, and anything it accepts must render back to the exact
+// input bytes — through Encode for a DATA record, through the store's
+// fold for a FOLD record (strict canonical format — a property Put/Get
+// rely on for tamper detection). The store-hit verification must agree
+// with Decode followed by Equal on the same bytes — payload and error
+// class — both against the fingerprint the bytes hold and against a fixed
+// one. The seeds include a valid record's damaged variants: a flipped
+// byte, swapped fields, threads written as 01, a cut DATA line and a
+// foreign fingerprint; and a folded record with a zero count, a run left
+// partly unfolded and nothing folded.
 func FuzzStoreCodec(f *testing.F) {
 	f.Add([]byte(recordMagic + "\n"))
 	f.Add(Encode(Record{Fingerprint: Fingerprint{Experiment: "e", Threads: []int{1}}, Payload: []byte("p")}))
@@ -80,6 +82,11 @@ func FuzzStoreCodec(f *testing.F) {
 	foreign := testFingerprint()
 	foreign.Experiment = "splash"
 	f.Add(Encode(Record{Fingerprint: foreign, Payload: []byte("RUN|cycles=1\n")}))
+	header := NewCell(testFingerprint()).header
+	f.Add(encodeStored(header, []byte("RUN|rep=0|cycles=1\nRUN|rep=1|cycles=1\nRUN|rep=2|cycles=1\n")))
+	f.Add(append(append([]byte(nil), header...), "FOLD|19|0+0\nRUN|rep=0|cycles=1\n"...))
+	f.Add(append(append([]byte(nil), header...), "FOLD|38|0+1\nRUN|rep=0|cycles=1\nRUN|rep=2|cycles=1\n"...))
+	f.Add(append(append([]byte(nil), header...), "FOLD|19|\nRUN|rep=0|cycles=1\n"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Decode(data)
 		fps := []Fingerprint{testFingerprint()}
@@ -97,6 +104,9 @@ func FuzzStoreCodec(f *testing.F) {
 			return
 		}
 		re := Encode(rec)
+		if !bytes.Equal(re, data) {
+			re = encodeStored(rec.Fingerprint.appendHeader(nil), rec.Payload)
+		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted record does not re-encode to its input bytes:\n in: %q\nout: %q", data, re)
 		}

@@ -15,7 +15,9 @@ import (
 // byte pair (root/ab/abcdef...) so directory listings stay shallow.
 const (
 	recordMagic = "FEXSTORE|1"
-	// dataTag opens the line carrying the payload's byte count.
+	// dataTag opens the line carrying the payload's byte count; a record
+	// whose payload the store folded carries a FOLD line instead (see
+	// fold.go).
 	dataTag = "DATA|"
 )
 
@@ -37,9 +39,12 @@ type Record struct {
 	Payload     []byte
 }
 
-// Encode renders the record in the store's on-disk format: a magic line,
-// one F|name|quoted-value line per fingerprint field, a DATA line carrying
-// the payload byte count, then the payload verbatim.
+// Encode renders the record in its canonical, unfolded form: a magic
+// line, one F|name|quoted-value line per fingerprint field, a DATA line
+// carrying the payload byte count, then the payload verbatim. This is
+// what `fex export` writes and what RunSet digests hash. The store writes
+// a payload with no repeated run the same way; one with a run it writes
+// folded (see fold.go).
 func Encode(r Record) []byte {
 	var buf [512]byte
 	return encode(r.Fingerprint.appendHeader(buf[:0]), r.Payload)
@@ -58,10 +63,13 @@ func encode(header, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// Decode parses a record previously produced by Encode. It is strict: the
-// magic, the field set, the field order, and the payload length must all
-// match exactly, so Decode∘Encode is the identity and any in-place
-// corruption surfaces as ErrCorrupt rather than a silently skewed replay.
+// Decode parses a record as Encode renders it or as the store writes it
+// folded, and returns the unfolded payload. It is strict: the magic, the
+// field set, the field order, the payload length and the fold must all be
+// canonical, so every record it accepts renders back to its exact bytes
+// (through Encode for a DATA record, through the store's fold for a FOLD
+// record) and any in-place corruption surfaces as ErrCorrupt rather than a
+// silently skewed replay.
 func Decode(data []byte) (Record, error) {
 	r, n, err := decodeNext(data)
 	if err != nil {
@@ -144,29 +152,24 @@ func decodeNext(data []byte) (Record, int, error) {
 			return r, 0, fmt.Errorf("%w: non-canonical thread list %q", ErrCorrupt, threads)
 		}
 	}
-	l, ok := line()
-	if !ok || !bytes.HasPrefix(l, []byte(dataTag)) {
-		return r, 0, fmt.Errorf("%w: missing DATA header", ErrCorrupt)
+	payload, n, folded, err := decodePayload(rest)
+	if err != nil {
+		return r, 0, err
 	}
-	lenStr := string(l[len(dataTag):])
-	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 || strconv.Itoa(n) != lenStr {
-		return r, 0, fmt.Errorf("%w: bad DATA length %q", ErrCorrupt, l)
-	}
-	if len(rest) < n {
-		return r, 0, fmt.Errorf("%w: payload is %d bytes, DATA header says %d", ErrCorrupt, len(rest), n)
+	if !folded {
+		payload = append([]byte(nil), payload...)
 	}
 	r.Fingerprint = fp
-	r.Payload = append([]byte(nil), rest[:n]...)
-	return r, len(data) - (len(rest) - n), nil
+	r.Payload = payload
+	return r, len(data) - len(rest) + n, nil
 }
 
 // verifyRecord checks that raw is c's record and returns its payload. A
-// record that is byte for byte what Encode renders for c's fingerprint
-// passes on that comparison alone; any other bytes go through Decode and
-// Equal, which say what is wrong with them (ErrCorrupt or ErrMismatch).
-// Since Decode accepts only Encode's exact rendering, both paths accept
-// the same records with the same payloads.
+// record that starts byte for byte with the header rendered for c's
+// fingerprint passes once its DATA or FOLD line frames the rest; any
+// other bytes go through Decode and Equal, which say what is wrong with
+// them (ErrCorrupt or ErrMismatch). Since Decode accepts only canonical
+// renderings, both paths accept the same records with the same payloads.
 func verifyRecord(raw []byte, c Cell) ([]byte, error) {
 	if payload, ok := exactPayload(raw, c.header); ok {
 		return payload, nil
@@ -181,22 +184,18 @@ func verifyRecord(raw []byte, c Cell) ([]byte, error) {
 	return rec.Payload, nil
 }
 
-// exactPayload returns the payload of raw when raw is header, then the
-// DATA line for the bytes after it, then those bytes. The payload's
-// capacity ends at its length, so appending to it cannot write into
-// whatever follows it in raw.
+// exactPayload returns the payload of raw when raw is header, then a
+// DATA or FOLD line and the bytes it frames, and nothing after them. A
+// DATA payload is raw's own bytes, not a copy, with its capacity ending
+// at its length, so appending to it cannot write into whatever follows
+// it in raw; a FOLD payload is unfolded into a new slice.
 func exactPayload(raw, header []byte) ([]byte, bool) {
 	if !bytes.HasPrefix(raw, header) {
 		return nil, false
 	}
 	rest := raw[len(header):]
-	i := bytes.IndexByte(rest, '\n')
-	if i < 0 {
-		return nil, false
-	}
-	payload := rest[i+1:]
-	var want [len(dataTag) + 20]byte
-	if !bytes.Equal(rest[:i], strconv.AppendInt(append(want[:0], dataTag...), int64(len(payload)), 10)) {
+	payload, n, _, err := decodePayload(rest)
+	if err != nil || n != len(rest) {
 		return nil, false
 	}
 	return payload[:len(payload):len(payload)], true
@@ -250,7 +249,8 @@ func isKey(name string) bool {
 }
 
 // Put persists one cell under its fingerprint's content address: one
-// whole-file write of the record. vfs.WriteFile replaces the file whole
+// whole-file write of the record, folded when its payload repeats a
+// line (see fold.go). vfs.WriteFile replaces the file whole
 // under the filesystem's lock, so no reader and no saved state sees a
 // torn record. Re-putting an existing fingerprint overwrites it (same
 // key, same context — the newer measurement batch wins).
@@ -260,7 +260,7 @@ func (s *Store) Put(fp Fingerprint, payload []byte) error {
 
 // PutCell is Put for a fingerprint already rendered as a Cell.
 func (s *Store) PutCell(c Cell, payload []byte) error {
-	data := encode(c.header, payload)
+	data := encodeStored(c.header, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.fsys.WriteFile(s.path(c.key), data, 0o644); err != nil {

@@ -96,14 +96,27 @@ func recordMutations(rng *rand.Rand, raw []byte, fp Fingerprint) map[string][]by
 		out["threads 01"] = []byte(strings.Replace(string(raw), old, "F|threads|0"+strconv.Itoa(fp.Threads[0]), 1))
 	}
 
-	at := bytes.Index(raw, []byte("\nDATA|")) + 1
+	// The DATA or FOLD line follows the header.
+	at := len(fp.appendHeader(nil))
 	end := at + bytes.IndexByte(raw[at:], '\n')
+	tag := string(raw[at : at+len(dataTag)])
 	out["cut DATA line"] = raw[:at+rng.Intn(end-at)]
 	out["DATA line dropped"] = append(append([]byte(nil), raw[:at]...), raw[end+1:]...)
-	out["padded DATA length"] = []byte(strings.Replace(string(raw), "\nDATA|", "\nDATA|0", 1))
+	out["padded DATA length"] = []byte(strings.Replace(string(raw), "\n"+tag, "\n"+tag+"0", 1))
 	out["trailing byte"] = append(append([]byte(nil), raw...), 'x')
-	if at+len("DATA|")+1 < len(raw) {
-		out["payload cut"] = raw[:len(raw)-1]
+	out["payload cut"] = raw[:len(raw)-1]
+	if tag == foldTag {
+		// Re-count the last run, and read the body as a DATA payload.
+		line := string(raw[at:end])
+		plus := strings.LastIndexByte(line, '+')
+		more, _ := strconv.Atoi(line[plus+1:])
+		recount := func(n int) []byte {
+			return []byte(string(raw[:at]) + line[:plus+1] + strconv.Itoa(n) + string(raw[end:]))
+		}
+		out["run count zero"] = recount(0)
+		out["run one line shorter"] = recount(more - 1)
+		out["run one line longer"] = recount(more + 1)
+		out["body as DATA"] = []byte(string(raw[:at]) + dataTag + strconv.Itoa(len(raw)-end-1) + string(raw[end:]))
 	}
 
 	foreign := fp
@@ -112,25 +125,52 @@ func recordMutations(rng *rand.Rand, raw []byte, fp Fingerprint) map[string][]by
 	return out
 }
 
+// randomRuns returns a payload of repeated measurement lines: groups of
+// lines that differ only in a rep number counting up, some groups broken
+// by a skipped number, between random lines.
+func randomRuns(rng *rand.Rand) []byte {
+	var b []byte
+	for groups := 1 + rng.Intn(3); groups > 0; groups-- {
+		prefix, suffix := randomString(rng), randomString(rng)+"\n"
+		rep := rng.Intn(12)
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			b = append(b, prefix+"|rep="+strconv.Itoa(rep)+suffix...)
+			rep += 1 + rng.Intn(8)/7
+		}
+		if rng.Intn(2) == 0 {
+			b = append(b, randomString(rng)+"\n"...)
+		}
+	}
+	return b
+}
+
 // TestVerifyRecordMatchesDecode pins the store-hit verification to its
-// reference: for random fingerprints and payloads, and for every kind of
-// damaged record, verifyRecord returns exactly what Decode followed by
-// Equal returns — the same payload bytes and the same error class. An
-// intact record must also pass on the byte comparison alone, so the test
-// cannot pass by always taking the fallback.
+// reference: for random fingerprints and payloads, stored as Put stores
+// them (folded when they repeat a line), and for every kind of damaged
+// record, verifyRecord returns exactly what Decode followed by Equal
+// returns — the same payload bytes and the same error class. An intact
+// record must also pass on the byte comparison alone, so the test cannot
+// pass by always taking the fallback.
 func TestVerifyRecordMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	folded := 0
 	for iter := 0; iter < 500; iter++ {
 		fp := randomFingerprint(rng)
 		payload := []byte(randomString(rng) + randomString(rng))
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			payload = nil
+		case 1:
+			payload = randomRuns(rng)
 		}
 		c := NewCell(fp)
 		if c.Key() != fp.Key() {
 			t.Fatalf("iter %d: cell key %s, fingerprint key %s", iter, c.Key(), fp.Key())
 		}
-		raw := Encode(Record{Fingerprint: fp, Payload: payload})
+		raw := encodeStored(c.header, payload)
+		if bytes.Contains(raw, []byte("\n"+foldTag)) {
+			folded++
+		}
 		if got, ok := exactPayload(raw, c.header); !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("iter %d: intact record failed the byte comparison: %q ok=%t\n%q", iter, got, ok, raw)
 		}
@@ -145,7 +185,7 @@ func TestVerifyRecordMatchesDecode(t *testing.T) {
 			} else {
 				other.Threads = nil
 			}
-			cases["nil/empty threads"] = Encode(Record{Fingerprint: other, Payload: payload})
+			cases["nil/empty threads"] = encodeStored(NewCell(other).header, payload)
 		}
 		for name, data := range cases {
 			got, err := verifyRecord(data, c)
@@ -157,6 +197,10 @@ func TestVerifyRecordMatchesDecode(t *testing.T) {
 				t.Fatalf("iter %d, %s: verifyRecord payload %q, reference %q", iter, name, got, want)
 			}
 		}
+	}
+	t.Logf("%d of 500 records stored folded", folded)
+	if folded < 50 {
+		t.Errorf("only %d of 500 records were stored folded", folded)
 	}
 }
 
